@@ -296,17 +296,9 @@ def cmd_poincare(args) -> int:
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
     res = poincare_f(mu, w, group, z, radius, ball=ball, budget=args.budget)
-    lines = [f"value = {res.value.real:+.12e} {res.value.imag:+.12e}i",
-             f"{res.terms} terms within norm {res.radius:g}; "
-             f"half-radius tail {res.tail_estimate:.3e}"]
-    if vanishing_case(0, w, args.N) and mu == MatrixPolynomial.one(args.n):
-        lines.append("note: this weight vanishes identically at this level")
-    payload = {"command": "poincare", "genus": args.n, "level": args.N,
-               "m": args.m, "mu": args.mu, "value": res.value,
-               "terms": res.terms, "radius": res.radius,
-               "tail_estimate": res.tail_estimate}
-    _emit(args, lines, payload)
-    return 0
+    notes = (["note: this weight vanishes identically at this level"]
+             if vanishing_case(0, w, args.N) and mu == MatrixPolynomial.one(args.n) else [])
+    return _emit_series(args, "poincare", res, notes, mu=args.mu)
 
 
 def cmd_kernel(args) -> int:
@@ -327,13 +319,17 @@ def cmd_kernel(args) -> int:
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
     res = kernel_series(w, group, xi, z, radius, ball=ball, budget=args.budget)
+    return _emit_series(args, "kernel", res, [])
+
+
+def _emit_series(args, command: str, res, notes: list, **extra) -> int:
     lines = [f"value = {res.value.real:+.12e} {res.value.imag:+.12e}i",
              f"{res.terms} terms within norm {res.radius:g}; "
-             f"half-radius tail {res.tail_estimate:.3e}"]
-    payload = {"command": "kernel", "genus": args.n, "level": args.N,
-               "m": args.m, "value": res.value, "terms": res.terms,
-               "radius": res.radius, "tail_estimate": res.tail_estimate}
-    _emit(args, lines, payload)
+             f"half-radius tail {res.tail_estimate:.3e}"] + notes
+    _emit(args, lines, {"command": command, "genus": args.n, "level": args.N,
+                        "m": args.m, "value": res.value, "terms": res.terms,
+                        "radius": res.radius, "tail_estimate": res.tail_estimate,
+                        **extra})
     return 0
 
 
@@ -424,23 +420,13 @@ def _verify_cmn(args) -> list[dict]:
     return results
 
 
-def _verify_cor62(args) -> list[dict]:
+def _verify_pairings(args, check) -> list[dict]:
     radius = args.radius if args.radius is not None else 40.0
     ball = _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)
-    rep = verify_cor62(radius=radius, ball=ball)
-    return [{"name": rep.identity, "passed": rep.passed,
-             "detail": f"relative error {rep.rel_err:.4f} (tolerance 0.02); "
-                       f"budget {_fmt_budget(rep.error_budget)}"}]
-
-
-def _verify_thm93(args) -> list[dict]:
-    radius = args.radius if args.radius is not None else 40.0
-    ball = _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)
-    reports = verify_thm93(radius=radius, ball=ball)
     return [{"name": rep.identity, "passed": rep.passed,
              "detail": f"relative error {rep.rel_err:.4f} (tolerance 0.02); "
                        f"budget {_fmt_budget(rep.error_budget)}"}
-            for rep in reports]
+            for rep in check(radius=radius, ball=ball)]
 
 
 def _fmt_budget(budget: dict) -> str:
@@ -451,8 +437,8 @@ _VERIFY_TARGETS = {
     "table1": _verify_table1,
     "coeff": _verify_coeff,
     "cmn": _verify_cmn,
-    "cor62": _verify_cor62,
-    "thm93": _verify_thm93,
+    "cor62": lambda args: _verify_pairings(args, lambda **kw: [verify_cor62(**kw)]),
+    "thm93": lambda args: _verify_pairings(args, verify_thm93),
 }
 
 

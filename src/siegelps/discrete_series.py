@@ -75,19 +75,45 @@ class MatrixCoefficientSpec:
 # the function family and the slash action
 # ---------------------------------------------------------------------------
 
-def _cayley_batch(Z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(z - iI)(z + iI)^{-1} and det(z + iI) over a stack of points."""
-    eye = np.eye(n)
-    M = Z + 1j * eye
-    W = np.linalg.solve(np.swapaxes(M, -1, -2), np.swapaxes(Z - 1j * eye, -1, -2))
-    return np.swapaxes(W, -1, -2), np.linalg.det(M)
+def pole_values(weight: Weight, P: np.ndarray, Q: np.ndarray | None = None,
+                mu: MatrixPolynomial | None = None) -> np.ndarray:
+    """Weight-vector or kernel values in pole form, over stacks (..., n, n).
+
+    With ``mu``: (2i)^{mn} mu(Q P^{-1}) det(P)^{-m}.  This is f_{mu,m}(z) at
+    P = z + iI, Q = z - iI and, by the cocycle, j(g, z)^{-m} f_{mu,m}(g.z) at
+    P = (A + iC)z + (B + iD), Q = (A - iC)z + (B - iD) for g = (A B; C D).
+    Without ``mu``: the kernel C_{m,n}^{-1} det(P)^{-m}, at P = (z - conj(xi))/2i
+    or ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Q is not read when mu is
+    constant.  P may be overwritten: det(P)^{-m} is formed in place, by
+    repeated squaring of the reciprocal.
+    """
+    n, m = weight.n, weight.m
+    numer = mu is not None and mu.degree() > 0
+    if numer:
+        W = Q / P if n == 1 else np.swapaxes(
+            np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)), -1, -2)
+    inv = P[..., 0, 0] if n == 1 else np.asarray(np.linalg.det(P))
+    np.reciprocal(inv, out=inv)
+    values, bits = None, m
+    while bits:
+        if bits & 1:
+            values = inv.copy() if values is None else np.multiply(values, inv, out=values)
+        bits >>= 1
+        if bits:
+            np.multiply(inv, inv, out=inv)
+    if mu is None:
+        values *= 1.0 / c_mn(weight)
+    else:
+        values *= (2j) ** (m * n) * (mu.evaluate_batch(W) if numer
+                                     else mu.evaluate(np.zeros((n, n))))
+    return values
 
 
 def f_values(mu: MatrixPolynomial, weight: Weight, Z: np.ndarray) -> np.ndarray:
     """f_{mu,m} over a stack of half-space points given as complex matrices."""
-    n = weight.n
-    W, dets = _cayley_batch(np.asarray(Z, dtype=np.complex128), n)
-    return (2j) ** (weight.m * n) * mu.evaluate_batch(W) / dets ** weight.m
+    Z = np.asarray(Z, dtype=np.complex128)
+    iI = 1j * np.eye(weight.n)
+    return pole_values(weight, Z + iI, Z - iI, mu)
 
 
 def f_mu_m(mu: MatrixPolynomial, weight: Weight, z: SiegelPoint) -> complex:
@@ -114,10 +140,7 @@ def slash(f: HalfSpaceFunction, weight: Weight, g: SymplecticMatrix) -> HalfSpac
 
 def lift(f: HalfSpaceFunction, weight: Weight, g: SymplecticMatrix) -> complex:
     """Classical-to-group lift F_f(g) = (f|g)(iI)."""
-    if g.n != weight.n:
-        raise DimensionError("group element and weight must share the same genus")
-    z0 = SiegelPoint.center(weight.n)
-    return j_factor(g, z0) ** (-weight.m) * f(act(g, z0))
+    return slash(f, weight, g)(SiegelPoint.center(weight.n))
 
 
 def lift_nak(f: HalfSpaceFunction, weight: Weight, factors: NAKFactors) -> complex:
@@ -165,9 +188,7 @@ def c_mn(weight: Weight) -> float:
 def kernel_values(weight: Weight, xi: SiegelPoint, Z: np.ndarray) -> np.ndarray:
     """Point-evaluation kernel over a stack of half-space points."""
     weight.require_integrable()
-    xibar = np.conj(xi.z)
-    M = (np.asarray(Z, dtype=np.complex128) - xibar) / 2j
-    return np.linalg.det(M) ** (-weight.m) / c_mn(weight)
+    return pole_values(weight, (np.asarray(Z, dtype=np.complex128) - np.conj(xi.z)) / 2j)
 
 
 def f_kernel(weight: Weight, xi: SiegelPoint, z: SiegelPoint) -> complex:

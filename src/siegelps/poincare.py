@@ -13,19 +13,21 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrete_series import MatrixCoefficientSpec, Weight, f_values, kernel_values
+from .discrete_series import MatrixCoefficientSpec, Weight, pole_values
 from .errors import BudgetError, DimensionError, DomainError
 from .nonvanishing import haar_unitary
 from .polynomials import MatrixPolynomial
 from .symplectic import (
     SiegelPoint,
     SymplecticMatrix,
+    act,
     embed_unitary,
     hyperbolic,
+    j_factor,
     j_matrix,
 )
 
@@ -101,7 +103,8 @@ def _canonical_order(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnumerationBall:
-    """All group elements with Frobenius norm at most ``radius``."""
+    """All group elements with Frobenius norm at most ``radius``; a shell
+    from ``split`` holds only those outside its inner radius."""
 
     group: CongruenceGroup
     radius: float
@@ -120,14 +123,19 @@ class EnumerationBall:
         return self.elements.shape[0]
 
     def norms_squared(self) -> np.ndarray:
-        flat = self.elements.reshape(len(self), -1)
-        return np.sum(flat * flat, axis=1)
+        return np.sum(self.elements * self.elements, axis=(1, 2))
 
     def restrict(self, radius: float) -> "EnumerationBall":
+        return self.split(radius)[0]
+
+    def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
+        """The ball of ``radius`` and the shell of the other elements, which
+        keeps this radius; a sum over this ball is the sum over the two."""
         if radius > self.radius + 1e-12:
             raise DomainError("cannot restrict to a larger radius")
         keep = self.norms_squared() <= int(math.floor(radius * radius + 1e-9))
-        return EnumerationBall(self.group, radius, self.elements[keep])
+        return (EnumerationBall(self.group, radius, self.elements[keep]),
+                EnumerationBall(self.group, self.radius, self.elements[~keep]))
 
 
 def _xgcd(u: int, v: int) -> tuple[int, int, int]:
@@ -294,6 +302,8 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
 
 
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"ball radius {radius} is not positive and finite")
     if not len(arr):
         return
     n, N = group.n, group.N
@@ -304,8 +314,18 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
     if not np.all((arr - np.eye(2 * n, dtype=np.int64)) % N == 0):
         raise DomainError("enumerated element fails the congruence condition")
     flat = arr.reshape(len(arr), -1)
-    if np.max(np.sum(flat * flat, axis=1)) > radius * radius + 1e-9:
+    norms = np.sum(flat * flat, axis=1)
+    if np.max(norms) > radius * radius + 1e-9:
         raise DomainError("enumerated element exceeds the radius")
+    # canonical order on adjacent rows: the first key that differs, of the
+    # norm and then the entries, must increase
+    tied, descending = np.ones(len(arr) - 1, dtype=bool), False
+    for key in [norms] + list(flat.T):
+        step = np.diff(key)
+        descending |= bool(np.any(tied & (step < 0)))
+        tied &= step == 0
+    if descending or tied.any():
+        raise DomainError("ball elements are not in canonical order")
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +363,11 @@ def load_ball(path: str) -> EnumerationBall:
 # truncated series
 # ---------------------------------------------------------------------------
 
+# Terms x points per block: 2**16 complex values, 1 MB, which stays in cache
+# where a whole ball at once does not.
+_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class TruncatedSeriesResult:
     """A finite average with its doubling-tail diagnostic."""
@@ -353,33 +378,50 @@ class TruncatedSeriesResult:
     tail_estimate: float
 
 
-def _resolve_ball(group, radius, ball, budget):
+def _pole_sums(weight: Weight, ball: EnumerationBall, Z: np.ndarray,
+               mu: MatrixPolynomial | None = None, xi: SiegelPoint | None = None):
+    """Sums over the ball of j(g, z)^{-m} f(g.z), f = f_{mu,m} or the kernel at xi.
+
+    Each term is ``pole_values`` at the pole matrices of g at z; ``Z`` stacks
+    points as (..., n, n).  Blocks of terms, in ball order, span about _BLOCK
+    term-points; a block's matrices H z + K come from one product [H K] @ [z; I].
+    """
+    n = weight.n
+    Z = np.asarray(Z, dtype=np.complex128)
+    shape, Z = Z.shape[:-2], Z.reshape(-1, n, n)
+    cols = (np.concatenate([Z, np.broadcast_to(np.eye(n), Z.shape)], axis=1)
+            .transpose(1, 0, 2).reshape(2 * n, -1))
+    out = np.zeros(len(Z), dtype=np.complex128)
+    step = max(_BLOCK // max(len(Z), 1), 1)
+    for k0 in range(0, len(ball), step):
+        E = ball.elements[k0:k0 + step].astype(np.float64)
+        top, bottom = E[:, :n], E[:, n:]
+        if xi is not None:
+            rows = [(top - np.conj(xi.z) @ bottom) / 2j]
+        else:
+            rows = [top + 1j * bottom] + ([top - 1j * bottom] if mu.degree() else [])
+        poles = [(r.reshape(-1, 2 * n) @ cols).reshape(len(E), n, -1, n)
+                 .transpose(0, 2, 1, 3) for r in rows]
+        out += pole_values(weight, *poles, mu=mu).sum(axis=0)
+    return out.reshape(shape)
+
+
+def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, budget: int,
+            z: np.ndarray, mu: MatrixPolynomial | None = None,
+            xi: SiegelPoint | None = None) -> TruncatedSeriesResult:
+    """The series at one point; the tail is the shell outside half the radius."""
     if ball is None:
-        return enumerate_ball(group, radius, budget=budget)
-    if ball.group != group:
+        ball = enumerate_ball(group, radius, budget=budget)
+    elif ball.group != group:
         raise DomainError("supplied ball was enumerated for a different group")
-    if ball.radius < radius - 1e-12:
+    elif ball.radius < radius - 1e-12:
         raise DomainError("supplied ball is smaller than the requested radius")
-    return ball.restrict(radius) if ball.radius > radius + 1e-12 else ball
-
-
-def _series_sum(base_values, weight: Weight, ball: EnumerationBall, zc: np.ndarray):
-    """Sum j(g, z)^{-m} base(g.z) over the ball, plus the half-radius tail."""
-    n, m = weight.n, weight.m
-    G = ball.elements.astype(np.float64)
-    A, B = G[:, :n, :n], G[:, :n, n:]
-    C, D = G[:, n:, :n], G[:, n:, n:]
-    Mden = C @ zc + D
-    jv = np.linalg.det(Mden)
-    num = A @ zc + B
-    Znew = np.swapaxes(np.linalg.solve(np.swapaxes(Mden, 1, 2),
-                                       np.swapaxes(num, 1, 2)), 1, 2)
-    terms = jv ** (-m) * base_values(Znew)
-    total = complex(np.sum(terms))
-    half = ball.norms_squared() <= (ball.radius / 2.0) ** 2
-    tail = abs(total - complex(np.sum(terms[half])))
-    return TruncatedSeriesResult(value=total, terms=len(ball),
-                                 radius=ball.radius, tail_estimate=tail)
+    elif ball.radius > radius + 1e-12:
+        ball = ball.restrict(radius)
+    inner, shell = (_pole_sums(weight, part, z, mu, xi)
+                    for part in ball.split(ball.radius / 2.0))
+    return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),
+                                 radius=ball.radius, tail_estimate=abs(shell))
 
 
 def poincare_f(mu: MatrixPolynomial, weight: Weight, group: CongruenceGroup,
@@ -389,34 +431,27 @@ def poincare_f(mu: MatrixPolynomial, weight: Weight, group: CongruenceGroup,
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or mu.n != weight.n:
         raise DimensionError("mu, weight, group and z must share the same genus")
-    ball = _resolve_ball(group, radius, ball, budget)
-    return _series_sum(lambda Z: f_values(mu, weight, Z), weight, ball, z.z)
+    return _series(weight, group, radius, ball, budget, z.z, mu=mu)
 
 
 def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
                g: SymplecticMatrix, radius: float,
                ball: EnumerationBall | None = None,
                budget: int = 2 * 10 ** 9) -> TruncatedSeriesResult:
-    """Truncation of the group-side average sum of F(gamma g)."""
+    """Truncation of the group-side average sum of F(gamma g).
+
+    By the cocycle, F(gamma g) = j(g, iI)^{-m} (f | gamma)(g.iI), so this is
+    the weight-vector series at g.iI times j(g, iI)^{-m}.
+    """
     weight = spec.weight
     weight.require_integrable()
     if group.n != weight.n or g.n != weight.n:
         raise DimensionError("spec, group and g must share the same genus")
-    ball = _resolve_ball(group, radius, ball, budget)
-    n, m = weight.n, weight.m
-    H = ball.elements.astype(np.float64) @ g.g[None, :, :]
-    z0 = 1j * np.eye(n)
-    Mden = H[:, n:, :n] @ z0 + H[:, n:, n:]
-    jv = np.linalg.det(Mden)
-    num = H[:, :n, :n] @ z0 + H[:, :n, n:]
-    Znew = np.swapaxes(np.linalg.solve(np.swapaxes(Mden, 1, 2),
-                                       np.swapaxes(num, 1, 2)), 1, 2)
-    terms = jv ** (-m) * f_values(spec.mu, weight, Znew)
-    total = complex(np.sum(terms))
-    half = ball.norms_squared() <= (ball.radius / 2.0) ** 2
-    tail = abs(total - complex(np.sum(terms[half])))
-    return TruncatedSeriesResult(value=total, terms=len(ball),
-                                 radius=ball.radius, tail_estimate=tail)
+    center = SiegelPoint.center(weight.n)
+    res = _series(weight, group, radius, ball, budget, act(g, center).z, mu=spec.mu)
+    factor = j_factor(g, center) ** (-weight.m)
+    return replace(res, value=factor * res.value,
+                   tail_estimate=abs(factor) * res.tail_estimate)
 
 
 def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
@@ -427,51 +462,24 @@ def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or xi.n != weight.n:
         raise DimensionError("weight, group, xi and z must share the same genus")
-    ball = _resolve_ball(group, radius, ball, budget)
-    return _series_sum(lambda Z: kernel_values(weight, xi, Z), weight, ball, z.z)
+    return _series(weight, group, radius, ball, budget, z.z, xi=xi)
 
 
 def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
                             mu: MatrixPolynomial | None = None,
-                            xi: SiegelPoint | None = None,
-                            chunk: int = 128):
+                            xi: SiegelPoint | None = None):
     """Vectorized genus-1 evaluator: complex array z -> truncated series values.
 
     Exactly one of ``mu`` (weight-vector series) and ``xi`` (kernel series)
     must be given.  Useful as a quadrature integrand.
     """
-    from .discrete_series import c_mn
-
     if (mu is None) == (xi is None):
         raise DomainError("give exactly one of mu and xi")
     if ball.group.n != 1 or weight.n != 1:
         raise DimensionError("this evaluator is genus-1 only")
     weight.require_integrable()
-    E = ball.elements.astype(np.float64)
-    a, b = E[:, 0, 0][:, None], E[:, 0, 1][:, None]
-    c, d = E[:, 1, 0][:, None], E[:, 1, 1][:, None]
-    m = weight.m
-    xibar = np.conj(complex(xi.z[0, 0])) if xi is not None else None
-    scale = 1.0 / c_mn(weight) if xi is not None else None
-
-    def evaluate(z):
-        zf = np.asarray(z, dtype=np.complex128)
-        shape = zf.shape
-        zf = zf.ravel()
-        out = np.empty(zf.shape, dtype=np.complex128)
-        for lo in range(0, len(zf), chunk):
-            zc = zf[None, lo:lo + chunk]
-            den = c * zc + d
-            zt = (a * zc + b) / den
-            if xi is None:
-                w = (zt - 1j) / (zt + 1j)
-                base = (2j) ** m * mu.evaluate_batch(w[..., None, None]) / (zt + 1j) ** m
-            else:
-                base = scale * ((zt - xibar) / 2j) ** (-m)
-            out[lo:lo + chunk] = np.sum(den ** (-m) * base, axis=0)
-        return out.reshape(shape)
-
-    return evaluate
+    return lambda z: _pole_sums(
+        weight, ball, np.asarray(z, dtype=np.complex128)[..., None, None], mu, xi)
 
 
 # ---------------------------------------------------------------------------

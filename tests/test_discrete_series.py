@@ -56,6 +56,7 @@ def test_f_values_matches_scalar():
     vals = sp.f_values(mu, w, Z)
     for i, p in enumerate(pts):
         assert vals[i] == pytest.approx(sp.f_mu_m(mu, w, p), rel=1e-12)
+        assert complex(sp.f_values(mu, w, p.z)) == pytest.approx(vals[i], rel=1e-12)
 
 
 def test_slash_cocycle():
@@ -165,6 +166,7 @@ def test_kernel_values_matches_scalar():
     vals = sp.kernel_values(w, xi, Z)
     for i, p in enumerate(pts):
         assert vals[i] == pytest.approx(sp.f_kernel(w, xi, p), rel=1e-12)
+        assert complex(sp.kernel_values(w, xi, p.z)) == pytest.approx(vals[i], rel=1e-12)
 
 
 def test_kernel_requires_integrable_weight():

@@ -125,6 +125,11 @@ def test_pairing_linearity_and_symmetry():
     assert scaled.value == pytest.approx(2.5 * base.value, rel=1e-12)
     swapped = petersson(q_exp, delta, w)
     assert swapped.value == pytest.approx(np.conj(base.value), rel=1e-12)
+    # a stacked second argument is paired componentwise
+    stacked = petersson(delta, lambda z: np.stack([q_exp(z), 2.5 * q_exp(z)]), w)
+    assert stacked.value.shape == (2,)
+    assert stacked.value[0] == pytest.approx(base.value, rel=1e-12)
+    assert stacked.value[1] == pytest.approx(2.5 * base.value, rel=1e-12)
 
 
 def test_pairing_norm_positive():
@@ -160,10 +165,21 @@ def test_quadrature_convergence_failure_carries_partial():
 # ---------------------------------------------------------------------------
 
 
+# Pairings at radius 40 with the default quadrature, recorded from the
+# evaluator that summed j(g, z)^{-m} f(g.z) directly, before the pole form.
+GOLDEN_LHS = {
+    "pairing-vs-center-value": 0.0020396017478975037 - 3.8659753472355046e-21j,
+    "kernel-pairing@0+1i": 0.0017853698506421654 - 3.519294691803961e-21j,
+    "kernel-pairing@0+2i": 3.487050489535093e-06 - 7.69645586684091e-24j,
+    "kernel-pairing@0.3+0.8i": -0.0011349819700584166 + 0.006803176006185741j,
+}
+
+
 def test_pairing_reproduces_center_value(ball40):
     rep = sp.verify_cor62(ball=ball40)
     assert rep.passed
     assert rep.rel_err < 1e-6
+    assert rep.lhs == pytest.approx(GOLDEN_LHS[rep.identity], rel=1e-12)
     assert set(rep.error_budget) == {"series", "quadrature", "cutoff"}
     assert rep.identity == "pairing-vs-center-value"
 
@@ -174,7 +190,7 @@ def test_kernel_pairing_reproduces_point_values(ball40):
     for rep in reports:
         assert rep.passed
         assert rep.rel_err < 1e-6
-        assert rep.identity.startswith("kernel-pairing@")
+        assert rep.lhs == pytest.approx(GOLDEN_LHS[rep.identity], rel=1e-12)
 
 
 def test_kernel_pairing_rejects_lower_half_plane(ball40):

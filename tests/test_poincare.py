@@ -1,7 +1,10 @@
 """Tests for exact integer enumeration and truncated group averages."""
 
+import functools
 import math
+import struct
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -185,6 +188,7 @@ def test_canonical_order_and_center(ball40):
 def test_restrict_equals_direct(ball40):
     direct = enumerate_ball(CongruenceGroup(1, 1), 6.0)
     assert np.array_equal(ball40.restrict(6.0).elements, direct.elements)
+    assert ball40.restrict(1.0).norms_squared().shape == (0,)   # no element fits
     with pytest.raises(DomainError):
         ball40.restrict(41.0)
 
@@ -245,6 +249,33 @@ def test_load_rejects_corruption(tmp_path):
         load_ball(bad)
 
 
+def test_load_rejects_broken_invariants(tmp_path):
+    ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
+    path = str(tmp_path / "ball.bin")
+    save_ball(path, ball)
+    raw = open(path, "rb").read()
+    head = struct.Struct("<qqdq")
+    n, N, _, count = head.unpack(raw[:head.size])
+    # every element fits an infinite or NaN radius; no radius may be unusable
+    for radius in (math.inf, math.nan, 0.0, -10.0):
+        bad = str(tmp_path / "radius.bin")
+        with open(bad, "wb") as fh:
+            fh.write(head.pack(n, N, radius, count) + raw[head.size:])
+        with pytest.raises(DomainError):
+            load_ball(bad)
+    # out of canonical order the sum's rounding changes; a repeated element
+    # in place of another is out of order too
+    swapped = ball.elements.copy()
+    swapped[[5, 6]] = swapped[[6, 5]]
+    repeated = ball.elements.copy()
+    repeated[0] = repeated[1]
+    for order in (ball.elements[::-1], swapped, repeated):
+        bad = str(tmp_path / "order.bin")
+        save_ball(bad, sp.EnumerationBall(ball.group, ball.radius, order))
+        with pytest.raises(DomainError):
+            load_ball(bad)
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
@@ -266,6 +297,8 @@ def test_series_matches_elementwise_sum():
         manual += sp.j_factor(g, z) ** (-w.m) * sp.f_mu_m(mu, w, sp.act(g, z))
     assert res.value == pytest.approx(manual, rel=1e-11)
     assert res.terms == 32
+    empty = poincare_f(mu, w, group, z, 1.5)      # no element has norm below 2
+    assert empty.value == 0 and empty.terms == 0
 
 
 def test_series_radius_convergence(ball40):
@@ -295,6 +328,25 @@ def test_group_side_series_consistent(ball40):
         rhs = (sp.j_factor(g, z0) ** (-w.m)
                * poincare_f(mu, w, group, sp.act(g, z0), 30.0, ball=ball40).value)
         assert lhs.value == pytest.approx(rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, N, radius, mu_text", [(1, 1, 6.0, "1 + X_{1,1}^2"),
+                                                     (2, 2, 4.2, "det^2 + 3*X_{1,2}")])
+def test_group_side_series_matches_brute_force_lift(n, N, radius, mu_text):
+    # an oracle independent of the series code: lift f_{mu,m} at every gamma g
+    rng = np.random.default_rng(52)
+    w = Weight(4 * n + 4, n)
+    mu = sp.parse_polynomial(mu_text, n)
+    group = CongruenceGroup(n, N)
+    ball = enumerate_ball(group, radius)
+    f = functools.partial(sp.f_mu_m, mu, w)
+    for _ in range(2):
+        g = random_symplectic(n, rng)
+        brute = sum(sp.lift(f, w, sp.SymplecticMatrix(e.astype(np.float64)) @ g)
+                    for e in ball.elements)
+        got = poincare_F(MatrixCoefficientSpec(mu, w), group, g, radius, ball=ball)
+        assert got.terms == len(ball)
+        assert abs(got.value - brute) <= 1e-11 * abs(brute)
 
 
 def test_kernel_series_hermitian_truncation(ball40):
@@ -345,6 +397,36 @@ def test_vectorized_evaluator_matches(ball40):
         sp.series_evaluator_genus1(w, ball40)
     with pytest.raises(DomainError):
         sp.series_evaluator_genus1(w, ball40, mu=mu, xi=xi)
+
+
+def test_vectorized_evaluator_matches_mpmath(ball40):
+    # 30-digit sums of j(g, z)^{-m} f(g.z) term by term; the error is measured
+    # against the largest value, since the sums cancel to 1e-13 of it at some z
+    w = Weight(12, 1)
+    ball = ball40.restrict(10.0)
+    zs = np.array([1j, 2j, 0.3 + 0.8j, -0.4 + 1.2j, 0.1 + 0.9j,
+                   0.5 + 1.5j, -0.25 + 2.5j, 0.05 + 1.05j])
+    xi = 0.2 + 1.3j
+    oracle = {"mu": [], "xi": []}
+    with mpmath.workdps(30):
+        cmn = 4 * mpmath.pi / (w.m - 1)
+        xibar = mpmath.mpc(xi.real, -xi.imag)
+        for zval in zs:
+            z = mpmath.mpc(zval.real, zval.imag)
+            sums = {"mu": mpmath.mpc(0), "xi": mpmath.mpc(0)}
+            for (a, b), (c, d) in ball.elements.tolist():
+                j = c * z + d
+                gz = (a * z + b) / j
+                sums["mu"] += j ** -w.m * (2j) ** w.m / (gz + 1j) ** w.m
+                sums["xi"] += j ** -w.m * ((gz - xibar) / 2j) ** -w.m / cmn
+            for key in sums:
+                oracle[key].append(complex(sums[key]))
+    got = {"mu": sp.series_evaluator_genus1(w, ball, mu=MatrixPolynomial.one(1))(zs),
+           "xi": sp.series_evaluator_genus1(
+               w, ball, xi=SiegelPoint.from_complex(np.array([[xi]])))(zs)}
+    for key in got:
+        want = np.array(oracle[key])
+        assert np.max(np.abs(got[key] - want)) <= 1e-13 * np.max(np.abs(want)), key
 
 
 # ---------------------------------------------------------------------------
