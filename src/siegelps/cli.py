@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 bad usage or invalid input,
 3 numerical failure (non-convergence, ambiguous threshold, budget overrun).
 
 Environment defaults: SIEGEL_SEED, SIEGEL_TOL, SIEGEL_BUDGET, SIEGEL_RADIUS,
-SIEGEL_THREADS, SIEGEL_CACHE_DIR mirror the corresponding options.
+SIEGEL_CACHE_DIR mirror the corresponding options.
 """
 
 from __future__ import annotations
@@ -210,8 +210,7 @@ def cmd_n0_table(args) -> int:
         raise DomainError("--m-min and --m-max are required beyond genus 2")
     ls = list(range(args.l_min, args.l_max + 1))
     ms = list(range(args.m_min, args.m_max + 1))
-    cells = n0_table(args.n, ls, ms, tol=args.tol, budget=args.budget,
-                     threads=args.threads)
+    cells = n0_table(args.n, ls, ms, tol=args.tol, budget=args.budget)
     by_pos = {(c.l, c.m): c for c in cells}
     width = max(5, len(str(max(c.n0 for c in cells))) + 1)
     lines = ["l\\m".rjust(6) + "".join(str(m).rjust(width) for m in ms)]
@@ -364,8 +363,7 @@ def _verify_table1(args) -> list[dict]:
         if n not in REFERENCE_N0:
             raise DomainError(f"no reference thresholds at genus {n}")
         ms = range(3, 11) if n == 1 else range(5, 13)
-        cells = n0_table(n, range(0, 13), ms, tol=args.tol,
-                         budget=10 ** 6, threads=args.threads)
+        cells = n0_table(n, range(0, 13), ms, tol=args.tol, budget=10 ** 6)
         ref = REFERENCE_N0[n]
         bad = [(c.l, c.m, c.n0, ref[(c.l, c.m)])
                for c in cells if c.n0 != ref[(c.l, c.m)]]
@@ -477,9 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--radius", type=float,
                         default=_env_float("SIEGEL_RADIUS", None),
                         help="truncation radius (env SIEGEL_RADIUS)")
-    common.add_argument("--threads", type=int,
-                        default=_env_int("SIEGEL_THREADS", 1),
-                        help="worker threads for tables (env SIEGEL_THREADS)")
     common.add_argument("--cache-dir", default=os.environ.get("SIEGEL_CACHE_DIR"),
                         help="directory for enumeration caches (env SIEGEL_CACHE_DIR)")
     common.add_argument("--format", choices=("text", "json", "csv"),

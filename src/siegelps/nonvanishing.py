@@ -18,7 +18,6 @@ is the threshold reported by ``n0_detl`` (weights det^l) and ``n0_general``
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,18 +288,10 @@ def n0_detl(l: int, weight: Weight, tol: float = 1e-10, budget: int = 10 ** 6) -
 
 
 def n0_table(n: int, l_values, m_values, tol: float = 1e-10,
-             budget: int = 10 ** 6, threads: int = 1) -> list[ThresholdCell]:
+             budget: int = 10 ** 6) -> list[ThresholdCell]:
     """Threshold table over a rectangle of (l, m) pairs."""
-    jobs = [(l, m) for l in l_values for m in m_values]
-
-    def cell(job):
-        l, m = job
-        return n0_detl_report(l, Weight(m, n), tol=tol, budget=budget)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(cell, jobs))
-    return [cell(job) for job in jobs]
+    return [n0_detl_report(l, Weight(m, n), tol=tol, budget=budget)
+            for l in l_values for m in m_values]
 
 
 @dataclass(frozen=True)

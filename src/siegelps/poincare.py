@@ -1,10 +1,25 @@
 """Integer symplectic balls and truncated averages over congruence subgroups.
 
-Enumeration is exact int64 arithmetic: genus 1 sweeps coprime bottom rows
-and solves the congruence for the top row; genus 2 runs a column-by-column
-search (first and third columns pair to 1 under the skew form, the rest
-complete by orthogonality) with vectorized masks.  Elements are stored in a
-canonical order (norm, then entries) so that sums are reproducible.
+Enumeration is exact and the same at every genus.  The translations
+[[I, N S], [0, I]] (S symmetric) act on the left of the group, and each coset
+is fixed by its bottom half M = [C D], so a ball is enumerated in three
+stages:
+
+1. sweep the bottom halves: M = [0 I] (mod N) with pairwise J-orthogonal
+   rows and |M|^2 <= r^2 - n, built row by row from norm-sorted tables;
+2. complete each coset once: integer Euclid on J M^T gives T with
+   T J M^T = I exactly when M is primitive, then T += triu(T J T^T, 1) M makes
+   [T; M] symplectic and a symmetric shift makes T = [I 0] (mod N);
+3. enumerate the symmetric S with |T + N S M|^2 <= r^2 - |M|^2 by
+   Fincke-Pohst over the n(n+1)/2 entries of S, then filter norms exactly.
+
+No step branches on the genus; genus 3 and above are refused until an
+independent oracle can check them.
+
+Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
+``enumerate_ball`` caps the size of stage 1, estimated before any work.
+Elements are stored in a canonical order (norm, then entries) so that sums
+are reproducible.
 """
 
 from __future__ import annotations
@@ -138,165 +153,128 @@ class EnumerationBall:
                 EnumerationBall(self.group, self.radius, self.elements[~keep]))
 
 
-def _xgcd(u: int, v: int) -> tuple[int, int, int]:
-    """g, x, y with x*u + y*v = g = gcd(u, v)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while v:
-        q, u, v = u // v, v, u % v
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if u < 0:
-        return -u, -x0, -y0
-    return u, x0, y0
+# Candidate pairs per block of the bottom-half sweep, and cosets per block of
+# the completion and the S search.
+_PAIRS = 1 << 20
+_COSETS = 1 << 14
 
 
-def _ball_genus1(N: int, radius: float, budget: int) -> np.ndarray:
-    r2 = int(math.floor(radius * radius + 1e-9))
-    rows = []
-    if r2 >= 2:
-        cmax = math.isqrt(max(r2 - 1, 0))    # the top row contributes at least 1
-        if (2 * cmax + 1) ** 2 // (N * N) > budget:
-            feasible = (math.isqrt(budget) * N - 1) / 2.0
-            raise BudgetError(
-                f"genus-1 sweep needs about {(2 * cmax + 1) ** 2 // (N * N)} row pairs",
-                feasible_radius=feasible)
-        for c in range(-cmax, cmax + 1):
-            if c % N != 0:
-                continue
-            dmax = math.isqrt(r2 - 1 - c * c)
-            for d in range(-dmax, dmax + 1):
-                if (d - 1) % N != 0 or math.gcd(abs(c), abs(d)) != 1:
-                    continue
-                g, p, q = _xgcd(d, -c)      # p d - q c = 1
-                a0, b0 = p, q
-                A = c * c + d * d
-                cap = r2 - A
-                disc = (a0 * c + b0 * d) ** 2 - A * (a0 * a0 + b0 * b0 - cap)
-                if disc < 0:
-                    continue
-                s = math.sqrt(disc)
-                mid = -(a0 * c + b0 * d)
-                tlo = math.ceil((mid - s) / A - 1e-12)
-                thi = math.floor((mid + s) / A + 1e-12)
-                if N > 1:
-                    tlo += (-b0 - tlo) % N   # b = b0 + t d = 0 mod N, d = 1 mod N
-                for t in range(tlo, thi + 1, N if N > 1 else 1):
-                    a, b = a0 + t * c, b0 + t * d
-                    if a * a + b * b <= cap:
-                        rows.append((a, b, c, d))
-    if not rows:
-        return np.zeros((0, 2, 2), dtype=np.int64)
-    return np.array(rows, dtype=np.int64).reshape(-1, 2, 2)
+def _bottom_halves(n: int, N: int, r2: int) -> np.ndarray:
+    """Every M = [C D] = [0 I] (mod N) with nonzero, pairwise J-orthogonal rows
+    and |M|^2 <= r2 - n, grown row by row from norm-sorted candidate tables."""
+    J = j_matrix(n).astype(np.int64)
+    cap = r2 - n                         # the top half has norm at least n
+    lim = math.isqrt(cap - n + 1)        # the other rows have norm at least 1
+    M = np.zeros((1, 0, 2 * n), np.int64)
+    for i in range(n):
+        row_cap = cap - (n - 1 - i)
+        axes = [np.arange(-((lim + e) // N), (lim - e) // N + 1) * N + e
+                for e in np.eye(2 * n, dtype=np.int64)[n + i]]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2 * n)
+        norms = np.sum(grid * grid, axis=1)
+        keep = np.flatnonzero((norms >= 1) & (norms <= row_cap))
+        keep = keep[np.argsort(norms[keep], kind="stable")]
+        table, tnorms = grid[keep], norms[keep]
+        rows, step = [], max(_PAIRS // max(len(table), 1), 1)
+        for b0 in range(0, len(M), step):
+            part = M[b0:b0 + step]
+            u = np.sum(part * part, axis=(1, 2))
+            k = int(np.searchsorted(tnorms, row_cap - u.min(), side="right"))
+            ok = u[:, None] + tnorms[None, :k] <= row_cap
+            ok &= np.all((part @ J) @ table[:k].T == 0, axis=1)
+            p, q = np.nonzero(ok)
+            rows.append(np.concatenate([part[p], table[q, None]], axis=1))
+        M = np.concatenate(rows)
+    return M
 
 
-def _jdot2(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Skew pairing v^T J w at genus 2; w may be a stack (k, 4)."""
-    return (v[0] * w[..., 2] + v[1] * w[..., 3]
-            - v[2] * w[..., 0] - v[3] * w[..., 1])
-
-
-def _column_grid(j: int, N: int, cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    lim = math.isqrt(cap)
-    axes = []
-    for i in range(4):
-        res = 1 if i == j else 0
-        lo = math.ceil((-lim - res) / N)
-        hi = math.floor((lim - res) / N)
-        axes.append(np.arange(lo, hi + 1, dtype=np.int64) * N + res)
-    size = 1
-    for ax in axes:
-        size *= len(ax)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    norms = np.sum(grid * grid, axis=1)
-    keep = norms <= cap
-    return grid[keep], norms[keep], size
-
-
-def _genus2_grid_size(N: int, r2: int) -> int:
-    lim = math.isqrt(max(r2 - 3, 0))
-    per_axis = 2 * (lim // N) + 2
-    return per_axis ** 4
-
-
-def _ball_genus2(N: int, radius: float, budget: int) -> np.ndarray:
-    r2 = int(math.floor(radius * radius + 1e-9))
-    if r2 < 4:
-        return np.zeros((0, 4, 4), dtype=np.int64)
-    if _genus2_grid_size(N, r2) > budget:
-        rr = radius
-        while rr > 2.0 and _genus2_grid_size(N, int(rr * rr)) > budget:
-            rr -= 0.5
-        raise BudgetError(
-            f"genus-2 candidate grid has about {_genus2_grid_size(N, r2)} points",
-            feasible_radius=rr)
-    cap = r2 - 3
-    cols = []
-    for j in range(4):
-        grid, norms, _ = _column_grid(j, N, cap)
-        order = np.argsort(norms, kind="stable")
-        cols.append((grid[order], norms[order]))
-    c0s, n0s = cols[0]
-    c1s, n1s = cols[1]
-    c2s, n2s = cols[2]
-    c3s, n3s = cols[3]
-    out = []
-    work = 0
-    for v0, nv0 in zip(c0s, n0s):
-        if work > budget:
-            # everything of total norm at most nv0 + 3 is already emitted
-            raise BudgetError(
-                f"genus-2 search passed the work budget {budget}",
-                feasible_radius=math.sqrt(max(nv0 + 3, 4)))
-        # norm-sorted candidates let every mask work on a prefix slice
-        k2 = int(np.searchsorted(n2s, r2 - 2 - nv0, side="right"))
-        m2 = _jdot2(v0, c2s[:k2]) == 1
-        work += k2
-        if not m2.any():
-            continue
-        jd01 = _jdot2(v0, c1s)
-        jd03 = _jdot2(v0, c3s)
-        work += len(c1s) + len(c3s)
-        for v2, nv2 in zip(c2s[:k2][m2], n2s[:k2][m2]):
-            k1 = int(np.searchsorted(n1s, r2 - 1 - nv0 - nv2, side="right"))
-            m1 = (jd01[:k1] == 0) & (_jdot2(v2, c1s[:k1]) == 0)
-            work += 2 * k1
-            if not m1.any():
-                continue
-            base3 = (jd03 == 0) & (_jdot2(v2, c3s) == 0)
-            c3b, n3b = c3s[base3], n3s[base3]
-            work += len(c3s)
-            if not len(c3b):
-                continue
-            for v1, nv1 in zip(c1s[:k1][m1], n1s[:k1][m1]):
-                k3 = int(np.searchsorted(n3b, r2 - nv0 - nv1 - nv2, side="right"))
-                m3 = _jdot2(v1, c3b[:k3]) == 1
-                work += k3
-                v3block = c3b[:k3][m3]
-                if len(v3block):
-                    blk = np.empty((len(v3block), 4, 4), dtype=np.int64)
-                    blk[:, :, 0] = v0
-                    blk[:, :, 1] = v1
-                    blk[:, :, 2] = v2
-                    blk[:, :, 3] = v3block
-                    out.append(blk)
-                    work += 16 * len(v3block)
-    if not out:
-        return np.zeros((0, 4, 4), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+def _coset_elements(M: np.ndarray, N: int, r2: int) -> np.ndarray:
+    """The elements [T + N S M; M] of norm^2 <= r2 over primitive bottom halves M."""
+    n = M.shape[1]
+    J = j_matrix(n).astype(np.int64)
+    # Euclid on the columns of [J M^T | I]: U J M^T = [H; 0] with H triangular
+    A = np.concatenate([J @ np.swapaxes(M, 1, 2),
+                        np.broadcast_to(np.eye(2 * n, dtype=np.int64), (len(M), 2 * n, 2 * n))],
+                       axis=2)
+    at = np.arange(len(M))
+    for j in range(n):
+        while np.any(A[:, j + 1:, j]):
+            col = np.abs(A[:, j:, j])
+            p = j + np.argmin(np.where(col > 0, col, np.iinfo(np.int64).max), axis=1)
+            A[at, j], A[at, p] = A[at, p], A[at, j]
+            piv = A[:, j, j]
+            q = A[:, j + 1:, j] // np.where(piv == 0, 1, piv)[:, None]
+            A[:, j + 1:] -= q[:, :, None] * A[:, None, j]
+    # M is primitive exactly when H is unimodular; row operations make H = I
+    diag = np.diagonal(A[:, :n, :n], axis1=1, axis2=2)
+    prim = np.all(np.abs(diag) == 1, axis=1)
+    A, M = A[prim], M[prim]
+    A[:, :n] *= diag[prim][:, :, None]
+    for j in range(n - 1, 0, -1):
+        A[:, :j] -= A[:, :j, j, None] * A[:, None, j]
+    T = A[:, :n, n:]                                   # T J M^T = I
+    T += np.triu(T @ J @ np.swapaxes(T, 1, 2), 1) @ M  # T J T^T = 0
+    B = T[:, :, n:] % N
+    T -= (np.triu(B) + np.swapaxes(np.triu(B, 1), 1, 2)) @ M   # T = [I 0] (mod N)
+    # Fincke-Pohst over the symmetric S: |T + N S M|^2 = |t + s b|^2
+    pairs = [(a, c) for a in range(n) for c in range(a, n)]
+    E = np.zeros((len(pairs), n, n), np.int64)
+    for k, (a, c) in enumerate(pairs):
+        E[k, a, c] = E[k, c, a] = 1
+    b = (N * (E @ M[:, None])).reshape(len(M), len(E), -1).astype(np.float64)
+    t = T.reshape(len(M), -1).astype(np.float64)
+    Q = b @ np.swapaxes(b, 1, 2)
+    center = -np.linalg.solve(Q, (b @ t[:, :, None]))[:, :, 0]
+    R = np.swapaxes(np.linalg.cholesky(Q), 1, 2)
+    closest = t + np.einsum("zk,zkf->zf", center, b)
+    # rounding slack: the intervals may only widen, the exact filter below
+    # drops what they let through
+    rho = r2 - np.sum(M * M, axis=(1, 2)) - np.sum(closest * closest, axis=1) + 1e-6 * r2
+    z, s = np.arange(len(M)), np.zeros((len(M), len(E)), np.int64)
+    for i in range(len(E) - 1, -1, -1):
+        rii = R[z, i, i]
+        mid = center[z, i] - np.sum(R[z, i, i + 1:] * (s[:, i + 1:] - center[z, i + 1:]),
+                                    axis=1) / rii
+        half = np.sqrt(np.maximum(rho, 0.0)) / rii
+        lo = np.ceil(mid - half - 1e-9).astype(np.int64)
+        count = np.maximum(np.floor(mid + half + 1e-9).astype(np.int64) - lo + 1, 0)
+        node = np.repeat(np.arange(len(z)), count)
+        z, s, rho, mid = z[node], s[node], rho[node], mid[node]
+        s[:, i] = lo[node] + np.arange(len(node)) - np.repeat(np.cumsum(count) - count, count)
+        rho = rho - (rii[node] * (s[:, i] - mid)) ** 2
+    S = (s @ E.reshape(len(E), -1)).reshape(-1, n, n)
+    out = np.concatenate([T[z] + N * (S @ M[z]), M[z]], axis=1)
+    return out[np.sum(out * out, axis=(1, 2)) <= r2]
 
 
 def enumerate_ball(group: CongruenceGroup, radius: float,
                    budget: int = 2 * 10 ** 9) -> EnumerationBall:
-    """Every group element of Frobenius norm <= radius, canonically ordered."""
+    """Every group element of Frobenius norm <= radius, canonically ordered.
+
+    ``budget`` caps the bottom-half sweep, counted before any work as the
+    volume estimate of its candidates; past it, BudgetError names the
+    largest radius that fits.
+    """
     if radius <= 0 or not math.isfinite(radius):
         raise DomainError("radius must be positive and finite")
-    if group.n == 1:
-        arr = _ball_genus1(group.N, radius, budget)
-    elif group.n == 2:
-        arr = _ball_genus2(group.N, radius, budget)
-    else:
+    n, N = group.n, group.N
+    if n > 2:
         raise DimensionError("exact enumeration is implemented for genus 1 and 2")
-    arr = _canonical_order(arr) if len(arr) else arr
+    r2 = int(math.floor(radius * radius + 1e-9))
+    arr = np.zeros((0, 2 * n, 2 * n), np.int64)
+    if r2 >= 2 * n:                      # |T|^2, |M|^2 >= n each
+        d = 2 * n * n                    # lattice points of norm <= r2 - n in Z^d
+        log_size = d / 2 * math.log(math.pi * (r2 - n) / N ** 2) - math.lgamma(d / 2 + 1)
+        log_budget = math.log(max(budget, 1))
+        if log_size > log_budget:
+            fit = N ** 2 / math.pi * math.exp((log_budget + math.lgamma(d / 2 + 1)) * 2 / d)
+            raise BudgetError(
+                f"the bottom-half sweep has about 10^{log_size / math.log(10):.1f} "
+                f"candidates, over the budget {budget}",
+                feasible_radius=math.sqrt(n + int(fit * (1 - 1e-12))))
+        M = _bottom_halves(n, N, r2)
+        arr = _canonical_order(np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
+                                               for k in range(0, len(M), _COSETS)]))
     _validate_ball(group, radius, arr)
     return EnumerationBall(group, radius, arr)
 
@@ -525,8 +503,6 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
         mx = max(mx, float(np.linalg.norm(gmat)))
     threshold = math.sqrt(N * N + 2 * n)
     ball_radius = float(ball_radius) if ball_radius is not None else threshold + 1.0
-    if n > 2:
-        raise DimensionError("exact enumeration is implemented for genus 1 and 2")
     ball = enumerate_ball(group, ball_radius, budget=budget)
     eye = np.eye(2 * n, dtype=np.int64)
     compact = np.array([np.array_equal(e.T @ e, eye) for e in ball.elements])

@@ -24,7 +24,7 @@ from .matrixio import (
     require_symmetric,
 )
 
-SP_TOL = 1e-10          # max-norm defect allowed in g^T J g = J
+SP_TOL = 1e-10          # max-norm defect in g^T J g = J, per unit of |g|_F^2
 UNITARY_TOL = 1e-10     # max-norm defect allowed in u* u = I
 SYM_TOL = 1e-12         # relative symmetry defect for half-space points
 COND_MAX = 1e12         # condition cap for Cz + D before acting
@@ -41,13 +41,18 @@ def j_matrix(n: int) -> np.ndarray:
 
 
 def sp_check(g, tol: float = SP_TOL) -> bool:
-    """True when g^T J g = J holds to within ``tol`` (max-norm)."""
+    """True when max|g^T J g - J| <= tol * max(1, |g|_F^2).
+
+    Rounding in g^T J g grows with |g|_F^2, so the defect is measured
+    relative to it; an absolute bound rejects valid elements far from K.
+    """
     arr = as_real_matrix(g, "g")
     as_square(arr, "g")
     if arr.shape[0] % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, got {arr.shape[0]}")
     J = j_matrix(arr.shape[0] // 2)
-    return float(np.max(np.abs(arr.T @ J @ arr - J))) <= tol
+    scale = max(1.0, float(np.vdot(arr, arr)))
+    return float(np.max(np.abs(arr.T @ J @ arr - J))) <= tol * scale
 
 
 # ---------------------------------------------------------------------------

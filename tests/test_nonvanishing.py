@@ -214,13 +214,11 @@ def test_n0_report_fields():
     assert rep2.method == sp.METHOD_QUAD
 
 
-def test_n0_table_rectangle_and_threads():
+def test_n0_table_rectangle():
     cells = sp.n0_table(1, [0, 1], [4, 5])
     got = {(c.l, c.m): c.n0 for c in cells}
     expected = {(l, m): sp.REFERENCE_N0[1][(l, m)] for l in (0, 1) for m in (4, 5)}
     assert got == expected
-    threaded = sp.n0_table(1, [0, 1], [4, 5], threads=2)
-    assert {(c.l, c.m): c.n0 for c in threaded} == expected
 
 
 # ---------------------------------------------------------------------------

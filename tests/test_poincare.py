@@ -1,6 +1,7 @@
 """Tests for exact integer enumeration and truncated group averages."""
 
 import functools
+import hashlib
 import math
 import struct
 
@@ -161,10 +162,25 @@ def test_genus2_matches_brute_force():
 
 
 def test_genus2_level2_matches_brute_force():
-    ball = enumerate_ball(CongruenceGroup(2, 2), 4.2)
-    oracle = brute_ball_genus2(2, 4.2)
-    assert len(oracle) == 260
-    assert as_byte_set(ball) == oracle
+    for N, radius, count in ((2, 4.2, 260), (3, 6.0, 65)):
+        ball = enumerate_ball(CongruenceGroup(2, N), radius)
+        oracle = brute_ball_genus2(N, radius)
+        assert len(oracle) == count
+        assert as_byte_set(ball) == oracle
+
+
+@pytest.mark.parametrize("n, N, radius, count, digest", [
+    (1, 1, 40.0, 9460, "0b53804c0da2f5d700d63a9b52dabd18be92df80f0cb6932169e6a565810ba12"),
+    (1, 3, 40.0, 433, "f2a25c568be093f6974dcea240698e68d08bcce7970840874d8019921f4c2027"),
+    (2, 1, 4.0, 112800, "ca26872e751786a73bb7e16a723d48127b8593f8d5e2ec27c257944c883f1b6e"),
+    (2, 2, 8.0, 16772, "107ffd6ec9bcc38b5d77858449365d469502316a74aa3a59c75967531b6aff3c"),
+    (2, 3, 10.0, 1113, "40c64f23a121359db06add5f1f2171e8a3088e610f7d304112809f9eb515602a"),
+], ids=["g1-N1-r40", "g1-N3-r40", "g2-N1-r4", "g2-N2-r8", "g2-N3-r10"])
+def test_enumeration_golden_digests(n, N, radius, count, digest):
+    """Canonical arrays pinned by count and SHA-256 of their little-endian bytes."""
+    ball = enumerate_ball(CongruenceGroup(n, N), radius)
+    assert len(ball) == count
+    assert hashlib.sha256(ball.elements.astype("<i8").tobytes()).hexdigest() == digest
 
 
 def test_higher_level_is_congruence_filter():
@@ -212,6 +228,7 @@ def test_budget_error_genus2():
     with pytest.raises(BudgetError) as exc:
         enumerate_ball(CongruenceGroup(2, 1), 5.0, budget=10 ** 6)
     assert exc.value.feasible_radius >= 2.0
+    enumerate_ball(CongruenceGroup(2, 1), exc.value.feasible_radius, budget=10 ** 6)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -19,6 +19,23 @@ def test_sp_check_examples():
         sp.sp_check(np.eye(3))
 
 
+def test_sp_check_tolerance_is_relative():
+    # far from K the rounding of g^T J g exceeds any fixed absolute bound
+    rng = np.random.default_rng(21)
+    for t in ((8.0,), (12.0,), (8.0, 4.0)):
+        n = len(t)
+        for _ in range(5):
+            g = sp.KAKFactors(sp.haar_unitary(n, rng), np.array(t),
+                              sp.haar_unitary(n, rng)).assemble()
+            assert sp.sp_check(g.g)
+    # a valid element scaled off the group is still rejected
+    g = random_symplectic(2, rng)
+    assert sp.sp_check(g.g)
+    assert not sp.sp_check((1 + 1e-8) * g.g)
+    with pytest.raises(sp.DomainError):
+        sp.SymplecticMatrix((1 + 1e-8) * g.g)
+
+
 def test_constructor_rejects_non_symplectic():
     with pytest.raises(sp.DomainError):
         sp.SymplecticMatrix(np.diag([2.0, 2.0]))
