@@ -40,15 +40,20 @@ from .errors import (
 )
 from .matrixio import load_matrix
 from .nonvanishing import (
-    REFERENCE_N0,
     ThresholdQuery,
-    haar_unitary,
     n0_detl_report,
     n0_general,
     n0_table,
     vanishing_case,
 )
-from .petersson import mc_cmn, verify_cor62, verify_thm93
+from .petersson import (
+    mc_cmn,
+    verify_cmn,
+    verify_coefficients,
+    verify_cor62,
+    verify_thm93,
+    verify_thresholds,
+)
 from .poincare import (
     CongruenceGroup,
     enumerate_ball,
@@ -59,29 +64,16 @@ from .poincare import (
     save_ball,
 )
 from .polynomials import MatrixPolynomial, parse_polynomial
-from .symplectic import (
-    SiegelPoint,
-    SymplecticMatrix,
-    diagonal_scaling,
-    embed_unitary,
-    hyperbolic,
-    kak_decompose,
-    upper_translation,
-)
+from .symplectic import SiegelPoint, SymplecticMatrix, hyperbolic, kak_decompose
 
 
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------
 
-def _env_int(name: str, fallback):
+def _env(name: str, cast, fallback):
     raw = os.environ.get(name)
-    return int(raw) if raw not in (None, "") else fallback
-
-
-def _env_float(name: str, fallback):
-    raw = os.environ.get(name)
-    return float(raw) if raw not in (None, "") else fallback
+    return cast(raw) if raw not in (None, "") else fallback
 
 
 def _parse_complex(text: str) -> complex:
@@ -151,15 +143,6 @@ def _default_radius(args, n: int) -> float:
 
 def _load_point(path: str) -> SiegelPoint:
     return SiegelPoint.from_complex(load_matrix(path, name="point"))
-
-
-def _random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
-    x = rng.uniform(-1.0, 1.0, size=(n, n))
-    x = (x + x.T) / 2.0
-    b = rng.standard_normal((n, n))
-    y = b @ b.T + 0.3 * np.eye(n)
-    u = haar_unitary(n, rng)
-    return upper_translation(x) @ diagonal_scaling(y) @ embed_unitary(u)
 
 
 # ---------------------------------------------------------------------------
@@ -356,103 +339,34 @@ def cmd_norms(args) -> int:
 # verification battery
 # ---------------------------------------------------------------------------
 
-def _verify_table1(args) -> list[dict]:
-    results = []
-    ns = [args.n] if args.n else [1, 2]
-    for n in ns:
-        if n not in REFERENCE_N0:
-            raise DomainError(f"no reference thresholds at genus {n}")
-        ms = range(3, 11) if n == 1 else range(5, 13)
-        cells = n0_table(n, range(0, 13), ms, tol=args.tol, budget=10 ** 6)
-        ref = REFERENCE_N0[n]
-        bad = [(c.l, c.m, c.n0, ref[(c.l, c.m)])
-               for c in cells if c.n0 != ref[(c.l, c.m)]]
-        detail = f"{len(cells) - len(bad)}/{len(cells)} cells match the reference"
-        if bad:
-            detail += "; mismatches " + ", ".join(
-                f"(l={l},m={m}) got {got} want {want}" for l, m, got, want in bad[:8])
-        results.append({"name": f"threshold-table-genus{n}", "passed": not bad,
-                        "detail": detail})
-    return results
-
-
-def _verify_coeff(args) -> list[dict]:
-    rng = np.random.default_rng(args.seed)
-    count = args.samples or 100
-    worst = 0.0
-    m = 8
-    for n in (1, 2, 3):
-        w = Weight(m, n)
-        mus = [MatrixPolynomial.one(n), MatrixPolynomial.det_power(n, 1),
-               MatrixPolynomial.det_power(n, 2), MatrixPolynomial.coordinate(n, 1, 1)]
-        for _ in range(count):
-            g = _random_symplectic(n, rng)
-            factors = kak_decompose(g)
-            for mu in mus:
-                spec = MatrixCoefficientSpec(mu, w)
-                a = matrix_coeff_kak(spec, factors)
-                b = lift(lambda z: f_mu_m(mu, w, z), w, g)
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    passed = worst <= 1e-9
-    return [{"name": "coefficient-identity", "passed": passed,
-             "detail": f"worst relative difference {worst:.3e} over "
-                       f"{3 * 4 * count} evaluations (tolerance 1e-09)"}]
-
-
-def _verify_cmn(args) -> list[dict]:
-    samples = args.samples or 10 ** 6
-    results = []
-    for n, m in ((1, 4), (1, 12), (2, 5), (2, 8)):
-        w = Weight(m, n)
-        closed = c_mn(w)
-        res = mc_cmn(w, samples=samples, seed=args.seed)
-        if res.error_estimate > 0:
-            sigma = abs(res.value - closed) / res.error_estimate
-            passed = sigma <= 3.0
-        else:
-            sigma = 0.0
-            passed = res.value == closed
-        results.append({"name": f"normalization-mc-n{n}-m{m}", "passed": passed,
-                        "detail": f"closed {closed:.6e}, mc {res.value:.6e} "
-                                  f"+- {res.error_estimate:.2e} ({sigma:.2f} sigma)"})
-    return results
-
-
-def _verify_pairings(args, check) -> list[dict]:
+def _pairing_args(args) -> dict:
     radius = args.radius if args.radius is not None else 40.0
-    ball = _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)
-    return [{"name": rep.identity, "passed": rep.passed,
-             "detail": f"relative error {rep.rel_err:.4f} (tolerance 0.02); "
-                       f"budget {_fmt_budget(rep.error_budget)}"}
-            for rep in check(radius=radius, ball=ball)]
-
-
-def _fmt_budget(budget: dict) -> str:
-    return ", ".join(f"{k} {v:.2e}" for k, v in sorted(budget.items()))
+    return {"radius": radius,
+            "ball": _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)}
 
 
 _VERIFY_TARGETS = {
-    "table1": _verify_table1,
-    "coeff": _verify_coeff,
-    "cmn": _verify_cmn,
-    "cor62": lambda args: _verify_pairings(args, lambda **kw: [verify_cor62(**kw)]),
-    "thm93": lambda args: _verify_pairings(args, verify_thm93),
+    "table1": lambda args: [verify_thresholds(n, args.tol)
+                            for n in ([args.n] if args.n else [1, 2])],
+    "coeff": lambda args: [verify_coefficients(args.samples or 100, args.seed)],
+    "cmn": lambda args: verify_cmn(args.samples or 10 ** 6, args.seed),
+    "cor62": lambda args: [verify_cor62(**_pairing_args(args))],
+    "thm93": lambda args: verify_thm93(**_pairing_args(args)),
 }
 
 
 def cmd_verify(args) -> int:
     targets = list(_VERIFY_TARGETS) if args.target == "all" else [args.target]
-    results = []
-    for t in targets:
-        results.extend(_VERIFY_TARGETS[t](args))
-    lines = [f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} — {r['detail']}"
-             for r in results]
-    ok = all(r["passed"] for r in results)
-    lines.append(f"{sum(r['passed'] for r in results)}/{len(results)} checks passed")
-    payload = {"command": "verify", "target": args.target,
-               "results": results, "passed": ok}
-    rows = [(r["name"], "pass" if r["passed"] else "fail", r["detail"])
-            for r in results]
+    reports = [rep for t in targets for rep in _VERIFY_TARGETS[t](args)]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.identity} — {r.detail}"
+             for r in reports]
+    ok = all(r.passed for r in reports)
+    lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} checks passed")
+    payload = {"command": "verify", "target": args.target, "passed": ok,
+               "results": [{"name": r.identity, "passed": r.passed,
+                            "detail": r.detail} for r in reports]}
+    rows = [(r.identity, "pass" if r.passed else "fail", r.detail)
+            for r in reports]
     _emit(args, lines, payload, csv_header=("name", "status", "detail"),
           csv_rows=rows)
     return 0 if ok else 1
@@ -463,24 +377,29 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_int("SIEGEL_SEED", 0),
-                        help="random seed (default 0, env SIEGEL_SEED)")
-    common.add_argument("--tol", type=float, default=_env_float("SIEGEL_TOL", 1e-10),
-                        help="numeric tolerance (default 1e-10, env SIEGEL_TOL)")
-    common.add_argument("--budget", type=int,
-                        default=_env_int("SIEGEL_BUDGET", 2 * 10 ** 9),
-                        help="work budget for enumeration and sampling "
-                             "(env SIEGEL_BUDGET)")
-    common.add_argument("--radius", type=float,
-                        default=_env_float("SIEGEL_RADIUS", None),
-                        help="truncation radius (env SIEGEL_RADIUS)")
-    common.add_argument("--cache-dir", default=os.environ.get("SIEGEL_CACHE_DIR"),
-                        help="directory for enumeration caches (env SIEGEL_CACHE_DIR)")
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
-    common.add_argument("--output", default=None,
-                        help="write output to this file instead of stdout")
+    shared = {
+        "seed": dict(type=int, default=_env("SIEGEL_SEED", int, 0),
+                     help="random seed (default 0, env SIEGEL_SEED)"),
+        "tol": dict(type=float, default=_env("SIEGEL_TOL", float, 1e-10),
+                    help="numeric tolerance (default 1e-10, env SIEGEL_TOL)"),
+        "budget": dict(type=int, default=_env("SIEGEL_BUDGET", int, 2 * 10 ** 9),
+                       help="work budget for enumeration and sampling "
+                            "(env SIEGEL_BUDGET)"),
+        "radius": dict(type=float, default=_env("SIEGEL_RADIUS", float, None),
+                       help="truncation radius (env SIEGEL_RADIUS)"),
+        "cache-dir": dict(default=os.environ.get("SIEGEL_CACHE_DIR"),
+                          help="directory for enumeration caches (env SIEGEL_CACHE_DIR)"),
+        "format": dict(choices=("text", "json", "csv"), default="text",
+                       help="output format"),
+        "output": dict(default=None, help="write output to this file instead of stdout"),
+    }
+
+    def command(name: str, options: str, help: str) -> argparse.ArgumentParser:
+        """A subcommand with the named shared options, --format and --output."""
+        q = sub.add_parser(name, help=help)
+        for key in options.split() + ["format", "output"]:
+            q.add_argument("--" + key, **shared[key])
+        return q
 
     p = argparse.ArgumentParser(
         prog="siegelps",
@@ -488,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "truncated averages on the symplectic group.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("n0", parents=[common],
-                       help="smallest level with a guaranteed nonzero average")
+    q = command("n0", "seed tol budget",
+                help="smallest level with a guaranteed nonzero average")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--l", type=int, default=0, help="determinant power (default 0)")
     q.add_argument("--m", type=int, required=True, help="scalar weight")
@@ -501,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one-sided certification level for --mu (default 0.99)")
     q.set_defaults(func=cmd_n0)
 
-    q = sub.add_parser("n0-table", parents=[common],
-                       help="threshold table over a rectangle of (l, m)")
+    q = command("n0-table", "tol budget",
+                help="threshold table over a rectangle of (l, m)")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--l-min", type=int, default=0)
     q.add_argument("--l-max", type=int, default=12)
@@ -510,16 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m-max", type=int, default=None)
     q.set_defaults(func=cmd_n0_table)
 
-    q = sub.add_parser("cmn", parents=[common],
-                       help="normalization constant, closed form and Monte Carlo")
+    q = command("cmn", "seed",
+                help="normalization constant, closed form and Monte Carlo")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--m", type=int, required=True, help="scalar weight")
     q.add_argument("--mc", action="store_true", help="add a Monte Carlo estimate")
     q.add_argument("--samples", type=int, default=10 ** 6)
     q.set_defaults(func=cmd_cmn)
 
-    q = sub.add_parser("coeff", parents=[common],
-                       help="matrix coefficient of a group element")
+    q = command("coeff", "", help="matrix coefficient of a group element")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--m", type=int, required=True, help="scalar weight")
     q.add_argument("--mu", default="1", help="polynomial weight (default '1')")
@@ -528,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated radial parameters instead of --matrix")
     q.set_defaults(func=cmd_coeff)
 
-    q = sub.add_parser("poincare", parents=[common],
-                       help="truncated average of a translated weight vector")
+    q = command("poincare", "budget radius cache-dir",
+                help="truncated average of a translated weight vector")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--N", type=int, required=True, help="congruence level")
     q.add_argument("--m", type=int, required=True, help="scalar weight")
@@ -538,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--point", default=None, help="JSON matrix file with the point")
     q.set_defaults(func=cmd_poincare)
 
-    q = sub.add_parser("kernel", parents=[common],
-                       help="truncated average of the point-evaluation kernel")
+    q = command("kernel", "budget radius cache-dir",
+                help="truncated average of the point-evaluation kernel")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--N", type=int, required=True, help="congruence level")
     q.add_argument("--m", type=int, required=True, help="scalar weight")
@@ -549,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--point", default=None, help="JSON matrix file with the point")
     q.set_defaults(func=cmd_kernel)
 
-    q = sub.add_parser("norms", parents=[common],
-                       help="norm estimates behind the truncation analysis")
+    q = command("norms", "seed budget",
+                help="norm estimates behind the truncation analysis")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--N", type=int, required=True, help="congruence level")
     q.add_argument("--r", type=float, default=0.5, help="radial box size")
@@ -558,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--ball-radius", type=float, default=None)
     q.set_defaults(func=cmd_norms)
 
-    q = sub.add_parser("verify", parents=[common],
-                       help="run the verification battery")
+    q = command("verify", "seed tol budget radius cache-dir",
+                help="run the verification battery")
     q.add_argument("target", choices=sorted(_VERIFY_TARGETS) + ["all"])
     q.add_argument("--n", type=int, default=None,
                    help="restrict table verification to one genus")

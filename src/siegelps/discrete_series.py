@@ -161,7 +161,8 @@ def matrix_coeff_kak(spec: MatrixCoefficientSpec, factors: KAKFactors) -> comple
     m = spec.weight.m
     u = factors.u
     W = (u.mat * np.tanh(factors.t)[None, :]) @ u.mat.T
-    log_cosh = float(np.sum(np.log(np.cosh(factors.t))))
+    # log cosh t = log(e^t + e^-t) - log 2, finite where cosh overflows
+    log_cosh = float(np.sum(np.logaddexp(factors.t, -factors.t) - np.log(2.0)))
     return (chi(m, u) * chi(m, factors.uprime)
             * spec.mu.evaluate(W) * np.exp(-m * log_cosh))
 

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .discrete_series import Weight
 from .polynomials import MatrixPolynomial
-from .symplectic import UnitaryMatrix
+from .symplectic import UnitaryMatrix, haar_unitary
 
 METHOD_CLOSED = "closed_form_beta"
 METHOD_QUAD = "adaptive_quadrature"
@@ -141,22 +141,6 @@ def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> floa
     return float(val * _vandermonde(arr))
 
 
-def haar_unitary(n: int, seed) -> UnitaryMatrix:
-    """Haar-distributed element of U(n) (Ginibre then QR, phases fixed)."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return UnitaryMatrix(q * (d / np.abs(d))[None, :])
-
-
-def _haar_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
-
-
 # ---------------------------------------------------------------------------
 # the threshold integral
 # ---------------------------------------------------------------------------
@@ -228,6 +212,24 @@ def integral_phi(l: int, weight: Weight, region: SimplexRegion,
 # threshold searches
 # ---------------------------------------------------------------------------
 
+def _first_positive(margin) -> int:
+    """Smallest N >= 1 with margin(N) > 0 for an increasing margin: double N
+    (up to 2^30) until it is positive, then bisect."""
+    hi = 1
+    while margin(hi) <= 0.0:
+        hi *= 2
+        if hi > 2 ** 30:
+            raise DomainError("threshold search exceeded level 2^30")
+    lo = hi // 2   # margin(lo) <= 0 whenever lo >= 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if margin(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class ThresholdCell:
     """One entry of a threshold table."""
@@ -266,18 +268,7 @@ def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10,
             cache[N] = gap
         return cache[N]
 
-    hi = 1
-    while margin(hi) <= 0.0:
-        hi *= 2
-        if hi > 2 ** 30:
-            raise DomainError("threshold search exceeded level 2^30")
-    lo = hi // 2   # margin(lo) <= 0 whenever lo >= 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    hi = _first_positive(margin)
     return ThresholdCell(n=n, l=l, m=weight.m, n0=hi, method=full.method,
                          margin=margin(hi) / full.value)
 
@@ -328,7 +319,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
         rng_x = np.random.default_rng(child_x)
         rng_u = np.random.default_rng(child_u)
         x = np.sort(rng_x.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
-        us = _haar_stack(n, count, rng_u)
+        us = haar_unitary(n, rng_u, count)
         W = (us * np.sqrt(x)[:, None, :]) @ np.swapaxes(us, -1, -2)
         # symmetric in exact arithmetic; enforce it so that weights which
         # vanish identically on symmetric matrices evaluate to exactly zero
@@ -350,19 +341,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
             attempt_rows[N] = (N, mean, se)
             return mean, se
 
-        hi = 1
-        while stats(hi)[0] <= 0.0:
-            hi *= 2
-            if hi > 2 ** 30:
-                raise DomainError("threshold search exceeded level 2^30")
-        lo = hi // 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if stats(mid)[0] > 0.0:
-                hi = mid
-            else:
-                lo = mid
-
+        hi = _first_positive(lambda N: stats(N)[0])
         mean_hi, se_hi = stats(hi)
         certified = mean_hi > zq * se_hi
         if hi > 1:

@@ -1,11 +1,13 @@
-"""Genus-1 inner-product quadrature and Monte Carlo volume cross-checks.
+"""Genus-1 inner-product quadrature, Monte Carlo volume cross-checks and
+the verification battery.
 
 The quadrature works on the classical fundamental domain |x| <= 1/2,
 |z| >= 1, split at a moderate height: below the split a tensor Gauss rule
 follows the circular lower boundary, above it the substitution u = 1/y
 compactifies the strip up to the height cutoff.  Pairings are normalized by
 the order of the central subgroup, so they match the averaged-series
-identities directly.
+identities directly.  The battery behind ``siegelps verify`` is one
+``verify_*`` function per check, each returning VerificationReport values.
 """
 
 from __future__ import annotations
@@ -15,17 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete_series import Weight, c_mn
+from .discrete_series import (
+    MatrixCoefficientSpec,
+    Weight,
+    c_mn,
+    f_mu_m,
+    lift,
+    matrix_coeff_kak,
+)
 from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
     SamplingError,
 )
-from .nonvanishing import METHOD_MC, METHOD_QUAD, IntegralResult
+from .nonvanishing import METHOD_MC, METHOD_QUAD, REFERENCE_N0, IntegralResult, n0_table
 from .poincare import CongruenceGroup, enumerate_ball, series_evaluator_genus1
 from .polynomials import MatrixPolynomial
-from .symplectic import SiegelPoint
+from .symplectic import SiegelPoint, kak_decompose, random_symplectic
 
 
 @dataclass(frozen=True)
@@ -229,12 +238,13 @@ def petersson(f1, f2, weight: Weight, domain: FundamentalDomainSpec | None = Non
 
 
 # ---------------------------------------------------------------------------
-# end-to-end identity checks
+# the verification battery
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One checked identity with its error decomposition."""
+    """One checked identity: computed ``lhs`` against expected ``rhs`` (for a
+    table, matching and all cells), error decomposition and printed summary."""
 
     identity: str
     lhs: complex
@@ -242,6 +252,82 @@ class VerificationReport:
     rel_err: float
     error_budget: dict = field(compare=False)
     passed: bool = False
+    detail: str = field(default="", compare=False)
+
+
+def verify_thresholds(n: int, tol: float = 1e-10) -> VerificationReport:
+    """Every cell of the genus-n reference threshold table, recomputed.
+
+    An ambiguous cell raises AmbiguousThresholdError rather than passing or
+    failing on a guess.
+    """
+    if n not in REFERENCE_N0:
+        raise DomainError(f"no reference thresholds at genus {n}")
+    ref = REFERENCE_N0[n]
+    cells = n0_table(n, sorted({l for l, _ in ref}), sorted({m for _, m in ref}),
+                     tol=tol, budget=10 ** 6)
+    bad = [(c.l, c.m, c.n0, ref[(c.l, c.m)])
+           for c in cells if c.n0 != ref[(c.l, c.m)]]
+    detail = f"{len(cells) - len(bad)}/{len(cells)} cells match the reference"
+    if bad:
+        detail += "; mismatches " + ", ".join(
+            f"(l={l},m={m}) got {got} want {want}" for l, m, got, want in bad[:8])
+    return VerificationReport(identity=f"threshold-table-genus{n}",
+                              lhs=len(cells) - len(bad), rhs=len(cells),
+                              rel_err=len(bad) / len(cells), error_budget={},
+                              passed=not bad, detail=detail)
+
+
+def verify_coefficients(samples: int = 100, seed: int = 0,
+                        tol: float = 1e-9) -> VerificationReport:
+    """Cartan closed form of the matrix coefficient against the direct lift.
+
+    ``samples`` elements per genus 1, 2, 3 from ``random_symplectic`` with
+    one generator seeded by ``seed``, each paired with the weights 1, det,
+    det^2 and X_{1,1} at m = 8.  ``lhs``/``rhs`` are the closed and lifted
+    values with the worst relative difference, which must be at most ``tol``.
+    """
+    if samples < 1:
+        raise DomainError("need at least one sample per genus")
+    rng = np.random.default_rng(seed)
+    worst, lhs, rhs = 0.0, 0j, 0j
+    for n in (1, 2, 3):
+        w = Weight(8, n)
+        specs = [MatrixCoefficientSpec(mu, w) for mu in (
+            MatrixPolynomial.one(n), MatrixPolynomial.det_power(n, 1),
+            MatrixPolynomial.det_power(n, 2), MatrixPolynomial.coordinate(n, 1, 1))]
+        for _ in range(samples):
+            g = random_symplectic(n, rng)
+            factors = kak_decompose(g)
+            for spec in specs:
+                a = matrix_coeff_kak(spec, factors)
+                b = lift(lambda z: f_mu_m(spec.mu, w, z), w, g)
+                rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
+                if rel > worst:
+                    worst, lhs, rhs = rel, a, b
+    return VerificationReport(
+        identity="coefficient-identity", lhs=lhs, rhs=rhs, rel_err=worst,
+        error_budget={}, passed=worst <= tol,
+        detail=f"worst relative difference {worst:.3e} over {3 * 4 * samples} "
+               f"evaluations (tolerance {tol:g})")
+
+
+def verify_cmn(samples: int = 10 ** 6, seed: int = 0) -> list[VerificationReport]:
+    """Monte Carlo C_{m,n} at four weights, each within three of its standard
+    errors of the closed gamma product."""
+    reports = []
+    for n, m in ((1, 4), (1, 12), (2, 5), (2, 8)):
+        closed = c_mn(Weight(m, n))
+        res = mc_cmn(Weight(m, n), samples=samples, seed=seed)
+        sigma = abs(res.value - closed) / res.error_estimate
+        reports.append(VerificationReport(
+            identity=f"normalization-mc-n{n}-m{m}", lhs=res.value, rhs=closed,
+            rel_err=abs(res.value - closed) / closed,
+            error_budget={"standard_error": res.error_estimate},
+            passed=sigma <= 3.0,
+            detail=f"closed {closed:.6e}, mc {res.value:.6e} "
+                   f"+- {res.error_estimate:.2e} ({sigma:.2f} sigma)"))
+    return reports
 
 
 def _cusp_height_budget(f1, f2, m: int, dom: FundamentalDomainSpec) -> float:
@@ -284,8 +370,11 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
         "cutoff": (_cusp_height_budget(delta, lambda z: series(z)[0], w.m, dom)
                    + delta.truncation_bound(math.sqrt(3.0) / 2.0)),
     }
+    detail = (f"relative error {rel:.4f} (tolerance {tol:g}); budget "
+              + ", ".join(f"{k} {v:.2e}" for k, v in sorted(budget.items())))
     return VerificationReport(identity=identity, lhs=lhs, rhs=complex(rhs),
-                              rel_err=rel, error_budget=budget, passed=rel <= tol)
+                              rel_err=rel, error_budget=budget, passed=rel <= tol,
+                              detail=detail)
 
 
 def verify_cor62(radius: float = 40.0, cutoff: int = 40,

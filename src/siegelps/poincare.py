@@ -34,13 +34,13 @@ import numpy as np
 
 from .discrete_series import MatrixCoefficientSpec, Weight, pole_values
 from .errors import BudgetError, DimensionError, DomainError
-from .nonvanishing import haar_unitary
 from .polynomials import MatrixPolynomial
 from .symplectic import (
     SiegelPoint,
     SymplecticMatrix,
     act,
     embed_unitary,
+    haar_unitary,
     hyperbolic,
     j_factor,
     j_matrix,

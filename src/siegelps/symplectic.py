@@ -252,20 +252,18 @@ def cayley_inv(w: BoundedDomainPoint) -> SiegelPoint:
     return SiegelPoint.from_complex(0.5 * (z + z.T))
 
 
-def domain_density(w: BoundedDomainPoint) -> float:
-    return w.density()
-
-
 # ---------------------------------------------------------------------------
 # the compact subgroup
 # ---------------------------------------------------------------------------
 
+def _embed(u: np.ndarray) -> np.ndarray:
+    a, b = u.real, u.imag
+    return np.block([[a, b], [-b, a]])
+
+
 def embed_unitary(u: UnitaryMatrix) -> SymplecticMatrix:
     """U(n) -> Sp(2n, R), u = a + ib mapped to [[a, b], [-b, a]]."""
-    a, b = u.mat.real, u.mat.imag
-    top = np.hstack([a, b])
-    bot = np.hstack([-b, a])
-    return SymplecticMatrix(np.vstack([top, bot]))
+    return SymplecticMatrix(_embed(u.mat))
 
 
 def unitary_part(k: np.ndarray, tol: float = UNITARY_TOL) -> UnitaryMatrix:
@@ -278,6 +276,18 @@ def unitary_part(k: np.ndarray, tol: float = UNITARY_TOL) -> UnitaryMatrix:
 def chi(r: int, u: UnitaryMatrix) -> complex:
     """Character det(u)^r of the compact subgroup."""
     return complex(np.linalg.det(u.mat) ** int(r))
+
+
+def haar_unitary(n: int, seed, count: int | None = None):
+    """Haar-distributed element of U(n) (Ginibre then QR, phases fixed), or
+    with ``count`` a (count, n, n) array of independent draws."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    shape = (n, n) if count is None else (int(count), n, n)
+    z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
+    return q if count is not None else UnitaryMatrix(q)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +329,16 @@ def hyperbolic(t) -> SymplecticMatrix:
     """h_t = diag(e^{t_1}, ..., e^{t_n}, e^{-t_1}, ..., e^{-t_n})."""
     tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
     return SymplecticMatrix(np.diag(np.concatenate([np.exp(tv), np.exp(-tv)])))
+
+
+def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
+    """Generic element n_x a_y k_u: x uniform symmetric in [-1, 1],
+    y = b b^T + 0.3 I with b standard normal, u Haar (drawn in that order)."""
+    x = rng.uniform(-1.0, 1.0, size=(n, n))
+    x = (x + x.T) / 2.0
+    b = rng.standard_normal((n, n))
+    y = b @ b.T + 0.3 * np.eye(n)
+    return upper_translation(x) @ diagonal_scaling(y) @ embed_unitary(haar_unitary(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -413,69 +433,52 @@ def _sign_fix(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def _kak_from_basis(arr: np.ndarray, V: np.ndarray, t: np.ndarray, n: int, J: np.ndarray):
-    """Build candidate factors from a top-half eigenbasis V of g^T g."""
+def _kak_from_basis(arr: np.ndarray, V: np.ndarray, t: np.ndarray, n: int):
+    """Build candidate factors from the top-half right singular vectors V of g."""
     V = _sign_fix(V)
-    K2 = np.hstack([V, -J @ V])            # right compact factor, transposed
-    hinv = np.concatenate([np.exp(-t), np.exp(t)])
-    K1 = (arr @ K2) * hinv[None, :]
-    u_left = _polar_unitary(K1[:n, :n] + 1j * K1[:n, n:])
-    # K2 = [[a, -b], [b, a]] embeds a - ib; the right factor is its inverse
+    # g V e^{-t} = [a; -b] for the left factor a + ib: these columns are the
+    # large singular directions, so their scaling loses no precision
+    K1 = (arr @ V) * np.exp(-t)[None, :]
+    u_left = _polar_unitary(K1[:n, :] - 1j * K1[n:, :])
+    # [V, -JV] = [[a, -b], [b, a]] embeds a - ib; the right factor is its inverse
     u_right = _polar_unitary(V[:n, :].T + 1j * V[n:, :].T)
     h = np.concatenate([np.exp(t), np.exp(-t)])
-    a1, b1 = u_left.real, u_left.imag
-    a2, b2 = u_right.real, u_right.imag
-    k1 = np.vstack([np.hstack([a1, b1]), np.hstack([-b1, a1])])
-    k2 = np.vstack([np.hstack([a2, b2]), np.hstack([-b2, a2])])
-    defect = float(np.max(np.abs((k1 * h[None, :]) @ k2 - arr)))
-    return u_left, t, u_right, defect
+    g_back = (_embed(u_left) * h[None, :]) @ _embed(u_right)
+    return u_left, t, u_right, float(np.max(np.abs(g_back - arr)))
 
 
 def kak_decompose(g: SymplecticMatrix, guard: float = 1e-6) -> KAKFactors:
     """Cartan coordinates g = k_u h_t k_{u'}.
 
-    The eigenbasis of g^T g supplies the right compact factor; eigenvalues
-    come in e^{2t}, e^{-2t} pairs.  Near-unit eigenvalues are re-paired as
-    (v, -Jv) inside their cluster, since the eigensolver's basis for a
-    degenerate cluster need not respect the skew pairing; of the direct and
-    clustered candidates, the one reassembling g more accurately wins.
+    The singular value decomposition of g supplies the right compact factor;
+    singular values come in e^{t}, e^{-t} pairs.  Near-unit singular values
+    are re-paired as (v, -Jv) inside their cluster, since the solver's basis
+    for a degenerate cluster need not respect the skew pairing; of the direct
+    and clustered candidates, the one reassembling g more accurately wins.
+    The reassembly defect must stay within guard * max(1, |g|_F).
     """
     n = g.n
     arr = np.asarray(g.g)
-    gram = arr.T @ arr
-    gram = 0.5 * (gram + gram.T)
-    lam, vec = np.linalg.eigh(gram)
-    order = np.arange(2 * n - 1, n - 1, -1)
-    t = 0.5 * np.log(np.maximum(lam[order], 1e-300))
-    t = np.maximum(t, 0.0)
-    J = j_matrix(n)
-    candidates = [_kak_from_basis(arr, vec[:, order], t, n, J)]
+    _, sig, Vh = np.linalg.svd(arr)
+    vec = Vh.T
+    t_all = np.log(np.maximum(sig, 1e-300))
+    t = np.maximum(t_all[:n], 0.0)
+    candidates = [_kak_from_basis(arr, vec[:, :n], t, n)]
 
-    if t[-1] < guard:
-        # re-pair the lambda ~ 1 eigenspace
-        t_all = 0.5 * np.log(np.maximum(lam, 1e-300))
-        E = vec[:, np.abs(t_all) < guard]
-        pairs = []
-        while E.shape[1] >= 2:
-            v = E[:, 0] / np.linalg.norm(E[:, 0])
-            w = -J @ v
-            w = w - v * (v @ w)
-            w /= np.linalg.norm(w)
-            pairs.append(v)
-            P = E - np.outer(v, v @ E) - np.outer(w, w @ E)
-            if E.shape[1] == 2:
-                break
-            U, _, _ = np.linalg.svd(P, full_matrices=False)
-            E = U[:, : E.shape[1] - 2]
-        if pairs:
-            k = len(pairs)
-            V = vec[:, order].copy()
-            V[:, n - k:] = np.stack(pairs, axis=1)
-            t2 = t.copy()
-            t2[n - k:] = 0.0
-            candidates.append(_kak_from_basis(arr, V, t2, n, J))
+    # re-pair the sigma ~ 1 subspace E: [p; q] -> p + iq turns -J into
+    # multiplication by i, so a complex orthonormal basis u_j of E's image
+    # gives the pairs v_j = [Re u_j; Im u_j], -J v_j
+    E = vec[:, np.abs(t_all) < guard]
+    k = E.shape[1] // 2
+    if k:
+        U = np.linalg.svd(E[:n] + 1j * E[n:], full_matrices=False)[0][:, :k]
+        V = vec[:, :n].copy()
+        V[:, n - k:] = np.vstack([U.real, U.imag])
+        t2 = t.copy()
+        t2[n - k:] = 0.0
+        candidates.append(_kak_from_basis(arr, V, t2, n))
 
     u_left, tbest, u_right, defect = min(candidates, key=lambda c: c[-1])
-    if defect > guard:
+    if defect > guard * max(1.0, float(np.linalg.norm(arr))):
         raise NumericalError(f"factor reassembly defect {defect:.3e} exceeds guard")
     return KAKFactors(u=UnitaryMatrix(u_left), t=tbest, uprime=UnitaryMatrix(u_right))

@@ -4,16 +4,6 @@ import pytest
 import siegelps as sp
 
 
-def random_symplectic(n: int, rng: np.random.Generator) -> sp.SymplecticMatrix:
-    """Generic element assembled from translation, scaling and rotation parts."""
-    x = rng.uniform(-1.0, 1.0, size=(n, n))
-    x = (x + x.T) / 2.0
-    b = rng.standard_normal((n, n))
-    y = b @ b.T + 0.3 * np.eye(n)
-    u = sp.haar_unitary(n, rng)
-    return sp.upper_translation(x) @ sp.diagonal_scaling(y) @ sp.embed_unitary(u)
-
-
 def random_point(n: int, rng: np.random.Generator) -> sp.SiegelPoint:
     x = rng.uniform(-1.0, 1.0, size=(n, n))
     x = (x + x.T) / 2.0

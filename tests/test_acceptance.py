@@ -13,13 +13,12 @@ import pytest
 import siegelps as sp
 from siegelps import (
     CongruenceGroup,
-    MatrixCoefficientSpec,
     MatrixPolynomial,
     SiegelPoint,
     Weight,
 )
 from siegelps.cli import main
-from conftest import random_point, random_symplectic
+from conftest import random_point
 
 
 def test_criterion_1_threshold_table_genus1(capsys):
@@ -48,39 +47,23 @@ def test_criterion_2_threshold_table_genus2(capsys):
 def test_criterion_3_matrix_coefficient_identity():
     """Closed Cartan form against the direct lift: 500 seeded elements per
     genus, four polynomial weights, relative error at most 1e-9."""
-    rng = np.random.default_rng(2024)
-    m = 8
-    worst = 0.0
-    for n in (1, 2, 3):
-        w = Weight(m, n)
-        mus = [MatrixPolynomial.one(n), MatrixPolynomial.det_power(n, 1),
-               MatrixPolynomial.det_power(n, 2),
-               MatrixPolynomial.coordinate(n, 1, 1)]
-        specs = [MatrixCoefficientSpec(mu, w) for mu in mus]
-        for _ in range(500):
-            g = random_symplectic(n, rng)
-            factors = sp.kak_decompose(g)
-            for mu, spec in zip(mus, specs):
-                closed = sp.matrix_coeff_kak(spec, factors)
-                direct = sp.lift(lambda z: sp.f_mu_m(mu, w, z), w, g)
-                rel = abs(closed - direct) / max(abs(closed), abs(direct), 1e-300)
-                worst = max(worst, rel)
-    print(f"worst relative difference {worst:.3e} over 6000 evaluations")
-    assert worst <= 1e-9, f"coefficient identity off by {worst:.3e} (> 1e-9)"
+    rep = sp.verify_coefficients(samples=500, seed=2024, tol=1e-9)
+    print(rep.detail)
+    assert "over 6000 evaluations" in rep.detail
+    assert rep.passed and rep.rel_err <= 1e-9, (
+        f"coefficient identity off by {rep.rel_err:.3e} (> 1e-9)")
 
 
 def test_criterion_4_normalization_constant_monte_carlo():
     """Monte Carlo volume integral vs the gamma-product closed form,
     within 3 standard errors at one million samples."""
-    for n, m in ((1, 4), (1, 12), (2, 5), (2, 8)):
-        w = Weight(m, n)
-        closed = sp.c_mn(w)
-        res = sp.mc_cmn(w, samples=10 ** 6, seed=0)
-        sigma = abs(res.value - closed) / res.error_estimate
-        print(f"(n={n}, m={m}): closed {closed:.6e}, "
-              f"mc {res.value:.6e} +- {res.error_estimate:.2e} ({sigma:.2f} sigma)")
-        assert sigma <= 3.0, (
-            f"(n={n}, m={m}): {sigma:.2f} standard errors from the closed form")
+    reports = sp.verify_cmn(samples=10 ** 6, seed=0)
+    assert len(reports) == 4
+    for rep in reports:
+        sigma = abs(rep.lhs - rep.rhs) / rep.error_budget["standard_error"]
+        print(f"{rep.identity}: {rep.detail}")
+        assert rep.passed and sigma <= 3.0, (
+            f"{rep.identity}: {sigma:.2f} standard errors from the closed form")
 
 
 def test_criterion_5_exact_vanishing():
@@ -130,7 +113,7 @@ def test_criterion_8_property_suites():
     # automorphy cocycle and the imaginary-part transform
     for n in (1, 2, 3):
         for _ in range(25):
-            g1, g2 = random_symplectic(n, rng), random_symplectic(n, rng)
+            g1, g2 = sp.random_symplectic(n, rng), sp.random_symplectic(n, rng)
             z = random_point(n, rng)
             lhs = sp.j_factor(g1 @ g2, z)
             rhs = sp.j_factor(g1, sp.act(g2, z)) * sp.j_factor(g2, z)
@@ -141,7 +124,7 @@ def test_criterion_8_property_suites():
     # decomposition round trips
     for n in (1, 2, 3):
         for _ in range(20):
-            g = random_symplectic(n, rng)
+            g = sp.random_symplectic(n, rng)
             nak = sp.nak_decompose(g)
             assert np.max(np.abs(nak.assemble().g - g.g)) < 1e-9
             kak = sp.kak_decompose(g)
@@ -152,12 +135,12 @@ def test_criterion_8_property_suites():
     mu = MatrixPolynomial.coordinate(2, 1, 2)
     f = lambda z: sp.f_mu_m(mu, w, z)
     for _ in range(10):
-        g = random_symplectic(2, rng)
+        g = sp.random_symplectic(2, rng)
         u = sp.haar_unitary(2, rng)
         lhs = sp.lift(f, w, g @ sp.embed_unitary(u))
         rhs = sp.chi(w.m, u) * sp.lift(f, w, g)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
-        g2 = random_symplectic(2, rng)
+        g2 = sp.random_symplectic(2, rng)
         z = random_point(2, rng)
         a = sp.slash(sp.slash(f, w, g), w, g2)(z)
         b = sp.slash(f, w, g @ g2)(z)

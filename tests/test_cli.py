@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,10 +243,9 @@ def test_corrupt_cache_is_rejected(capsys, tmp_path):
             "--radius", "10", "--cache-dir", cache)
     assert run(capsys, *args)[0] == 0
     path = os.path.join(cache, "ball_n1_N1_r10.bin")
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[32] ^= 1  # first diagonal entry: breaks the exact symplectic relation
-    with open(path, "wb") as fh:
-        fh.write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     code, _, err = run(capsys, *args)
     assert code == 2
     assert "error:" in err
@@ -257,7 +257,7 @@ def test_output_file(capsys, tmp_path):
                        "--format", "json", "--output", target)
     assert code == 0
     assert out == ""
-    assert json.load(open(target))["n0"] == 4
+    assert json.loads(Path(target).read_text())["n0"] == 4
 
 
 def test_norms_command(capsys):
@@ -288,6 +288,24 @@ def test_verify_coeff_small(capsys):
 def test_verify_unknown_target_exits_2(capsys):
     code, _, _ = run(capsys, "verify", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *base.split(), option]
+    for command, base, unread in (
+        ("n0", "--n 1 --m 6", "--radius --cache-dir"),
+        ("n0-table", "--n 1", "--seed --radius --cache-dir"),
+        ("cmn", "--n 1 --m 4", "--tol --budget --radius --cache-dir"),
+        ("coeff", "--n 1 --m 4 --t 1.0", "--seed --tol --budget --radius --cache-dir"),
+        ("poincare", "--n 1 --N 1 --m 12 --z i", "--seed --tol"),
+        ("kernel", "--n 1 --N 1 --m 12 --z i --xi 0.2+1.1i", "--seed --tol"),
+        ("norms", "--n 1 --N 2", "--tol --radius --cache-dir"))
+    for option in unread.split()], ids=" ".join)
+def test_unread_shared_option_is_rejected(capsys, argv):
+    # each subcommand takes only the shared options it reads
+    code, _, err = run(capsys, *argv, "1")
+    assert code == 2
+    assert f"unrecognized arguments: {argv[-1]} 1" in err
 
 
 def test_csv_unavailable_for_cmn(capsys):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import struct
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,7 +27,6 @@ from siegelps import (
     poincare_F,
     save_ball,
 )
-from conftest import random_symplectic
 
 # ---------------------------------------------------------------------------
 # independent enumeration oracles
@@ -245,23 +245,20 @@ def test_load_rejects_corruption(tmp_path):
     ball = enumerate_ball(CongruenceGroup(1, 1), 5.0)
     path = str(tmp_path / "ball.bin")
     save_ball(path, ball)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     short = str(tmp_path / "short.bin")
-    with open(short, "wb") as fh:
-        fh.write(raw[:10])
+    Path(short).write_bytes(raw[:10])
     with pytest.raises(DomainError):
         load_ball(short)
     chopped = str(tmp_path / "chopped.bin")
-    with open(chopped, "wb") as fh:
-        fh.write(raw[:-8])
+    Path(chopped).write_bytes(raw[:-8])
     with pytest.raises(DomainError):
         load_ball(chopped)
     # flip one matrix entry: the exact symplectic check has to catch it
     tampered = bytearray(raw)
     tampered[32] ^= 1
     bad = str(tmp_path / "bad.bin")
-    with open(bad, "wb") as fh:
-        fh.write(bytes(tampered))
+    Path(bad).write_bytes(bytes(tampered))
     with pytest.raises(DomainError):
         load_ball(bad)
 
@@ -270,14 +267,13 @@ def test_load_rejects_broken_invariants(tmp_path):
     ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
     path = str(tmp_path / "ball.bin")
     save_ball(path, ball)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     head = struct.Struct("<qqdq")
     n, N, _, count = head.unpack(raw[:head.size])
     # every element fits an infinite or NaN radius; no radius may be unusable
     for radius in (math.inf, math.nan, 0.0, -10.0):
         bad = str(tmp_path / "radius.bin")
-        with open(bad, "wb") as fh:
-            fh.write(head.pack(n, N, radius, count) + raw[head.size:])
+        Path(bad).write_bytes(head.pack(n, N, radius, count) + raw[head.size:])
         with pytest.raises(DomainError):
             load_ball(bad)
     # out of canonical order the sum's rounding changes; a repeated element
@@ -339,7 +335,7 @@ def test_group_side_series_consistent(ball40):
     group = CongruenceGroup(1, 1)
     spec = MatrixCoefficientSpec(mu, w)
     for _ in range(3):
-        g = random_symplectic(1, rng)
+        g = sp.random_symplectic(1, rng)
         lhs = poincare_F(spec, group, g, 30.0, ball=ball40)
         z0 = SiegelPoint.center(1)
         rhs = (sp.j_factor(g, z0) ** (-w.m)
@@ -358,7 +354,7 @@ def test_group_side_series_matches_brute_force_lift(n, N, radius, mu_text):
     ball = enumerate_ball(group, radius)
     f = functools.partial(sp.f_mu_m, mu, w)
     for _ in range(2):
-        g = random_symplectic(n, rng)
+        g = sp.random_symplectic(n, rng)
         brute = sum(sp.lift(f, w, sp.SymplecticMatrix(e.astype(np.float64)) @ g)
                     for e in ball.elements)
         got = poincare_F(MatrixCoefficientSpec(mu, w), group, g, radius, ball=ball)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import siegelps as sp
-from conftest import random_point, random_symplectic
+from conftest import random_point
 
 
 def test_j_matrix_square():
@@ -29,7 +30,7 @@ def test_sp_check_tolerance_is_relative():
                               sp.haar_unitary(n, rng)).assemble()
             assert sp.sp_check(g.g)
     # a valid element scaled off the group is still rejected
-    g = random_symplectic(2, rng)
+    g = sp.random_symplectic(2, rng)
     assert sp.sp_check(g.g)
     assert not sp.sp_check((1 + 1e-8) * g.g)
     with pytest.raises(sp.DomainError):
@@ -45,8 +46,8 @@ def test_product_and_inverse():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         for _ in range(5):
-            g = random_symplectic(n, rng)
-            h = random_symplectic(n, rng)
+            g = sp.random_symplectic(n, rng)
+            h = sp.random_symplectic(n, rng)
             gh = g @ h
             assert sp.sp_check(gh.g)
             back = sp.sp_inverse(g).g @ g.g
@@ -57,8 +58,8 @@ def test_action_composition_and_cocycle():
     rng = np.random.default_rng(12)
     for n in (1, 2):
         for _ in range(10):
-            g1 = random_symplectic(n, rng)
-            g2 = random_symplectic(n, rng)
+            g1 = sp.random_symplectic(n, rng)
+            g2 = sp.random_symplectic(n, rng)
             z = random_point(n, rng)
             direct = sp.act(g1 @ g2, z)
             stepped = sp.act(g1, sp.act(g2, z))
@@ -71,7 +72,7 @@ def test_action_composition_and_cocycle():
 def test_imaginary_part_transform():
     rng = np.random.default_rng(13)
     for n in (1, 2, 3):
-        g = random_symplectic(n, rng)
+        g = sp.random_symplectic(n, rng)
         z = random_point(n, rng)
         assert np.max(np.abs(sp.im_transform(g, z) - sp.act(g, z).y)) < 1e-10
 
@@ -80,7 +81,7 @@ def test_action_preserves_positivity():
     rng = np.random.default_rng(14)
     for n in (1, 2, 3):
         for _ in range(5):
-            g = random_symplectic(n, rng)
+            g = sp.random_symplectic(n, rng)
             z = random_point(n, rng)
             evs = np.linalg.eigvalsh(sp.act(g, z).y)
             assert np.all(evs > 0)
@@ -133,7 +134,7 @@ def test_nak_decomposition():
     rng = np.random.default_rng(18)
     for n in (1, 2, 3):
         for _ in range(10):
-            g = random_symplectic(n, rng)
+            g = sp.random_symplectic(n, rng)
             f = sp.nak_decompose(g)
             assert np.max(np.abs(f.assemble().g - g.g)) < 1e-9
             assert np.max(np.abs(f.x - f.x.T)) < 1e-12
@@ -144,7 +145,7 @@ def test_kak_decomposition_random():
     rng = np.random.default_rng(19)
     for n in (1, 2, 3):
         for _ in range(10):
-            g = random_symplectic(n, rng)
+            g = sp.random_symplectic(n, rng)
             f = sp.kak_decompose(g)
             assert np.max(np.abs(f.assemble().g - g.g)) < 1e-8
             assert np.all(f.t >= 0)
@@ -195,6 +196,20 @@ def test_kak_mixed_cluster():
     f = sp.kak_decompose(g)
     assert np.max(np.abs(f.assemble().g - g.g)) < 1e-8
     assert np.max(np.abs(f.t - t)) < 1e-8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(t=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kak_decompose_inverts_assemble_up_to_t20(t, seed):
+    # ties and large radial parameters included; the guard is relative to |g|_F
+    rng = np.random.default_rng(seed)
+    t = np.sort(t)[::-1]
+    n = len(t)
+    g = sp.KAKFactors(sp.haar_unitary(n, rng), t, sp.haar_unitary(n, rng)).assemble()
+    f = sp.kak_decompose(g)
+    assert np.max(np.abs(f.assemble().g - g.g)) <= 1e-6 * max(1.0, np.linalg.norm(g.g))
+    assert np.max(np.abs(f.t - t)) < 1e-5
 
 
 def test_generators_are_symplectic():
