@@ -121,28 +121,26 @@ def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
 
 
 def _get_ball(group: CongruenceGroup, radius: float, budget: int, cache_dir):
-    if cache_dir:
-        path = os.path.join(cache_dir,
-                            f"ball_n{group.n}_N{group.N}_r{radius:g}.bin")
-        if os.path.exists(path):
-            ball = load_ball(path)
-            if ball.group == group and ball.radius >= radius - 1e-12:
-                return ball if abs(ball.radius - radius) <= 1e-12 else ball.restrict(radius)
-        ball = enumerate_ball(group, radius, budget=budget)
-        os.makedirs(cache_dir, exist_ok=True)
-        save_ball(path, ball)
-        return ball
-    return enumerate_ball(group, radius, budget=budget)
+    """A ball reaching ``radius``, through the cache file named for it when
+    there is a cache directory; the library restricts a larger one.  A file
+    holding a smaller ball (the name rounds the radius) is enumerated again."""
+    if not cache_dir:
+        return enumerate_ball(group, radius, budget=budget)
+    path = os.path.join(cache_dir, f"ball_n{group.n}_N{group.N}_r{radius:g}.bin")
+    if os.path.exists(path):
+        ball = load_ball(path)
+        if ball.group == group and ball.radius >= radius - 1e-12:
+            return ball
+    ball = enumerate_ball(group, radius, budget=budget)
+    os.makedirs(cache_dir, exist_ok=True)
+    save_ball(path, ball)
+    return ball
 
 
 def _default_radius(args, n: int) -> float:
     if args.radius is not None:
         return float(args.radius)
     return 12.0 if n == 1 else 4.0
-
-
-def _load_point(path: str) -> SiegelPoint:
-    return SiegelPoint.from_complex(load_matrix(path, name="point"))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +214,7 @@ def cmd_cmn(args) -> int:
     payload = {"command": "cmn", "genus": args.n, "m": args.m, "value": value}
     if args.mc:
         res = mc_cmn(w, samples=args.samples, seed=args.seed)
-        sigma = abs(res.value - value) / res.error_estimate if res.error_estimate else 0.0
+        sigma = abs(res.value - value) / res.error_estimate
         lines.append(f"monte carlo {res.value:.6e} +- {res.error_estimate:.2e} "
                      f"({res.evaluations} samples, {sigma:.2f} sigma from closed form)")
         payload["mc"] = {"value": res.value, "se": res.error_estimate,
@@ -255,26 +253,27 @@ def cmd_coeff(args) -> int:
     return 0
 
 
-def _point_from_args(args) -> SiegelPoint:
-    if args.z is not None:
+def _point_from_args(args, scalar: str, file: str, what: str) -> SiegelPoint:
+    """The point from the option --<scalar> (genus 1) or the JSON matrix file
+    named by --<file>; ``what`` names the point when neither is given."""
+    text, path = getattr(args, scalar), getattr(args, file.replace("-", "_"))
+    if text is not None:
         if args.n != 1:
-            raise DomainError("--z takes a scalar; beyond genus 1 use --point FILE")
-        zc = _parse_complex(args.z)
-        return SiegelPoint.from_complex(np.array([[zc]]))
-    if args.point:
-        pt = _load_point(args.point)
+            raise DomainError(f"--{scalar} takes a scalar; beyond genus 1 use --{file} FILE")
+        return SiegelPoint.from_complex(np.array([[_parse_complex(text)]]))
+    if path:
+        pt = SiegelPoint.from_complex(load_matrix(path, name="point"))
         if pt.n != args.n:
-            raise DimensionError(f"point in {args.point} has genus {pt.n}, "
-                                 f"expected {args.n}")
+            raise DimensionError(f"point in {path} has genus {pt.n}, expected {args.n}")
         return pt
-    raise DomainError("give an evaluation point via --z or --point FILE")
+    raise DomainError(f"give {what} via --{scalar} or --{file} FILE")
 
 
 def cmd_poincare(args) -> int:
     w = Weight(args.m, args.n)
     mu = parse_polynomial(args.mu, args.n)
     group = CongruenceGroup(args.n, args.N)
-    z = _point_from_args(args)
+    z = _point_from_args(args, "z", "point", "an evaluation point")
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
     res = poincare_f(mu, w, group, z, radius, ball=ball, budget=args.budget)
@@ -286,18 +285,8 @@ def cmd_poincare(args) -> int:
 def cmd_kernel(args) -> int:
     w = Weight(args.m, args.n)
     group = CongruenceGroup(args.n, args.N)
-    z = _point_from_args(args)
-    if args.xi is not None:
-        if args.n != 1:
-            raise DomainError("--xi takes a scalar; beyond genus 1 use --xi-point FILE")
-        xi = SiegelPoint.from_complex(np.array([[_parse_complex(args.xi)]]))
-    elif args.xi_point:
-        xi = _load_point(args.xi_point)
-        if xi.n != args.n:
-            raise DimensionError(f"point in {args.xi_point} has genus {xi.n}, "
-                                 f"expected {args.n}")
-    else:
-        raise DomainError("give the kernel point via --xi or --xi-point FILE")
+    z = _point_from_args(args, "z", "point", "an evaluation point")
+    xi = _point_from_args(args, "xi", "xi-point", "the kernel point")
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
     res = kernel_series(w, group, xi, z, radius, ball=ball, budget=args.budget)
@@ -496,10 +485,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomainError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -12,10 +12,12 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 
+SYM_TOL = 1e-12         # symmetry defect allowed, relative to max(1, max|a|)
+
 
 def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Reject NaN/Inf entries."""
-    if not np.all(np.isfinite(a.view(np.float64) if np.iscomplexobj(a) else a)):
+    if not np.all(np.isfinite(a)):
         raise DomainError(f"{name} has non-finite entries")
     return a
 
@@ -43,15 +45,10 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def symmetry_defect(a: np.ndarray) -> float:
-    """Max-norm distance from the transpose."""
-    return float(np.max(np.abs(a - a.T))) if a.size else 0.0
-
-
-def require_symmetric(a: np.ndarray, tol: float = 1e-12, name: str = "matrix") -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if symmetry_defect(a) > tol * scale:
-        raise DomainError(f"{name} is not symmetric within {tol}")
+def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Reject a when max|a - a^T| > SYM_TOL * max(1, max|a|)."""
+    if a.size and np.max(np.abs(a - a.T)) > SYM_TOL * max(1.0, float(np.max(np.abs(a)))):
+        raise DomainError(f"{name} is not symmetric within {SYM_TOL}")
     return a
 
 
@@ -93,7 +90,11 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
 
 def load_matrix(path: str, name: str = "matrix") -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh), name=name)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:        # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"{path}: not a JSON matrix file ({exc})") from None
+    return matrix_from_json(obj, name=name)
 
 
 def save_matrix(path: str, a: np.ndarray) -> None:

@@ -32,9 +32,12 @@ from .errors import (
     SamplingError,
 )
 from .nonvanishing import METHOD_MC, METHOD_QUAD, REFERENCE_N0, IntegralResult, n0_table
-from .poincare import CongruenceGroup, enumerate_ball, series_evaluator_genus1
+from .poincare import CongruenceGroup, _ball_for, series_evaluator_genus1
 from .polynomials import MatrixPolynomial
 from .symplectic import SiegelPoint, kak_decompose, random_symplectic
+
+_EPS_GAMMA = 2          # order of {+-I} in SL2(Z), the group the quadrature covers
+PAIRING_TOL = 0.02      # relative error allowed in the pairing identities
 
 
 @dataclass(frozen=True)
@@ -200,9 +203,10 @@ def _grid_value(f1, f2, m: int, dom: FundamentalDomainSpec, nodes: int) -> compl
     return total + region(1.0 / U[None, :], 0.5 * (hi - lo) * wx[None, :], m)
 
 
-def petersson(f1, f2, weight: Weight, domain: FundamentalDomainSpec | None = None,
-              eps_gamma: int = 2) -> IntegralResult:
-    """Normalized pairing eps^{-1} integral of f1 conj(f2) y^{m-2} dx dy.
+def petersson(f1, f2, weight: Weight,
+              domain: FundamentalDomainSpec | None = None) -> IntegralResult:
+    """Normalized pairing eps^{-1} integral of f1 conj(f2) y^{m-2} dx dy, where
+    eps = 2 is the order of {+-I} in SL2(Z).
 
     ``f1`` and ``f2`` must accept complex arrays.  Node counts double until
     two successive grids agree to the domain tolerance; the last doubling
@@ -227,13 +231,13 @@ def petersson(f1, f2, weight: Weight, domain: FundamentalDomainSpec | None = Non
             diff = np.abs(value - prev)
             err = float(np.max(diff))
             if np.all(diff <= dom.tol * np.maximum(np.abs(value), 1e-30)):
-                return IntegralResult(value=value / eps_gamma,
-                                      error_estimate=err / eps_gamma,
+                return IntegralResult(value=value / _EPS_GAMMA,
+                                      error_estimate=err / _EPS_GAMMA,
                                       evaluations=evals, method=METHOD_QUAD)
         prev = value
     raise ConvergenceError(
         f"grid doubling stalled at {err:.3e} relative to tolerance {dom.tol}",
-        IntegralResult(value=value / eps_gamma, error_estimate=err / eps_gamma,
+        IntegralResult(value=value / _EPS_GAMMA, error_estimate=err / _EPS_GAMMA,
                        evaluations=evals, method=METHOD_QUAD))
 
 
@@ -342,8 +346,7 @@ def _cusp_height_budget(f1, f2, m: int, dom: FundamentalDomainSpec) -> float:
 
 
 def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
-                      ball, radius: float, domain, tol: float,
-                      **kind) -> VerificationReport:
+                      ball, radius: float, **kind) -> VerificationReport:
     """Pair the form with the genus-1 series of ``kind`` (mu or xi), and report.
 
     The ball within radius/2 and the shell outside it each go through the
@@ -351,9 +354,8 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
     pairing and its half-radius change, the "series" budget.
     """
     w = Weight(delta.m, 1)
-    dom = domain or FundamentalDomainSpec()
-    if ball is None:
-        ball = enumerate_ball(CongruenceGroup(1, 1), radius)
+    dom = FundamentalDomainSpec()
+    ball = _ball_for(CongruenceGroup(1, 1), radius, ball)
     inner, shell = (series_evaluator_genus1(w, part, **kind)
                     for part in ball.split(radius / 2.0))
 
@@ -370,38 +372,37 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
         "cutoff": (_cusp_height_budget(delta, lambda z: series(z)[0], w.m, dom)
                    + delta.truncation_bound(math.sqrt(3.0) / 2.0)),
     }
-    detail = (f"relative error {rel:.4f} (tolerance {tol:g}); budget "
+    detail = (f"relative error {rel:.4f} (tolerance {PAIRING_TOL:g}); budget "
               + ", ".join(f"{k} {v:.2e}" for k, v in sorted(budget.items())))
     return VerificationReport(identity=identity, lhs=lhs, rhs=complex(rhs),
-                              rel_err=rel, error_budget=budget, passed=rel <= tol,
-                              detail=detail)
+                              rel_err=rel, error_budget=budget,
+                              passed=rel <= PAIRING_TOL, detail=detail)
 
 
-def verify_cor62(radius: float = 40.0, cutoff: int = 40,
-                 domain: FundamentalDomainSpec | None = None,
-                 tol: float = 0.02, ball=None) -> VerificationReport:
+def verify_cor62(radius: float = 40.0, ball=None) -> VerificationReport:
     """Pairing of the weight-12 form against the averaged weight vector.
 
     The computed pairing must reproduce C_{12,1} times the form's value at
-    the center, within ``tol`` relative error.
+    the center, within PAIRING_TOL relative error.  A supplied ``ball`` must
+    be a level-1 genus-1 ball of at least ``radius``; a larger one is
+    restricted.
     """
-    delta = DiscriminantForm(cutoff)
+    delta = DiscriminantForm()
     return _pair_with_series("pairing-vs-center-value", delta,
-                             c_mn(Weight(12, 1)) * delta(1j), ball, radius, domain,
-                             tol, mu=MatrixPolynomial.one(1))
+                             c_mn(Weight(12, 1)) * delta(1j), ball, radius,
+                             mu=MatrixPolynomial.one(1))
 
 
 def verify_thm93(points=(1j, 2j, 0.3 + 0.8j), radius: float = 40.0,
-                 cutoff: int = 40, domain: FundamentalDomainSpec | None = None,
-                 tol: float = 0.02, ball=None) -> list[VerificationReport]:
-    """Pairing against the averaged point kernel reproduces point values."""
+                 ball=None) -> list[VerificationReport]:
+    """Pairing against the averaged point kernel reproduces point values,
+    with ``ball`` fitted as in ``verify_cor62``."""
     points = [complex(pt) for pt in points]
     if any(pt.imag <= 0 for pt in points):
         raise DomainError("evaluation points must lie in the upper half-plane")
-    if ball is None:
-        ball = enumerate_ball(CongruenceGroup(1, 1), radius)
-    delta = DiscriminantForm(cutoff)
+    ball = _ball_for(CongruenceGroup(1, 1), radius, ball)
+    delta = DiscriminantForm()
     return [_pair_with_series(f"kernel-pairing@{pt.real:g}+{pt.imag:g}i", delta,
-                              delta(pt), ball, radius, domain, tol,
+                              delta(pt), ball, radius,
                               xi=SiegelPoint.from_complex(np.array([[pt]])))
             for pt in points]

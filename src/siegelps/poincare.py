@@ -27,7 +27,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import struct
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -279,6 +281,19 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     return EnumerationBall(group, radius, arr)
 
 
+def _ball_for(group: CongruenceGroup, radius: float, ball: EnumerationBall | None = None,
+              budget: int = 2 * 10 ** 9) -> EnumerationBall:
+    """The ball of ``radius``: enumerated when none is supplied, else the
+    supplied ball of the same group and at least that radius, restricted."""
+    if ball is None:
+        return enumerate_ball(group, radius, budget=budget)
+    if ball.group != group:
+        raise DomainError("supplied ball was enumerated for a different group")
+    if ball.radius < radius - 1e-12:
+        raise DomainError("supplied ball is smaller than the requested radius")
+    return ball.restrict(radius) if ball.radius > radius + 1e-12 else ball
+
+
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
     if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"ball radius {radius} is not positive and finite")
@@ -310,29 +325,36 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
 # ball cache
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<qqdq")    # n, N, radius, count
-
-
 def save_ball(path: str, ball: EnumerationBall) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(ball.group.n, ball.group.N, ball.radius, len(ball)))
-        fh.write(np.ascontiguousarray(ball.elements.astype("<i8")).tobytes())
+    """Write the ball as a numpy .npz archive (elements, level, radius),
+    atomically: to a temporary file that then replaces ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, elements=ball.elements, level=ball.group.N, radius=ball.radius)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_ball(path: str) -> EnumerationBall:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise DomainError(f"{path}: truncated ball cache header")
-        n, N, radius, count = _HEADER.unpack(head)
-        payload = fh.read()
-    expect = count * (2 * n) * (2 * n) * 8
-    if len(payload) != expect:
-        raise DomainError(f"{path}: ball cache payload has {len(payload)} bytes, "
-                          f"expected {expect}")
-    arr = np.frombuffer(payload, dtype="<i8").astype(np.int64)
-    arr = arr.reshape(count, 2 * n, 2 * n)
-    group = CongruenceGroup(n, N)
+    """Read a ball written by ``save_ball``.  Each archive member's CRC-32
+    catches a changed or cut payload, then the ball invariants are checked;
+    any other file, the older raw format included, raises DomainError."""
+    with open(path, "rb") as fh:        # np.load(path) leaks the handle on error
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                arr, N, radius = data["elements"], int(data["level"]), float(data["radius"])
+        # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError)
+        except (ValueError, KeyError, IndexError, EOFError, OSError, TypeError,
+                zipfile.BadZipFile) as exc:
+            raise DomainError(f"{path}: not a valid ball cache ({exc})") from None
+    if (arr.dtype != np.int64 or arr.ndim != 3 or arr.shape[1] != arr.shape[2]
+            or arr.shape[1] % 2):
+        raise DomainError(f"{path}: ball cache elements must be an int64 array "
+                          f"of shape (k, 2n, 2n), got {arr.dtype} {arr.shape}")
+    group = CongruenceGroup(arr.shape[1] // 2, N)
     _validate_ball(group, radius, arr)
     return EnumerationBall(group, radius, arr)
 
@@ -388,14 +410,7 @@ def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, budget:
             z: np.ndarray, mu: MatrixPolynomial | None = None,
             xi: SiegelPoint | None = None) -> TruncatedSeriesResult:
     """The series at one point; the tail is the shell outside half the radius."""
-    if ball is None:
-        ball = enumerate_ball(group, radius, budget=budget)
-    elif ball.group != group:
-        raise DomainError("supplied ball was enumerated for a different group")
-    elif ball.radius < radius - 1e-12:
-        raise DomainError("supplied ball is smaller than the requested radius")
-    elif ball.radius > radius + 1e-12:
-        ball = ball.restrict(radius)
+    ball = _ball_for(group, radius, ball, budget)
     inner, shell = (_pole_sums(weight, part, z, mu, xi)
                     for part in ball.split(ball.radius / 2.0))
     return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),

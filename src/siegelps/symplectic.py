@@ -10,7 +10,7 @@ u = a + ib  ->  [[a, b], [-b, a]]  (see ``embed_unitary``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from .matrixio import (
 
 SP_TOL = 1e-10          # max-norm defect in g^T J g = J, per unit of |g|_F^2
 UNITARY_TOL = 1e-10     # max-norm defect allowed in u* u = I
-SYM_TOL = 1e-12         # relative symmetry defect for half-space points
 COND_MAX = 1e12         # condition cap for Cz + D before acting
+_NAK_TOL = 1e-8         # unitarity defect allowed in the Iwasawa compact residual
+_KAK_GUARD = 1e-6       # KAK reassembly defect per unit of max(1, |g|_F), and the
+                        # |t| below which singular values form the unit cluster
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -40,8 +42,8 @@ def j_matrix(n: int) -> np.ndarray:
     return J
 
 
-def sp_check(g, tol: float = SP_TOL) -> bool:
-    """True when max|g^T J g - J| <= tol * max(1, |g|_F^2).
+def sp_check(g) -> bool:
+    """True when max|g^T J g - J| <= SP_TOL * max(1, |g|_F^2).
 
     Rounding in g^T J g grows with |g|_F^2, so the defect is measured
     relative to it; an absolute bound rejects valid elements far from K.
@@ -52,7 +54,7 @@ def sp_check(g, tol: float = SP_TOL) -> bool:
         raise DimensionError(f"symplectic matrices have even size, got {arr.shape[0]}")
     J = j_matrix(arr.shape[0] // 2)
     scale = max(1.0, float(np.vdot(arr, arr)))
-    return float(np.max(np.abs(arr.T @ J @ arr - J))) <= tol * scale
+    return float(np.max(np.abs(arr.T @ J @ arr - J))) <= SP_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +66,10 @@ class SymplecticMatrix:
     """A validated element of Sp(2n, R)."""
 
     g: np.ndarray
-    tol: float = SP_TOL
 
     def __post_init__(self):
         arr = as_real_matrix(self.g, "g")
-        if not sp_check(arr, self.tol):
+        if not sp_check(arr):
             raise DomainError("matrix fails the symplectic relation g^T J g = J")
         object.__setattr__(self, "g", readonly(arr))
 
@@ -106,7 +107,7 @@ def sp_inverse(g: SymplecticMatrix) -> SymplecticMatrix:
     """Exact block-transpose inverse [[D^T, -B^T], [-C^T, A^T]]."""
     top = np.hstack([g.D.T, -g.B.T])
     bot = np.hstack([-g.C.T, g.A.T])
-    return SymplecticMatrix(np.vstack([top, bot]), tol=g.tol)
+    return SymplecticMatrix(np.vstack([top, bot]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ class SiegelPoint:
 
     x: np.ndarray
     y: np.ndarray
-    sym_tol: float = SYM_TOL
 
     def __post_init__(self):
         x = as_real_matrix(self.x, "x")
@@ -123,8 +123,8 @@ class SiegelPoint:
         as_square(x, "x")
         if x.shape != y.shape:
             raise DimensionError("x and y must have the same shape")
-        require_symmetric(x, self.sym_tol, "x")
-        require_symmetric(y, self.sym_tol, "y")
+        require_symmetric(x, "x")
+        require_symmetric(y, "y")
         require_positive_definite(0.5 * (y + y.T), "y")
         object.__setattr__(self, "x", readonly(0.5 * (x + x.T)))
         object.__setattr__(self, "y", readonly(0.5 * (y + y.T)))
@@ -138,9 +138,9 @@ class SiegelPoint:
         return self.x + 1j * self.y
 
     @classmethod
-    def from_complex(cls, zmat, sym_tol: float = SYM_TOL) -> "SiegelPoint":
+    def from_complex(cls, zmat) -> "SiegelPoint":
         arr = as_complex_matrix(zmat, "z")
-        return cls(arr.real, arr.imag, sym_tol)
+        return cls(arr.real, arr.imag)
 
     @classmethod
     def center(cls, n: int) -> "SiegelPoint":
@@ -153,14 +153,10 @@ class BoundedDomainPoint:
     """Symmetric complex w with I - w*w positive definite (Cayley image)."""
 
     w: np.ndarray
-    sym_tol: float = SYM_TOL
 
     def __post_init__(self):
         w = as_complex_matrix(self.w, "w")
-        as_square(w, "w")
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if float(np.max(np.abs(w - w.T))) > self.sym_tol * scale:
-            raise DomainError("w is not symmetric")
+        require_symmetric(as_square(w, "w"), "w")
         require_positive_definite(np.eye(w.shape[0]) - w.conj().T @ w, "I - w*w")
         object.__setattr__(self, "w", readonly(0.5 * (w + w.T)))
 
@@ -180,13 +176,12 @@ class UnitaryMatrix:
     """A validated element of U(n)."""
 
     mat: np.ndarray
-    tol: float = UNITARY_TOL
 
     def __post_init__(self):
         m = as_complex_matrix(self.mat, "u")
         as_square(m, "u")
         defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if defect > self.tol:
+        if defect > UNITARY_TOL:
             raise DomainError(f"matrix fails unitarity by {defect:.3e}")
         object.__setattr__(self, "mat", readonly(m))
 
@@ -207,12 +202,12 @@ def _require_same_n(g: SymplecticMatrix, z: SiegelPoint) -> None:
         raise DimensionError(f"genus mismatch: g has n={g.n}, z has n={z.n}")
 
 
-def act(g: SymplecticMatrix, z: SiegelPoint, cond_max: float = COND_MAX) -> SiegelPoint:
+def act(g: SymplecticMatrix, z: SiegelPoint) -> SiegelPoint:
     """Moebius action g.z = (Az + B)(Cz + D)^{-1}."""
     _require_same_n(g, z)
     zc = z.z
     M = g.C @ zc + g.D
-    if np.linalg.cond(M) > cond_max:
+    if np.linalg.cond(M) > COND_MAX:
         raise NumericalError("Cz + D is too ill-conditioned to act reliably")
     num = g.A @ zc + g.B
     znew = np.linalg.solve(M.T, num.T).T
@@ -266,11 +261,11 @@ def embed_unitary(u: UnitaryMatrix) -> SymplecticMatrix:
     return SymplecticMatrix(_embed(u.mat))
 
 
-def unitary_part(k: np.ndarray, tol: float = UNITARY_TOL) -> UnitaryMatrix:
+def unitary_part(k: np.ndarray) -> UnitaryMatrix:
     """Inverse of ``embed_unitary`` on matrices of the block form above."""
     arr = as_real_matrix(k, "k")
     n = arr.shape[0] // 2
-    return UnitaryMatrix(arr[:n, :n] + 1j * arr[:n, n:], tol)
+    return UnitaryMatrix(arr[:n, :n] + 1j * arr[:n, n:])
 
 
 def chi(r: int, u: UnitaryMatrix) -> complex:
@@ -284,10 +279,17 @@ def haar_unitary(n: int, seed, count: int | None = None):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     shape = (n, n) if count is None else (int(count), n, n)
     z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[..., None, :]
+    q = _gram_schmidt(z)
     return q if count is not None else UnitaryMatrix(q)
+
+
+def _gram_schmidt(a: np.ndarray) -> np.ndarray:
+    """Columns of (a stack of) square a orthonormalized in order: the QR factor
+    with phases fixed so that diag(r) > 0, a zero diagonal keeping phase 1."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +308,7 @@ def _spd_sqrt(y: np.ndarray):
 def upper_translation(x) -> SymplecticMatrix:
     """n_x = [[I, x], [0, I]] for symmetric x."""
     arr = as_real_matrix(x, "x")
-    require_symmetric(as_square(arr, "x"), SYM_TOL, "x")
+    require_symmetric(as_square(arr, "x"), "x")
     n = arr.shape[0]
     out = np.eye(2 * n)
     out[:n, n:] = arr
@@ -316,7 +318,7 @@ def upper_translation(x) -> SymplecticMatrix:
 def diagonal_scaling(y) -> SymplecticMatrix:
     """a_y = [[y^{1/2}, 0], [0, y^{-1/2}]] for positive definite y."""
     arr = as_real_matrix(y, "y")
-    require_symmetric(as_square(arr, "y"), SYM_TOL, "y")
+    require_symmetric(as_square(arr, "y"), "y")
     ysq, ysqinv = _spd_sqrt(arr)
     n = arr.shape[0]
     out = np.zeros((2 * n, 2 * n))
@@ -399,13 +401,7 @@ class KAKFactors:
         )
 
 
-def _polar_unitary(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary matrix (polar factor via SVD)."""
-    U, _, Vh = np.linalg.svd(u)
-    return U @ Vh
-
-
-def nak_decompose(g: SymplecticMatrix, unitary_tol: float = 1e-8) -> NAKFactors:
+def nak_decompose(g: SymplecticMatrix) -> NAKFactors:
     """Iwasawa coordinates of g: position g.(iI) plus the compact residual."""
     n = g.n
     z = act(g, SiegelPoint.center(n))
@@ -418,36 +414,32 @@ def nak_decompose(g: SymplecticMatrix, unitary_tol: float = 1e-8) -> NAKFactors:
     k = ainv @ ninv @ g.g
     u = k[:n, :n] + 1j * k[:n, n:]
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-    if defect > unitary_tol:
+    if defect > _NAK_TOL:
         raise NumericalError(f"compact residual fails unitarity by {defect:.3e}")
-    return NAKFactors(x=z.x, y=z.y, u=UnitaryMatrix(_polar_unitary(u)))
-
-
-def _sign_fix(V: np.ndarray) -> np.ndarray:
-    """Deterministic column gauge: largest-|entry| coordinate made positive."""
-    V = V.copy()
-    for i in range(V.shape[1]):
-        j = int(np.argmax(np.abs(V[:, i])))
-        if V[j, i] < 0:
-            V[:, i] = -V[:, i]
-    return V
+    U, _, Vh = np.linalg.svd(u)     # polar factor: the nearest unitary matrix
+    return NAKFactors(x=z.x, y=z.y, u=UnitaryMatrix(U @ Vh))
 
 
 def _kak_from_basis(arr: np.ndarray, V: np.ndarray, t: np.ndarray, n: int):
     """Build candidate factors from the top-half right singular vectors V of g."""
-    V = _sign_fix(V)
+    # deterministic column gauge: the largest-|entry| coordinate made positive
+    V = V * np.where(V[np.argmax(np.abs(V), axis=0), np.arange(n)] < 0, -1.0, 1.0)
     # g V e^{-t} = [a; -b] for the left factor a + ib: these columns are the
-    # large singular directions, so their scaling loses no precision
+    # large singular directions, so their scaling loses no precision.  Columns
+    # come in descending t, and the error of column i grows like e^{t_1 - t_i}
+    # relative to |g|, so Gram-Schmidt in column order cleans each direction
+    # against the more accurate ones; a polar factor would spread the error of
+    # the small directions onto the dominant ones.
     K1 = (arr @ V) * np.exp(-t)[None, :]
-    u_left = _polar_unitary(K1[:n, :] - 1j * K1[n:, :])
+    u_left = _gram_schmidt(K1[:n, :] - 1j * K1[n:, :])
     # [V, -JV] = [[a, -b], [b, a]] embeds a - ib; the right factor is its inverse
-    u_right = _polar_unitary(V[:n, :].T + 1j * V[n:, :].T)
+    u_right = _gram_schmidt(V[:n, :] + 1j * V[n:, :]).T
     h = np.concatenate([np.exp(t), np.exp(-t)])
     g_back = (_embed(u_left) * h[None, :]) @ _embed(u_right)
     return u_left, t, u_right, float(np.max(np.abs(g_back - arr)))
 
 
-def kak_decompose(g: SymplecticMatrix, guard: float = 1e-6) -> KAKFactors:
+def kak_decompose(g: SymplecticMatrix) -> KAKFactors:
     """Cartan coordinates g = k_u h_t k_{u'}.
 
     The singular value decomposition of g supplies the right compact factor;
@@ -455,7 +447,7 @@ def kak_decompose(g: SymplecticMatrix, guard: float = 1e-6) -> KAKFactors:
     are re-paired as (v, -Jv) inside their cluster, since the solver's basis
     for a degenerate cluster need not respect the skew pairing; of the direct
     and clustered candidates, the one reassembling g more accurately wins.
-    The reassembly defect must stay within guard * max(1, |g|_F).
+    The reassembly defect must stay within 1e-6 * max(1, |g|_F).
     """
     n = g.n
     arr = np.asarray(g.g)
@@ -468,7 +460,7 @@ def kak_decompose(g: SymplecticMatrix, guard: float = 1e-6) -> KAKFactors:
     # re-pair the sigma ~ 1 subspace E: [p; q] -> p + iq turns -J into
     # multiplication by i, so a complex orthonormal basis u_j of E's image
     # gives the pairs v_j = [Re u_j; Im u_j], -J v_j
-    E = vec[:, np.abs(t_all) < guard]
+    E = vec[:, np.abs(t_all) < _KAK_GUARD]
     k = E.shape[1] // 2
     if k:
         U = np.linalg.svd(E[:n] + 1j * E[n:], full_matrices=False)[0][:, :k]
@@ -479,6 +471,6 @@ def kak_decompose(g: SymplecticMatrix, guard: float = 1e-6) -> KAKFactors:
         candidates.append(_kak_from_basis(arr, V, t2, n))
 
     u_left, tbest, u_right, defect = min(candidates, key=lambda c: c[-1])
-    if defect > guard * max(1.0, float(np.linalg.norm(arr))):
+    if defect > _KAK_GUARD * max(1.0, float(np.linalg.norm(arr))):
         raise NumericalError(f"factor reassembly defect {defect:.3e} exceeds guard")
     return KAKFactors(u=UnitaryMatrix(u_left), t=tbest, uprime=UnitaryMatrix(u_right))

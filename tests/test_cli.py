@@ -194,6 +194,16 @@ def test_poincare_missing_point_file(capsys):
     assert "error:" in err
 
 
+def test_non_json_matrix_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    for argv in (("coeff", "--n", "1", "--m", "4", "--matrix", str(path)),
+                 ("poincare", "--n", "1", "--N", "1", "--m", "12", "--point", str(path))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error:" in err and "not a JSON matrix file" in err
+
+
 def test_poincare_budget_exit_3(capsys, tmp_path):
     path = str(tmp_path / "z.json")
     sp.save_matrix(path, 1j * np.eye(2))
@@ -244,7 +254,7 @@ def test_corrupt_cache_is_rejected(capsys, tmp_path):
     assert run(capsys, *args)[0] == 0
     path = os.path.join(cache, "ball_n1_N1_r10.bin")
     raw = bytearray(Path(path).read_bytes())
-    raw[32] ^= 1  # first diagonal entry: breaks the exact symplectic relation
+    raw[32] ^= 1  # inside the archive's zip header
     Path(path).write_bytes(bytes(raw))
     code, _, err = run(capsys, *args)
     assert code == 2

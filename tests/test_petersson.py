@@ -196,3 +196,17 @@ def test_kernel_pairing_reproduces_point_values(ball40):
 def test_kernel_pairing_rejects_lower_half_plane(ball40):
     with pytest.raises(DomainError):
         sp.verify_thm93(points=(1j, -1j), ball=ball40)
+
+
+def test_pairings_fit_a_supplied_ball():
+    # a larger level-1 ball is restricted to the radius; a smaller one or a
+    # ball of another level is refused
+    group = sp.CongruenceGroup(1, 1)
+    big, small = sp.enumerate_ball(group, 14.0), sp.enumerate_ball(group, 7.0)
+    level2 = sp.enumerate_ball(sp.CongruenceGroup(1, 2), 14.0)
+    for check in (sp.verify_cor62, sp.verify_thm93):
+        direct = check(radius=10.0)
+        assert repr(check(radius=10.0, ball=big)) == repr(direct)
+        for ball in (small, level2):
+            with pytest.raises(DomainError):
+                check(radius=10.0, ball=ball)

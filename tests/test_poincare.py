@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import math
-import struct
 from pathlib import Path
 
 import mpmath
@@ -254,26 +253,33 @@ def test_load_rejects_corruption(tmp_path):
     Path(chopped).write_bytes(raw[:-8])
     with pytest.raises(DomainError):
         load_ball(chopped)
-    # flip one matrix entry: the exact symplectic check has to catch it
+    # byte 32 lies in the archive's zip header
     tampered = bytearray(raw)
     tampered[32] ^= 1
     bad = str(tmp_path / "bad.bin")
     Path(bad).write_bytes(bytes(tampered))
     with pytest.raises(DomainError):
         load_ball(bad)
+    # inside the element payload: a flipped byte, and one element cut out
+    start = raw.find(ball.elements.tobytes())
+    size = ball.elements[0].nbytes
+    assert start > 0
+    flipped = bytearray(raw)
+    flipped[start + 7 * size + 3] ^= 1
+    cut = raw[:start + 7 * size] + raw[start + 8 * size:]
+    for broken in (bytes(flipped), cut):
+        Path(bad).write_bytes(broken)
+        with pytest.raises(DomainError):
+            load_ball(bad)
 
 
 def test_load_rejects_broken_invariants(tmp_path):
     ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
-    path = str(tmp_path / "ball.bin")
-    save_ball(path, ball)
-    raw = Path(path).read_bytes()
-    head = struct.Struct("<qqdq")
-    n, N, _, count = head.unpack(raw[:head.size])
     # every element fits an infinite or NaN radius; no radius may be unusable
     for radius in (math.inf, math.nan, 0.0, -10.0):
         bad = str(tmp_path / "radius.bin")
-        Path(bad).write_bytes(head.pack(n, N, radius, count) + raw[head.size:])
+        with open(bad, "wb") as fh:
+            np.savez(fh, elements=ball.elements, level=ball.group.N, radius=radius)
         with pytest.raises(DomainError):
             load_ball(bad)
     # out of canonical order the sum's rounding changes; a repeated element

@@ -212,6 +212,36 @@ def test_kak_decompose_inverts_assemble_up_to_t20(t, seed):
     assert np.max(np.abs(f.t - t)) < 1e-5
 
 
+def test_kak_decompose_at_large_spread():
+    # the singular directions of the small exponents carry an error of about
+    # eps * e^{t_1 - t_i} relative to |g|; cleaning them against the dominant
+    # ones keeps the reassembly within the guard at any spread
+    for t in ((24.0, 0.0), (30.0, 5.0), (50.0, 10.0), (100.0, 0.0),
+              (100.0, 100.0, 0.0), (60.0, 30.0, 0.0), (40.0, 0.0, 0.0)):
+        n = len(t)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            g = sp.KAKFactors(sp.haar_unitary(n, rng), np.array(t),
+                              sp.haar_unitary(n, rng)).assemble()
+            f = sp.kak_decompose(g)
+            defect = np.max(np.abs(f.assemble().g - g.g))
+            assert defect <= 1e-12 * np.linalg.norm(g.g)
+            assert abs(f.t[0] - t[0]) < 1e-9
+
+
+def test_validation_accepts_any_memory_layout():
+    # transposed arrays are not contiguous along their last axis
+    rng = np.random.default_rng(24)
+    z = random_point(2, rng).z
+    u = sp.haar_unitary(2, rng).mat
+    w = sp.cayley(random_point(2, rng)).w
+    assert np.allclose(sp.SiegelPoint.from_complex(z.T).z, z)
+    assert np.allclose(sp.UnitaryMatrix(u.T).mat, u.T)
+    assert np.allclose(sp.BoundedDomainPoint(w.T).w, w)
+    with pytest.raises(sp.DomainError):
+        sp.SiegelPoint.from_complex(np.array([[np.nan, 1j], [1j, 1j]]).T)
+
+
 def test_generators_are_symplectic():
     x = np.array([[0.5, 0.2], [0.2, -1.0]])
     y = np.array([[2.0, 0.3], [0.3, 1.0]])
