@@ -56,6 +56,8 @@ from .petersson import (
 )
 from .poincare import (
     CongruenceGroup,
+    EnumerationBall,
+    _norm_cap,
     enumerate_ball,
     kernel_series,
     load_ball,
@@ -121,16 +123,17 @@ def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
 
 
 def _get_ball(group: CongruenceGroup, radius: float, budget: int, cache_dir):
-    """A ball reaching ``radius``, through the cache file named for it when
-    there is a cache directory; the library restricts a larger one.  A file
-    holding a smaller ball (the name rounds the radius) is enumerated again."""
+    """A ball reaching ``radius``, through the cache file named for floor(r^2)
+    when there is a cache directory.  floor(r^2) determines the elements, so
+    a file written for another radius with the same floor serves this one."""
     if not cache_dir:
         return enumerate_ball(group, radius, budget=budget)
-    path = os.path.join(cache_dir, f"ball_n{group.n}_N{group.N}_r{radius:g}.bin")
+    cap = _norm_cap(radius)
+    path = os.path.join(cache_dir, f"ball_n{group.n}_N{group.N}_r2_{cap}.bin")
     if os.path.exists(path):
         ball = load_ball(path)
-        if ball.group == group and ball.radius >= radius - 1e-12:
-            return ball
+        if ball.group == group and _norm_cap(ball.radius) == cap:
+            return EnumerationBall(group, radius, ball.elements)
     ball = enumerate_ball(group, radius, budget=budget)
     os.makedirs(cache_dir, exist_ok=True)
     save_ball(path, ball)

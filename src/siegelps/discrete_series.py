@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
+from . import _small
 from .errors import DimensionError, DomainError, NumericalError
 from .polynomials import MatrixPolynomial
 from .symplectic import (
@@ -89,11 +90,20 @@ def pole_values(weight: Weight, P: np.ndarray, Q: np.ndarray | None = None,
     """
     n, m = weight.n, weight.m
     numer = mu is not None and mu.degree() > 0
-    if numer:
-        W = Q / P if n == 1 else np.swapaxes(
-            np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)), -1, -2)
-    inv = P[..., 0, 0] if n == 1 else np.asarray(np.linalg.det(P))
+    if n == 1:
+        W = Q / P if numer else None
+        inv = P[..., 0, 0]
+    elif n == 2:
+        # W = Q adj(P) / det P, sharing det P with det(P)^{-m}
+        W = _small.times_adjugate(Q, P) if numer else None
+        inv = _small.det(P)
+    else:
+        W = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)),
+                        -1, -2) if numer else None
+        inv = np.asarray(np.linalg.det(P))
     np.reciprocal(inv, out=inv)
+    if n == 2 and numer:
+        W *= inv[..., None, None]
     values, bits = None, m
     while bits:
         if bits & 1:

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc, beta as beta_fn, ndtri
 
+from . import _small
 from .errors import (
     AmbiguousThresholdError,
     ConvergenceError,
@@ -320,10 +321,13 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
         rng_u = np.random.default_rng(child_u)
         x = np.sort(rng_x.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
         us = haar_unitary(n, rng_u, count)
-        W = (us * np.sqrt(x)[:, None, :]) @ np.swapaxes(us, -1, -2)
-        # symmetric in exact arithmetic; enforce it so that weights which
-        # vanish identically on symmetric matrices evaluate to exactly zero
-        W = (W + np.swapaxes(W, -1, -2)) / 2.0
+        # symmetric in exact arithmetic; made exactly so, so that weights
+        # which vanish identically on symmetric matrices evaluate to zero
+        if n <= 2:
+            W = _small.congruence_diag(us, np.sqrt(x))
+        else:
+            W = (us * np.sqrt(x)[:, None, :]) @ np.swapaxes(us, -1, -2)
+            W = (W + np.swapaxes(W, -1, -2)) / 2.0
         wts = (np.abs(mu.evaluate_batch(W))
                * np.prod((1.0 - x) ** (m / 2.0 - n - 1), axis=1)
                * np.abs(_vandermonde(x)))

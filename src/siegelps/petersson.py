@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _small
 from .discrete_series import (
     MatrixCoefficientSpec,
     Weight,
@@ -155,13 +156,16 @@ def mc_cmn(weight: Weight, samples: int = 10 ** 6, seed: int = 0) -> IntegralRes
         count = min(200_000, samples - done)
         re = rng.uniform(-1.0, 1.0, size=(count, len(iu)))
         im = rng.uniform(-1.0, 1.0, size=(count, len(iu)))
-        W = np.zeros((count, n, n), dtype=np.complex128)
-        W[:, iu, ju] = re + 1j * im
-        W[:, ju, iu] = re + 1j * im
-        Mh = np.eye(n)[None] - np.conj(W) @ W
-        evs = np.linalg.eigvalsh(Mh)
-        inside = evs[:, 0] > 0.0
-        dets = np.where(inside, np.prod(evs, axis=1), 1.0)
+        if n <= 2:
+            inside, dets = _small.contraction_det(re + 1j * im)
+        else:
+            W = np.zeros((count, n, n), dtype=np.complex128)
+            W[:, iu, ju] = re + 1j * im
+            W[:, ju, iu] = re + 1j * im
+            evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
+            inside = evs[:, 0] > 0.0
+            dets = np.prod(evs, axis=1)
+        dets = np.where(inside, dets, 1.0)
         vals = np.where(inside, dets ** (m - n - 1), 0.0)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
@@ -372,7 +376,7 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
         "cutoff": (_cusp_height_budget(delta, lambda z: series(z)[0], w.m, dom)
                    + delta.truncation_bound(math.sqrt(3.0) / 2.0)),
     }
-    detail = (f"relative error {rel:.4f} (tolerance {PAIRING_TOL:g}); budget "
+    detail = (f"relative error {rel:.2e} (tolerance {PAIRING_TOL:g}); budget "
               + ", ".join(f"{k} {v:.2e}" for k, v in sorted(budget.items())))
     return VerificationReport(identity=identity, lhs=lhs, rhs=complex(rhs),
                               rel_err=rel, error_budget=budget,

@@ -118,6 +118,13 @@ def _canonical_order(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr[np.lexsort(keys)])
 
 
+def _norm_cap(radius: float) -> int:
+    """The largest squared norm in the ball of radius r: floor(r^2), allowing
+    1e-9 for a radius given as the root of an integer.  Radii with the same
+    cap have the same elements."""
+    return int(math.floor(radius * radius + 1e-9))
+
+
 @dataclass(frozen=True)
 class EnumerationBall:
     """All group elements with Frobenius norm at most ``radius``; a shell
@@ -150,7 +157,7 @@ class EnumerationBall:
         keeps this radius; a sum over this ball is the sum over the two."""
         if radius > self.radius + 1e-12:
             raise DomainError("cannot restrict to a larger radius")
-        keep = self.norms_squared() <= int(math.floor(radius * radius + 1e-9))
+        keep = self.norms_squared() <= _norm_cap(radius)
         return (EnumerationBall(self.group, radius, self.elements[keep]),
                 EnumerationBall(self.group, self.radius, self.elements[~keep]))
 
@@ -262,7 +269,7 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     n, N = group.n, group.N
     if n > 2:
         raise DimensionError("exact enumeration is implemented for genus 1 and 2")
-    r2 = int(math.floor(radius * radius + 1e-9))
+    r2 = _norm_cap(radius)
     arr = np.zeros((0, 2 * n, 2 * n), np.int64)
     if r2 >= 2 * n:                      # |T|^2, |M|^2 >= n each
         d = 2 * n * n                    # lattice points of norm <= r2 - n in Z^d
@@ -301,23 +308,33 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         return
     n, N = group.n, group.N
     J = j_matrix(n).astype(np.int64)
-    gram = np.swapaxes(arr, 1, 2) @ (J[None] @ arr)
-    if not np.all(gram == J[None]):
+    eye = np.eye(2 * n, dtype=np.int64)
+    symplectic = congruent = ordered = True
+    top = 0
+    # blocks of _COSETS rows keep the temporaries small beside the ball; each
+    # block starts one row early, so the order check spans the seams
+    for k in range(0, len(arr), _COSETS):
+        part = arr[max(k - 1, 0):k + _COSETS]
+        symplectic &= bool(np.all(np.swapaxes(part, 1, 2) @ (J @ part) == J))
+        congruent &= bool(np.all((part - eye) % N == 0))
+        flat = part.reshape(len(part), -1)
+        norms = np.sum(flat * flat, axis=1)
+        top = max(top, int(np.max(norms)))
+        # canonical order on adjacent rows: the first key that differs, of
+        # the norm and then the entries, must increase
+        tied = np.ones(len(part) - 1, dtype=bool)
+        for key in [norms] + list(flat.T):
+            step = np.diff(key)
+            ordered &= not np.any(tied & (step < 0))
+            tied &= step == 0
+        ordered &= not tied.any()
+    if not symplectic:
         raise DomainError("enumerated element fails the exact symplectic relation")
-    if not np.all((arr - np.eye(2 * n, dtype=np.int64)) % N == 0):
+    if not congruent:
         raise DomainError("enumerated element fails the congruence condition")
-    flat = arr.reshape(len(arr), -1)
-    norms = np.sum(flat * flat, axis=1)
-    if np.max(norms) > radius * radius + 1e-9:
+    if top > _norm_cap(radius):
         raise DomainError("enumerated element exceeds the radius")
-    # canonical order on adjacent rows: the first key that differs, of the
-    # norm and then the entries, must increase
-    tied, descending = np.ones(len(arr) - 1, dtype=bool), False
-    for key in [norms] + list(flat.T):
-        step = np.diff(key)
-        descending |= bool(np.any(tied & (step < 0)))
-        tied &= step == 0
-    if descending or tied.any():
+    if not ordered:
         raise DomainError("ball elements are not in canonical order")
 
 

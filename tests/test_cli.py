@@ -238,7 +238,7 @@ def test_ball_cache_cold_and_warm(capsys, tmp_path):
             "--radius", "10", "--cache-dir", cache, "--format", "json")
     code1, out1, _ = run(capsys, *args)
     assert code1 == 0
-    path = os.path.join(cache, "ball_n1_N1_r10.bin")
+    path = os.path.join(cache, "ball_n1_N1_r2_100.bin")
     assert os.path.exists(path)
     stamp = os.path.getmtime(path)
     code2, out2, _ = run(capsys, *args)
@@ -247,12 +247,27 @@ def test_ball_cache_cold_and_warm(capsys, tmp_path):
     assert os.path.getmtime(path) == stamp  # reused, not rebuilt
 
 
+def test_ball_cache_keyed_by_squared_norm(capsys, tmp_path):
+    # radii with the same floor(r^2) have the same ball and share one file
+    cache = str(tmp_path / "cache")
+    args = ("poincare", "--n", "1", "--N", "1", "--m", "12", "--z", "i",
+            "--cache-dir", cache, "--radius")
+    code1, out1, _ = run(capsys, *args, "10")
+    path = os.path.join(cache, "ball_n1_N1_r2_100.bin")
+    stamp = os.path.getmtime(path)
+    code2, out2, _ = run(capsys, *args, "10.0000001")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert os.listdir(cache) == ["ball_n1_N1_r2_100.bin"]
+    assert os.path.getmtime(path) == stamp  # reused, not rewritten
+
+
 def test_corrupt_cache_is_rejected(capsys, tmp_path):
     cache = str(tmp_path / "cache")
     args = ("poincare", "--n", "1", "--N", "1", "--m", "12", "--z", "i",
             "--radius", "10", "--cache-dir", cache)
     assert run(capsys, *args)[0] == 0
-    path = os.path.join(cache, "ball_n1_N1_r10.bin")
+    path = os.path.join(cache, "ball_n1_N1_r2_100.bin")
     raw = bytearray(Path(path).read_bytes())
     raw[32] ^= 1  # inside the archive's zip header
     Path(path).write_bytes(bytes(raw))
@@ -293,6 +308,13 @@ def test_verify_coeff_small(capsys):
     code, out, _ = run(capsys, "verify", "coeff", "--samples", "3")
     assert code == 0
     assert "PASS coefficient-identity" in out
+
+
+def test_verify_pairing_prints_its_error(capsys):
+    code, out, _ = run(capsys, "verify", "cor62", "--radius", "10")
+    assert code == 0
+    figure = out.split("relative error ")[1].split()[0]
+    assert "e-" in figure and 0 < float(figure) < 1e-4
 
 
 def test_verify_unknown_target_exits_2(capsys):

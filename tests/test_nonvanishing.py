@@ -245,6 +245,72 @@ def test_n0_general_matches_closed_form():
             assert rows[res.n0 - 1][0] < 0
 
 
+# n0_general at its defaults for five genus-2 weights, computed with batched
+# QR and matmul before the closed forms: (mu, m) -> (N0, samples, rows of
+# (N, margin, standard error))
+N0_GENERAL_GOLDEN = {
+    ('det^2 + 3*X_{1,2}', 8): (13, 100000, (
+        (1, -0.01606322676579677, 5.223632513239325e-05),
+        (2, -0.01601106621037369, 5.239621925961351e-05),
+        (4, -0.014762656030464541, 5.594234598131443e-05),
+        (8, -0.007389795993238237, 6.901315350289679e-05),
+        (12, -0.0005363797036016986, 7.284249565169248e-05),
+        (13, 0.0007764136207471341, 7.282086255686881e-05),
+        (14, 0.0019830707575586213, 7.259187632467116e-05),
+        (16, 0.004059951294845104, 7.172220130103406e-05),
+    )),
+    ('det', 8): (14, 100000, (
+        (1, -0.0047736054613431314, 1.0967558669159355e-05),
+        (2, -0.0047674359789253665, 1.0994361101745819e-05),
+        (4, -0.004534957366878411, 1.1937422291812185e-05),
+        (8, -0.002671161978754584, 1.6637589098173485e-05),
+        (12, -0.0006740067594259344, 1.853692485418182e-05),
+        (13, -0.00027049184669123696, 1.8639441401926128e-05),
+        (14, 0.00010484491290571332, 1.8656111856694045e-05),
+        (16, 0.0007643346065241164, 1.8501847482340745e-05),
+    )),
+    ('X_{1,1}*X_{2,2}', 10): (10, 100000, (
+        (1, -0.0009865641773163115, 3.717763062413855e-06),
+        (2, -0.0009824998488533472, 3.7285106165758e-06),
+        (4, -0.0008603472649238102, 4.019064167846557e-06),
+        (8, -0.00017869930231028717, 4.820323281837549e-06),
+        (9, -2.6024293884192125e-05, 4.852636222628402e-06),
+        (10, 0.00010942615407247238, 4.840982350302057e-06),
+        (12, 0.00032150418248454957, 4.745650804087504e-06),
+        (16, 0.0005906738165729178, 4.479497223131049e-06),
+    )),
+    ('det^3', 12): (10, 100000, (
+        (1, -3.9020959471176245e-05, 1.3830727451764612e-07),
+        (2, -3.900720710763218e-05, 1.3834606211104893e-07),
+        (4, -3.687969423022573e-05, 1.440629601940133e-07),
+        (8, -1.0688249754559373e-05, 1.822439796998873e-07),
+        (9, -3.6030298389067154e-06, 1.8500118033356107e-07),
+        (10, 2.861898250597087e-06, 1.8513063049923317e-07),
+        (12, 1.3036356747975328e-05, 1.8070912813802873e-07),
+        (16, 2.5325689501727258e-05, 1.671566614814747e-07),
+    )),
+    ('det + X_{1,1}', 9): (11, 400000, (
+        (1, -0.004597897581953673, 8.415295436728633e-06),
+        (2, -0.004573511920189261, 8.448451012610606e-06),
+        (4, -0.004018744371979403, 9.126504637837752e-06),
+        (8, -0.0012518869506479545, 1.0943070884343102e-05),
+        (10, -4.5866578789850456e-05, 1.1120413363051735e-05),
+        (11, 0.00045776662639400206, 1.1097070650048326e-05),
+        (12, 0.0008990860936925088, 1.1029413548012704e-05),
+        (16, 0.002183877359466369, 1.0570976866864755e-05),
+    )),
+}
+
+
+def test_n0_general_golden_rows():
+    for (text, m), (n0, samples, rows) in N0_GENERAL_GOLDEN.items():
+        res = n0_general(ThresholdQuery(parse_polynomial(text, 2), Weight(m, 2)))
+        assert (res.n0, res.samples) == (n0, samples)
+        assert [N for N, _, _ in res.rows] == [N for N, _, _ in rows]
+        for got, want in zip(res.rows, rows):
+            assert got[1:] == pytest.approx(want[1:], rel=1e-12)
+
+
 def test_n0_general_higher_genus_certifies():
     query = ThresholdQuery(MatrixPolynomial.one(3), Weight(16, 3))
     res = n0_general(query, samples=100_000, seed=1, budget=400_000)

@@ -295,6 +295,26 @@ def test_load_rejects_broken_invariants(tmp_path):
             load_ball(bad)
 
 
+def test_load_checks_every_block(tmp_path):
+    # more elements than one validation block: each check reaches the last
+    # block and the seams, and the symplectic failure is reported first
+    ball = enumerate_ball(CongruenceGroup(1, 1), 60.0)
+    seam = sp.poincare._COSETS
+    assert len(ball) > seam + 10
+    swapped = ball.elements.copy()
+    swapped[[seam - 1, seam]] = swapped[[seam, seam - 1]]
+    broken = ball.elements.copy()
+    broken[seam + 5, 0, 0] += 1
+    both = swapped.copy()
+    both[-1, 0, 0] += 1
+    bad = str(tmp_path / "blocks.bin")
+    for arr, message in ((swapped, "canonical order"), (broken, "symplectic"),
+                         (both, "symplectic")):
+        save_ball(bad, sp.EnumerationBall(ball.group, ball.radius, arr))
+        with pytest.raises(DomainError, match=message):
+            load_ball(bad)
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------

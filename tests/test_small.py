@@ -1,0 +1,147 @@
+"""The closed forms for 1x1 and 2x2 stacks against LAPACK."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import siegelps as sp
+from siegelps import _small
+from siegelps.discrete_series import pole_values
+from siegelps.symplectic import _HAAR_BLOCK
+
+
+def ginibre(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def lapack_gram_schmidt(a):
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    size = np.abs(d)
+    return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)[..., None, :]
+
+
+def test_det_and_solve_match_lapack():
+    rng = np.random.default_rng(3)
+    P, Q = ginibre(rng, (2000, 2, 2)), ginibre(rng, (2000, 2, 2))
+    ref = np.linalg.det(P)
+    assert np.max(np.abs(_small.det(P) - ref) / np.abs(ref)) < 1e-12
+    solve = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)),
+                        -1, -2)
+    quotient = _small.times_adjugate(Q, P) / ref[:, None, None]
+    scale = np.max(np.abs(solve), axis=(1, 2))
+    assert np.max(np.max(np.abs(quotient - solve), axis=(1, 2)) / scale) < 1e-12
+    # a single matrix gives a 0-d array, which can be updated in place
+    one = _small.det(P[0])
+    assert isinstance(one, np.ndarray) and one.shape == ()
+    np.reciprocal(one, out=one)
+    assert complex(one) == pytest.approx(1 / ref[0], rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pole_values_match_lapack(n):
+    rng = np.random.default_rng(5 + n)
+    w = sp.Weight(2 * n + 5, n)
+    mu = (sp.MatrixPolynomial.det_power(n, 2)
+          + 3 * sp.MatrixPolynomial.coordinate(n, 1, n))
+    P, Q = ginibre(rng, (500, n, n)) + 3 * np.eye(n), ginibre(rng, (500, n, n))
+    W = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)), -1, -2)
+    ref = (2j) ** (w.m * n) * mu.evaluate_batch(W) * np.linalg.det(P) ** -w.m
+    got = pole_values(w, P.copy(), Q, mu)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
+    kernel = np.linalg.det(P) ** -w.m / sp.c_mn(w)
+    got = pole_values(w, P.copy())
+    assert np.max(np.abs(got - kernel) / np.abs(kernel)) < 1e-12
+
+
+def _eigvalsh_decision(a, b, c):
+    W = np.array([[a, b], [b, c]]).transpose(2, 0, 1)
+    evs = np.linalg.eigvalsh(np.eye(2)[None] - np.conj(W) @ W)
+    return evs[:, 0] > 0.0, np.prod(evs, axis=1)
+
+
+def test_contraction_det_matches_eigvalsh():
+    rng = np.random.default_rng(11)
+    w = rng.uniform(-1, 1, (100_000, 3)) + 1j * rng.uniform(-1, 1, (100_000, 3))
+    inside, dets = _small.contraction_det(w)
+    ref_inside, ref_dets = _eigvalsh_decision(*w.T)
+    assert 1_000 < inside.sum() < 99_000
+    assert np.array_equal(inside, ref_inside)
+    assert np.max(np.abs(dets - ref_dets)) < 1e-13
+    # scaled so that the largest singular value is 1 +- delta: the smallest
+    # eigenvalue of I - conj(w) w is -+ 2 delta, within 2e-12 of zero
+    W = np.array([[w[:, 0], w[:, 1]], [w[:, 1], w[:, 2]]]).transpose(2, 0, 1)[:2000]
+    delta = rng.uniform(1e-13, 1e-12, 2000) * rng.choice([-1.0, 1.0], 2000)
+    W *= ((1 + delta) / np.linalg.norm(W, ord=2, axis=(1, 2)))[:, None, None]
+    edge = np.stack([W[:, 0, 0], W[:, 0, 1], W[:, 1, 1]], axis=1)
+    inside, dets = _small.contraction_det(edge)
+    ref_inside, ref_dets = _eigvalsh_decision(*edge.T)
+    assert np.array_equal(inside, delta < 0)
+    assert np.array_equal(ref_inside, delta < 0)
+    assert np.max(np.abs(dets - ref_dets)) < 1e-14
+    # genus 1: the disc |w| < 1
+    w1 = w[:, :1]
+    inside, dets = _small.contraction_det(w1)
+    assert np.array_equal(inside, np.abs(w1[:, 0]) < 1)
+    assert np.max(np.abs(dets - (1 - np.abs(w1[:, 0]) ** 2))) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_schmidt_matches_phase_fixed_qr(n):
+    a = ginibre(np.random.default_rng(13), (20_000, n, n))
+    q = _small.gram_schmidt(a)
+    assert np.max(np.abs(q - lapack_gram_schmidt(a))) < 1e-12
+    gram = np.conj(np.swapaxes(q, -1, -2)) @ q
+    assert np.max(np.abs(gram - np.eye(n))) < 1e-14
+
+
+def test_gram_schmidt_zero_column_keeps_phase_one():
+    a = ginibre(np.random.default_rng(17), (3, 2, 2))
+    a[0, :, 0] = 0         # r00 = 0: q0 = e0, as LAPACK leaves it
+    a[1, :, 1] = 0         # r11 = 0: q1 is the unit complement of q0, unturned
+    a[2] = 0
+    q = _small.gram_schmidt(a)               # warnings fail the suite
+    assert np.allclose(q[0], lapack_gram_schmidt(a[0]), atol=1e-15)
+    q0 = a[1, :, 0] / np.linalg.norm(a[1, :, 0])
+    assert np.allclose(q[1, :, 0], q0, atol=1e-15)
+    assert np.allclose(q[1, :, 1], [-np.conj(q0[1]), np.conj(q0[0])], atol=1e-15)
+    assert np.array_equal(q[2], np.eye(2))
+    assert np.array_equal(_small.gram_schmidt(np.zeros((1, 1))), np.ones((1, 1)))
+    for u in q:
+        assert np.allclose(np.conj(u.T) @ u, np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_congruence_diag_matches_matmul(n):
+    rng = np.random.default_rng(19)
+    u, s = ginibre(rng, (5000, n, n)), rng.uniform(0, 1, (5000, n))
+    w = _small.congruence_diag(u, s)
+    ref = (u * s[:, None, :]) @ np.swapaxes(u, -1, -2)
+    assert np.max(np.abs(w - ref)) < 1e-14
+    assert np.array_equal(w, np.swapaxes(w, -1, -2))
+
+
+def test_haar_unitary_blocks_keep_the_draws():
+    count = 2 * _HAAR_BLOCK + 7
+    for n in (1, 2, 3):
+        rng = np.random.default_rng(23)
+        re = rng.standard_normal((count, n, n))
+        z = (re + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+        q = sp.haar_unitary(n, 23, count)
+        if n == 3:                     # LAPACK factors each matrix alone
+            assert np.array_equal(q, lapack_gram_schmidt(z))
+        else:
+            assert np.max(np.abs(q - lapack_gram_schmidt(z))) < 1e-12
+        assert np.array_equal(sp.haar_unitary(n, 29).mat, sp.haar_unitary(n, 29, 1)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_haar_unitary_peak_memory(n):
+    tracemalloc.start()
+    try:
+        q = sp.haar_unitary(n, 0, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * q.nbytes
