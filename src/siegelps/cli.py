@@ -150,6 +150,13 @@ def _default_radius(args, n: int) -> float:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_CELL_HEADER = ("n", "l", "m", "N0", "method", "margin")
+
+
+def _cell_rows(cells) -> list[tuple]:
+    return [(c.n, c.l, c.m, c.n0, c.method, f"{c.margin:.12e}") for c in cells]
+
+
 def cmd_n0(args) -> int:
     w = Weight(args.m, args.n)
     if args.mu is not None:
@@ -169,19 +176,14 @@ def cmd_n0(args) -> int:
                    "rows": [list(r) for r in res.rows]}
         _emit(args, lines, payload)
         return 0
-    cell = n0_detl_report(args.l, w, tol=args.tol, budget=args.budget)
+    cell = n0_detl_report(args.l, w, tol=args.tol)
     lines = [f"N0 = {cell.n0}  (genus {args.n}, l {args.l}, m {args.m})",
              f"method {cell.method}, decision margin {cell.margin:.6e}"]
-    if vanishing_case(args.l, w, 1):
-        lines.append("note: at level 1 the average vanishes identically")
-    if vanishing_case(args.l, w, 2):
-        lines.append("note: at level 2 the average vanishes identically")
+    lines += [f"note: at level {N} the average vanishes identically"
+              for N in (1, 2) if vanishing_case(args.l, w, N)]
     payload = {"command": "n0", "genus": args.n, "l": args.l, "m": args.m,
                "n0": cell.n0, "method": cell.method, "margin": cell.margin}
-    _emit(args, lines, payload,
-          csv_header=("n", "l", "m", "N0", "method", "margin"),
-          csv_rows=[(cell.n, cell.l, cell.m, cell.n0, cell.method,
-                     f"{cell.margin:.12e}")])
+    _emit(args, lines, payload, csv_header=_CELL_HEADER, csv_rows=_cell_rows([cell]))
     return 0
 
 
@@ -194,7 +196,7 @@ def cmd_n0_table(args) -> int:
         raise DomainError("--m-min and --m-max are required beyond genus 2")
     ls = list(range(args.l_min, args.l_max + 1))
     ms = list(range(args.m_min, args.m_max + 1))
-    cells = n0_table(args.n, ls, ms, tol=args.tol, budget=args.budget)
+    cells = n0_table(args.n, ls, ms, tol=args.tol)
     by_pos = {(c.l, c.m): c for c in cells}
     width = max(5, len(str(max(c.n0 for c in cells))) + 1)
     lines = ["l\\m".rjust(6) + "".join(str(m).rjust(width) for m in ms)]
@@ -204,9 +206,7 @@ def cmd_n0_table(args) -> int:
     payload = {"command": "n0-table", "genus": args.n,
                "cells": [{"l": c.l, "m": c.m, "n0": c.n0, "method": c.method,
                           "margin": c.margin} for c in cells]}
-    rows = [(c.n, c.l, c.m, c.n0, c.method, f"{c.margin:.12e}") for c in cells]
-    _emit(args, lines, payload,
-          csv_header=("n", "l", "m", "N0", "method", "margin"), csv_rows=rows)
+    _emit(args, lines, payload, csv_header=_CELL_HEADER, csv_rows=_cell_rows(cells))
     return 0
 
 
@@ -375,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tol": dict(type=float, default=_env("SIEGEL_TOL", float, 1e-10),
                     help="numeric tolerance (default 1e-10, env SIEGEL_TOL)"),
         "budget": dict(type=int, default=_env("SIEGEL_BUDGET", int, 2 * 10 ** 9),
-                       help="work budget for enumeration and sampling "
-                            "(env SIEGEL_BUDGET)"),
+                       help="work budget for ball enumeration (env SIEGEL_BUDGET)"),
         "radius": dict(type=float, default=_env("SIEGEL_RADIUS", float, None),
                        help="truncation radius (env SIEGEL_RADIUS)"),
         "cache-dir": dict(default=os.environ.get("SIEGEL_CACHE_DIR"),
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "truncated averages on the symplectic group.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = command("n0", "seed tol budget",
+    q = command("n0", "seed tol",
                 help="smallest level with a guaranteed nonzero average")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--l", type=int, default=0, help="determinant power (default 0)")
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one-sided certification level for --mu (default 0.99)")
     q.set_defaults(func=cmd_n0)
 
-    q = command("n0-table", "tol budget",
+    q = command("n0-table", "tol",
                 help="threshold table over a rectangle of (l, m)")
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--l-min", type=int, default=0)

@@ -11,8 +11,10 @@ once I(M(N)) > I(1)/2, where
     M(N) = 1 / (sqrt(1 + 4n/N^2) + sqrt(4n/N^2))^2
 
 is the concentration level of the congruence subgroup.  The smallest such N
-is the threshold reported by ``n0_detl`` (weights det^l) and ``n0_general``
-(arbitrary polynomial weights, by Monte Carlo over the unitary group).
+is the threshold reported by ``n0_detl`` (weights det^l, with I(t) one
+Pfaffian of one-dimensional integrals up to genus MAX_GENUS) and
+``n0_general`` (arbitrary polynomial weights, by Monte Carlo over the
+unitary group).
 """
 
 from __future__ import annotations
@@ -104,8 +106,7 @@ def _validate_ordered(x, n: int, upper: float = 1.0) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.ndim != 1 or arr.shape[0] != n:
         raise DimensionError(f"x must be a vector of length {n}")
-    if not (np.all(arr > 0) and np.all(arr < upper) and np.all(np.diff(arr) < 0)
-            if n > 1 else (arr[0] > 0 and arr[0] < upper)):
+    if not (np.all(arr > 0) and np.all(arr < upper) and np.all(np.diff(arr) < 0)):
         raise DomainError("x must satisfy upper > x_1 > ... > x_n > 0")
     return arr
 
@@ -146,63 +147,72 @@ def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> floa
 # the threshold integral
 # ---------------------------------------------------------------------------
 
-def _beta_lower(a: float, b: float, x: float) -> float:
-    """Unnormalized incomplete beta B(x; a, b)."""
-    return float(betainc(a, b, x) * beta_fn(a, b))
+MAX_GENUS = 5   # the Pfaffian's cancellation grows with n (README, numerical notes)
+_ROUNDING = 16 * np.finfo(float).eps   # charged per unit of sum |terms|
+_EPSREL = 1e-11
+_EPSREL_FLOOR = 50 * np.finfo(float).eps   # the least epsrel quad accepts
+
+
+def _pfaffian(a, idx: tuple) -> tuple[float, float]:
+    """Pf(a[idx, idx]) for ascending idx by first-row expansion, and sum |terms|."""
+    if not idx:
+        return 1.0, 1.0
+    value = size = 0.0
+    for k in range(1, len(idx)):
+        sub, sub_size = _pfaffian(a, idx[1:k] + idx[k + 1:])
+        value += (-1) ** (k + 1) * a[idx[0]][idx[k]] * sub
+        size += abs(a[idx[0]][idx[k]]) * sub_size
+    return value, size
 
 
 def integral_phi(l: int, weight: Weight, region: SimplexRegion,
-                 tol: float | None = None, budget: int = 10 ** 6,
-                 seed: int = 0, samples: int = 200_000) -> IntegralResult:
-    """I(t) over the ordered region, by the best method for the genus.
+                 tol: float | None = None) -> IntegralResult:
+    """I(t) as one Pfaffian at every genus (de Bruijn's identity).
 
-    Genus 1 is an incomplete beta in closed form; genus 2 integrates the
-    exact inner layer under the substitution x = t sin^2(theta), which makes
-    the integrand analytic; higher genus falls back to Monte Carlo with the
-    requested sample count.  A requested tolerance that the method cannot
-    certify raises ConvergenceError carrying the partial result.
+    With w(x) = x^{l/2} (1-x)^{m/2-n-1} and Phi_j(x) = B(x; l/2+1+j, m/2-n),
+    I(t) = Pf(a) for a_ij = int_0^t w(x) (x^j Phi_i - x^i Phi_j) dx, i < j < n,
+    each one quad under x = t sin^2(theta), bordered for odd n by the closed
+    forms a_in = Phi_i(t) (so genus 1 is the incomplete beta).  The error is
+    sum |dPf/da_ij| abserr_ij + _ROUNDING sum |terms|.  Raises DimensionError
+    above MAX_GENUS, and ConvergenceError, carrying the result, over ``tol``.
     """
     if l < 0:
         raise DomainError("l must be nonnegative")
+    if tol is not None and not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     m, n = weight.m, weight.n
     if region.n != n:
         raise DimensionError("region genus differs from the weight")
+    if n > MAX_GENUS:
+        raise DimensionError(f"the threshold integral is certified up to genus {MAX_GENUS}")
     weight.require_integrable()
-    t = region.t
+    t, a, b = region.t, l / 2.0 + 1.0, m / 2.0 - n
+    full = [beta_fn(a + j, b) for j in range(n)]
 
-    if n == 1:
-        a, b = l / 2.0 + 1.0, m / 2.0 - 1.0
-        value = _beta_lower(a, b, t)
-        result = IntegralResult(value, 16 * np.finfo(float).eps * value,
-                                1, METHOD_CLOSED)
-    elif n == 2:
-        a, b = l / 2.0 + 1.0, m / 2.0 - 2.0
+    def phi(j: int, x: float) -> float:
+        return float(betainc(a + j, b, x) * full[j])
 
-        def outer(theta):
-            x1 = t * math.sin(theta) ** 2
-            # 1 - t sin^2 = (1-t) + t cos^2 avoids cancellation at the right edge
-            one_minus = (1.0 - t) + t * math.cos(theta) ** 2
-            inner = x1 * _beta_lower(a, b, x1) - _beta_lower(a + 1.0, b, x1)
-            return (x1 ** (l / 2.0) * one_minus ** (m / 2.0 - 3.0) * inner
-                    * t * math.sin(2.0 * theta))
+    def integrand(theta: float, i: int, j: int) -> float:
+        x = t * math.sin(theta) ** 2
+        # 1 - t sin^2 = (1-t) + t cos^2 avoids cancellation at the right edge
+        one_minus = (1.0 - t) + t * math.cos(theta) ** 2
+        return (x ** (l / 2.0) * one_minus ** (b - 1.0) * (x ** j * phi(i, x) - x ** i * phi(j, x))
+                * t * math.sin(2.0 * theta))
 
-        epsrel = min(1e-11, tol) if tol is not None else 1e-11
-        value, abserr, info = integrate.quad(outer, 0.0, math.pi / 2.0,
-                                             epsabs=0.0, epsrel=epsrel,
-                                             limit=200, full_output=True)[:3]
-        result = IntegralResult(value, abserr, int(info["neval"]), METHOD_QUAD)
-    else:
-        rng = np.random.default_rng(seed)
-        count = min(int(samples), int(budget))
-        x = np.sort(rng.uniform(0.0, t, size=(count, n)), axis=1)[:, ::-1]
-        vals = (np.prod(x ** (l / 2.0), axis=1)
-                * np.prod((1.0 - x) ** (m / 2.0 - n - 1), axis=1)
-                * _vandermonde(x))
-        scale = t ** n / math.factorial(n)
-        value = float(np.mean(vals) * scale)
-        se = float(np.std(vals) / math.sqrt(count) * scale)
-        result = IntegralResult(value, se, count, METHOD_MC)
-
+    epsrel = max(_EPSREL_FLOOR, min(_EPSREL, tol or _EPSREL))
+    mat = [[phi(i, t) if j == n else 0.0 for j in range(n + n % 2)] for i in range(n)]
+    errs, evaluations = {}, n % 2 * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j], errs[i, j], info = integrate.quad(
+                integrand, 0.0, math.pi / 2.0, args=(i, j), epsabs=0.0, epsrel=epsrel,
+                limit=200, full_output=True)[:3]
+            evaluations += int(info["neval"])
+    idx = tuple(range(n + n % 2))
+    value, terms = _pfaffian(mat, idx)
+    error = sum(abs(_pfaffian(mat, tuple(k for k in idx if k not in ij))[0]) * e
+                for ij, e in errs.items()) + _ROUNDING * terms
+    result = IntegralResult(value, error, evaluations, METHOD_QUAD if errs else METHOD_CLOSED)
     if tol is not None and result.error_estimate > tol * max(1.0, abs(result.value)):
         raise ConvergenceError(
             f"error estimate {result.error_estimate:.3e} exceeds tolerance", result)
@@ -243,8 +253,7 @@ class ThresholdCell:
     margin: float
 
 
-def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10,
-                   budget: int = 10 ** 6) -> ThresholdCell:
+def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10) -> ThresholdCell:
     """Smallest level N with I(M(N)) > I(1)/2, with decision diagnostics.
 
     The decision margin at each examined N must clear ten times the summed
@@ -252,14 +261,13 @@ def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10,
     precision and AmbiguousThresholdError is raised rather than guessing.
     """
     n = weight.n
-    full = integral_phi(l, weight, SimplexRegion(n, 1.0), tol=tol, budget=budget)
+    full = integral_phi(l, weight, SimplexRegion(n, 1.0), tol=tol)
     target = full.value / 2.0
     cache: dict[int, float] = {}
 
     def margin(N: int) -> float:
         if N not in cache:
-            res = integral_phi(l, weight, SimplexRegion(n, big_m(N, n)),
-                               tol=tol, budget=budget)
+            res = integral_phi(l, weight, SimplexRegion(n, big_m(N, n)), tol=tol)
             gap = res.value - target
             err = res.error_estimate + full.error_estimate / 2.0
             if abs(gap) <= 10.0 * err:
@@ -274,15 +282,14 @@ def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10,
                          margin=margin(hi) / full.value)
 
 
-def n0_detl(l: int, weight: Weight, tol: float = 1e-10, budget: int = 10 ** 6) -> int:
+def n0_detl(l: int, weight: Weight, tol: float = 1e-10) -> int:
     """Smallest level guaranteeing a nonzero average for the weight det^l."""
-    return n0_detl_report(l, weight, tol=tol, budget=budget).n0
+    return n0_detl_report(l, weight, tol=tol).n0
 
 
-def n0_table(n: int, l_values, m_values, tol: float = 1e-10,
-             budget: int = 10 ** 6) -> list[ThresholdCell]:
+def n0_table(n: int, l_values, m_values, tol: float = 1e-10) -> list[ThresholdCell]:
     """Threshold table over a rectangle of (l, m) pairs."""
-    return [n0_detl_report(l, Weight(m, n), tol=tol, budget=budget)
+    return [n0_detl_report(l, Weight(m, n), tol=tol)
             for l in l_values for m in m_values]
 
 

@@ -272,8 +272,7 @@ def verify_thresholds(n: int, tol: float = 1e-10) -> VerificationReport:
     if n not in REFERENCE_N0:
         raise DomainError(f"no reference thresholds at genus {n}")
     ref = REFERENCE_N0[n]
-    cells = n0_table(n, sorted({l for l, _ in ref}), sorted({m for _, m in ref}),
-                     tol=tol, budget=10 ** 6)
+    cells = n0_table(n, sorted({l for l, _ in ref}), sorted({m for _, m in ref}), tol=tol)
     bad = [(c.l, c.m, c.n0, ref[(c.l, c.m)])
            for c in cells if c.n0 != ref[(c.l, c.m)]]
     detail = f"{len(cells) - len(bad)}/{len(cells)} cells match the reference"

@@ -51,6 +51,26 @@ def test_n0_csv(capsys):
     assert fields[:4] == ["1", "1", "4", "9"]
 
 
+def test_n0_genus_three(capsys):
+    code, out, _ = run(capsys, "n0", "--n", "3", "--m", "10")
+    assert code == 0
+    assert "N0 = 24" in out
+
+
+def test_n0_tolerance_below_quad_floor(capsys):
+    # quad's epsrel is held at 50 eps or above; the decision still certifies
+    code, out, _ = run(capsys, "n0", "--n", "2", "--m", "8", "--tol", "1e-14")
+    assert code == 0
+    assert "N0 = 11" in out
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+def test_n0_bad_tolerance_exits_2(capsys, tol):
+    code, _, err = run(capsys, "n0", "--n", "2", "--m", "8", f"--tol={tol}")
+    assert code == 2
+    assert "tolerance must be positive and finite" in err
+
+
 def test_n0_vanishing_note(capsys):
     code, out, _ = run(capsys, "n0", "--n", "1", "--l", "0", "--m", "13")
     assert code == 0
@@ -325,8 +345,8 @@ def test_verify_unknown_target_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     [command, *base.split(), option]
     for command, base, unread in (
-        ("n0", "--n 1 --m 6", "--radius --cache-dir"),
-        ("n0-table", "--n 1", "--seed --radius --cache-dir"),
+        ("n0", "--n 1 --m 6", "--budget --radius --cache-dir"),
+        ("n0-table", "--n 1", "--seed --budget --radius --cache-dir"),
         ("cmn", "--n 1 --m 4", "--tol --budget --radius --cache-dir"),
         ("coeff", "--n 1 --m 4 --t 1.0", "--seed --tol --budget --radius --cache-dir"),
         ("poincare", "--n 1 --N 1 --m 12 --z i", "--seed --tol"),

@@ -27,6 +27,7 @@ from siegelps import (
     vanishing_case,
     varphi_mu,
 )
+from siegelps.nonvanishing import MAX_GENUS
 
 # ---------------------------------------------------------------------------
 # concentration level
@@ -140,22 +141,59 @@ def test_integral_genus_two_against_quadrature():
             assert res.value == pytest.approx(oracle, rel=1e-8, abs=10 * err)
 
 
-def test_integral_monte_carlo_branch():
-    res = integral_phi(0, Weight(10, 3), SimplexRegion(3, 0.9), samples=20_000)
-    assert res.method == sp.METHOD_MC
-    assert res.value > 0
-    assert res.error_estimate > 0
-    assert res.evaluations == 20_000
+def _selberg(l, m, n, mp):
+    """I(1) in closed form: the Selberg integral at gamma = 1/2 over n!."""
+    a, b, g = mp.mpf(l) / 2 + 1, mp.mpf(m) / 2 - n, mp.mpf(1) / 2
+    return mp.fprod(mp.gamma(a + j * g) * mp.gamma(b + j * g) * mp.gamma(1 + (j + 1) * g)
+                    / (mp.gamma(a + b + (n + j - 1) * g) * mp.gamma(1 + g))
+                    for j in range(n)) / mp.factorial(n)
+
+
+def test_integral_against_selberg_up_to_the_cap():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for n in range(1, MAX_GENUS + 1):
+            for l, m in ((0, 2 * n + 1), (4, 2 * n + 4), (12, 2 * n + 8)):
+                res = integral_phi(l, Weight(m, n), SimplexRegion(n, 1.0))
+                rel = float(abs(res.value / _selberg(l, m, n, mp) - 1))
+                assert rel <= res.error_estimate / res.value, (n, l, m)
+                if n == 3:
+                    assert rel <= 1e-13, (l, m)
+
+
+def test_integral_genus_three_against_monte_carlo():
+    l, m, t, count = 2, 11, 0.7, 200_000
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, t, size=(count, 3)), axis=1)[:, ::-1]
+    vals = (np.prod(x ** (l / 2.0) * (1.0 - x) ** (m / 2.0 - 4.0), axis=1)
+            * (x[:, 0] - x[:, 1]) * (x[:, 0] - x[:, 2]) * (x[:, 1] - x[:, 2]))
+    scale = t ** 3 / 6.0
+    res = integral_phi(l, Weight(m, 3), SimplexRegion(3, t))
+    assert res.method == sp.METHOD_QUAD
+    assert abs(res.value - np.mean(vals) * scale) <= 3 * np.std(vals) / math.sqrt(count) * scale
+
+
+def test_integral_above_the_cap_raises():
+    n = MAX_GENUS + 1
+    with pytest.raises(DimensionError):
+        integral_phi(0, Weight(2 * n + 4, n), SimplexRegion(n, 0.5))
 
 
 def test_integral_tolerance_failure_carries_partial():
+    # below 50 eps quad cannot go, so the estimate misses this tolerance
     with pytest.raises(ConvergenceError) as exc:
-        integral_phi(0, Weight(10, 3), SimplexRegion(3, 0.9),
-                     tol=1e-12, samples=5_000)
+        integral_phi(0, Weight(10, 3), SimplexRegion(3, 0.9), tol=1e-20)
     partial = exc.value.partial
     assert partial is not None
-    assert partial.method == sp.METHOD_MC
+    assert partial.method == sp.METHOD_QUAD
     assert partial.value > 0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_integral_rejects_bad_tolerance(tol):
+    for n in (1, 2):
+        with pytest.raises(DomainError):
+            integral_phi(0, Weight(8, n), SimplexRegion(n, 0.5), tol=tol)
 
 
 def test_integral_requires_integrable_weight():
@@ -196,6 +234,61 @@ def test_n0_reference_spot_cells():
     assert table1[(0, 3)] == 14 and table1[(0, 10)] == 2
     for (l, m) in ((0, 3), (0, 6), (1, 4), (2, 8)):
         assert n0_detl(l, Weight(m, 1)) == table1[(l, m)]
+
+
+def test_n0_genus_three_agrees_with_monte_carlo():
+    # n0_general with mu = det^0 certifies the same level independently
+    assert n0_detl(0, Weight(10, 3)) == 24
+    query = ThresholdQuery(MatrixPolynomial.det_power(3, 0), Weight(10, 3))
+    assert n0_general(query, samples=100_000, seed=0).n0 == 24
+
+
+def _mp_big_m(N, n, mp):
+    q = mp.mpf(4 * n) / N ** 2
+    return 1 / (mp.sqrt(1 + q) + mp.sqrt(q)) ** 2
+
+
+def _mp_genus_two(l, m, t, mp):
+    """I(t) at genus 2 with mpmath: the outer integral of the exact inner layer."""
+    a, b = mp.mpf(l) / 2 + 1, mp.mpf(m) / 2 - 2
+
+    def f(theta):
+        x = t * mp.sin(theta) ** 2
+        inner = x * mp.betainc(a, b, 0, x) - mp.betainc(a + 1, b, 0, x)
+        return (x ** (a - 1) * ((1 - t) + t * mp.cos(theta) ** 2) ** (b - 1) * inner
+                * t * mp.sin(2 * theta))
+    return mp.quad(f, [0, mp.pi / 2])
+
+
+def test_reference_margins_against_mpmath():
+    # the sign of I(M(N))/I(1) - 1/2 at N0 and N0 - 1, recomputed at 30
+    # digits: every genus-1 cell, and the 5 genus-2 cells whose float margin
+    # is smallest (a genus-2 mpmath integral costs about 0.1-0.3 s)
+    mp = pytest.importorskip("mpmath")
+    margins = {}
+    with mp.workdps(30):
+        for (l, m), n0 in sp.REFERENCE_N0[1].items():
+            a, b = mp.mpf(l) / 2 + 1, mp.mpf(m) / 2 - 1
+            for N in (n0, n0 - 1):
+                margins[1, l, m, N] = mp.betainc(a, b, 0, _mp_big_m(N, 1, mp),
+                                                 regularized=True) - 0.5
+
+        def float_margin(l, m, N):
+            w = Weight(m, 2)
+            full = integral_phi(l, w, SimplexRegion(2, 1.0)).value
+            return abs(integral_phi(l, w, SimplexRegion(2, big_m(N, 2))).value / full - 0.5)
+
+        tightest = sorted(sp.REFERENCE_N0[2].items(), key=lambda cell: min(
+            float_margin(*cell[0], N) for N in (cell[1], cell[1] - 1)))[:5]
+        for (l, m), n0 in tightest:
+            full = _selberg(l, m, 2, mp)
+            for N in (n0, n0 - 1):
+                margins[2, l, m, N] = _mp_genus_two(l, m, _mp_big_m(N, 2, mp), mp) / full - 0.5
+    for (n, l, m, N), margin in margins.items():
+        assert (margin > 0) == (N == sp.REFERENCE_N0[n][l, m]), (n, l, m, N)
+    cell = min(margins, key=lambda key: abs(margins[key]))
+    assert cell == (1, 11, 3, 110)
+    assert float(margins[cell]) == pytest.approx(-5.8637275906e-7, rel=1e-9)
 
 
 def test_n0_genus_two_spot_cells():
