@@ -1,9 +1,9 @@
-"""Closed forms for stacks of 1x1 and 2x2 matrices.
+"""Stacks of small matrices: the one place that picks closed forms or LAPACK.
 
-Batched LAPACK pays a call per matrix, which on stacks of 2x2 matrices costs
-10-30 times these entrywise formulas.  Each function takes a stack
-(..., n, n), or its upper-triangle entries, at the sizes its docstring
-names; callers keep LAPACK for larger n.
+Each function takes a stack (..., n, n), or its upper-triangle entries, of
+any size n; callers do not branch on n.  At n <= 2 entrywise closed forms
+replace batched LAPACK, which pays a call per matrix and costs 10-30 times
+as much on 2x2 stacks.
 """
 
 from __future__ import annotations
@@ -12,8 +12,13 @@ import numpy as np
 
 
 def det(a: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 2x2 matrices, as a new array (0-d for one
-    matrix, so that it can be updated in place)."""
+    """Determinants of a stack, in an array the caller may overwrite (0-d for
+    one matrix).  At n = 1 it is the view a[..., 0, 0], so no copy is made."""
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0]
+    if n > 2:
+        return np.asarray(np.linalg.det(a))
     out = np.empty(a.shape[:-2], dtype=a.dtype)
     np.multiply(a[..., 0, 0], a[..., 1, 1], out=out)
     out -= a[..., 0, 1] * a[..., 1, 0]
@@ -31,13 +36,34 @@ def times_adjugate(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def inverse_det(p: np.ndarray,
+                q: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(1/det p, q p^{-1}) over a stack, or (1/det p, None) without q; p is
+    overwritten at n = 1.  At n = 2, q p^{-1} is q adj(p) / det p."""
+    n = p.shape[-1]
+    if q is None:
+        quotient = None
+    elif n == 1:
+        quotient = q / p
+    elif n == 2:
+        quotient = times_adjugate(q, p)
+    else:
+        quotient = np.swapaxes(np.linalg.solve(np.swapaxes(p, -1, -2),
+                                               np.swapaxes(q, -1, -2)), -1, -2)
+    inv = det(p)
+    np.reciprocal(inv, out=inv)
+    if n == 2 and q is not None:
+        quotient *= inv[..., None, None]
+    return inv, quotient
+
+
 def _phase(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     """z / size where size > 0, else 1."""
     return np.divide(z, size, out=np.ones_like(z), where=size > 0)
 
 
 def gram_schmidt(a: np.ndarray) -> np.ndarray:
-    """The phase-fixed QR factor of a stack of 1x1 or 2x2 complex matrices:
+    """The phase-fixed QR factor of a stack of square complex matrices:
     diag(r) > 0, a zero diagonal keeping phase 1.
 
     At n = 2 the second column is the unit vector (-conj q10, conj q00)
@@ -46,6 +72,10 @@ def gram_schmidt(a: np.ndarray) -> np.ndarray:
     """
     if a.shape[-1] == 1:
         return _phase(a, np.abs(a))
+    if a.shape[-1] > 2:
+        q, r = np.linalg.qr(a)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return q * _phase(d, np.abs(d))[..., None, :]
     a0, a1 = a[..., :, 0], a[..., :, 1]
     size = np.sqrt((a0.real ** 2 + a0.imag ** 2).sum(axis=-1))
     q00 = _phase(a0[..., 0], size)              # a zero column gives e_0
@@ -61,12 +91,15 @@ def gram_schmidt(a: np.ndarray) -> np.ndarray:
 
 
 def congruence_diag(u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """u diag(s) u^T over stacks of 1x1 or 2x2 u, entry by entry:
-    w_ij = sum_k u_ik s_k u_jk, with w_10 a copy of w_01, so the result is
-    exactly symmetric."""
+    """u diag(s) u^T over a stack, exactly symmetric: at n = 2 w_10 is a copy
+    of w_01, above that the product is averaged with its transpose."""
     v = u * s[..., None, :]
-    if u.shape[-1] == 1:
+    n = u.shape[-1]
+    if n == 1:
         return v * u
+    if n > 2:
+        w = v @ np.swapaxes(u, -1, -2)
+        return (w + np.swapaxes(w, -1, -2)) / 2.0
     w = np.empty_like(v)
     for i, j in ((0, 0), (1, 1), (0, 1)):
         w[..., i, j] = v[..., i, 0] * u[..., j, 0] + v[..., i, 1] * u[..., j, 1]
@@ -75,17 +108,25 @@ def congruence_diag(u: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def contraction_det(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For symmetric w given by its upper-triangle entries (count, 1) at genus
-    1 or (count, 3) = (w00, w01, w11) at genus 2: whether I - conj(w) w is
-    positive definite, and its determinant.
+    """For symmetric w given by its upper-triangle entries (count, n(n+1)/2),
+    row by row: whether I - conj(w) w is positive definite, and its
+    determinant, from the eigenvalues above genus 2.
 
     At genus 2, M = I - conj(w) w has M00 = 1 - |a|^2 - |b|^2,
     M11 = 1 - |b|^2 - |c|^2 and M01 = -(conj(a) b + conj(b) c) for
     (a, b, c) = (w00, w01, w11); the Hermitian M is positive definite
     exactly when M00 > 0 and det M > 0.
     """
+    n = int(np.sqrt(2 * w.shape[-1]))      # n < sqrt(n(n+1)) < n + 1
+    if n > 2:
+        iu, ju = np.triu_indices(n)
+        W = np.zeros((len(w), n, n), dtype=w.dtype)
+        W[:, iu, ju] = w
+        W[:, ju, iu] = w
+        evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
+        return evs[:, 0] > 0.0, np.prod(evs, axis=1)
     sq = w.real ** 2 + w.imag ** 2
-    if w.shape[-1] == 1:
+    if n == 1:
         dets = 1.0 - sq[:, 0]
         return dets > 0.0, dets
     a, b, c = w[:, 0], w[:, 1], w[:, 2]

@@ -188,12 +188,10 @@ def cmd_n0(args) -> int:
 
 
 def cmd_n0_table(args) -> int:
-    if args.m_min is None:
-        args.m_min = 3 if args.n == 1 else 5 if args.n == 2 else None
+    if args.m_min is None:      # the range of both reference tables
+        args.m_min = 2 * args.n + 1
     if args.m_max is None:
-        args.m_max = 10 if args.n == 1 else 12 if args.n == 2 else None
-    if args.m_min is None or args.m_max is None:
-        raise DomainError("--m-min and --m-max are required beyond genus 2")
+        args.m_max = 2 * args.n + 8
     ls = list(range(args.l_min, args.l_max + 1))
     ms = list(range(args.m_min, args.m_max + 1))
     cells = n0_table(args.n, ls, ms, tol=args.tol)
@@ -416,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True, help="genus")
     q.add_argument("--l-min", type=int, default=0)
     q.add_argument("--l-max", type=int, default=12)
-    q.add_argument("--m-min", type=int, default=None)
-    q.add_argument("--m-max", type=int, default=None)
+    q.add_argument("--m-min", type=int, default=None, help="default 2n+1")
+    q.add_argument("--m-max", type=int, default=None, help="default 2n+8")
     q.set_defaults(func=cmd_n0_table)
 
     q = command("cmn", "seed",

@@ -85,25 +85,12 @@ def pole_values(weight: Weight, P: np.ndarray, Q: np.ndarray | None = None,
     P = (A + iC)z + (B + iD), Q = (A - iC)z + (B - iD) for g = (A B; C D).
     Without ``mu``: the kernel C_{m,n}^{-1} det(P)^{-m}, at P = (z - conj(xi))/2i
     or ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Q is not read when mu is
-    constant.  P may be overwritten: det(P)^{-m} is formed in place, by
-    repeated squaring of the reciprocal.
+    constant.  ``_small.inverse_det`` gives 1/det P, overwriting P at n = 1,
+    and Q P^{-1}; det(P)^{-m} is formed by repeated squaring of 1/det P.
     """
     n, m = weight.n, weight.m
     numer = mu is not None and mu.degree() > 0
-    if n == 1:
-        W = Q / P if numer else None
-        inv = P[..., 0, 0]
-    elif n == 2:
-        # W = Q adj(P) / det P, sharing det P with det(P)^{-m}
-        W = _small.times_adjugate(Q, P) if numer else None
-        inv = _small.det(P)
-    else:
-        W = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)),
-                        -1, -2) if numer else None
-        inv = np.asarray(np.linalg.det(P))
-    np.reciprocal(inv, out=inv)
-    if n == 2 and numer:
-        W *= inv[..., None, None]
+    inv, W = _small.inverse_det(P, Q if numer else None)
     values, bits = None, m
     while bits:
         if bits & 1:

@@ -137,8 +137,7 @@ def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> floa
     if mu.n != n or u.n != n:
         raise DimensionError("mu, u and the weight must share the same genus")
     arr = _validate_ordered(x, n)
-    W = (u.mat * np.sqrt(arr)[None, :]) @ u.mat.T
-    W = (W + W.T) / 2.0
+    W = _small.congruence_diag(u.mat, np.sqrt(arr))
     val = abs(mu.evaluate(W)) * np.prod((1.0 - arr) ** (m / 2.0 - n - 1))
     return float(val * _vandermonde(arr))
 
@@ -330,11 +329,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
         us = haar_unitary(n, rng_u, count)
         # symmetric in exact arithmetic; made exactly so, so that weights
         # which vanish identically on symmetric matrices evaluate to zero
-        if n <= 2:
-            W = _small.congruence_diag(us, np.sqrt(x))
-        else:
-            W = (us * np.sqrt(x)[:, None, :]) @ np.swapaxes(us, -1, -2)
-            W = (W + np.swapaxes(W, -1, -2)) / 2.0
+        W = _small.congruence_diag(us, np.sqrt(x))
         wts = (np.abs(mu.evaluate_batch(W))
                * np.prod((1.0 - x) ** (m / 2.0 - n - 1), axis=1)
                * np.abs(_vandermonde(x)))
@@ -359,7 +354,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
             mean_lo, se_lo = stats(hi - 1)
             certified = certified and (mean_lo < -zq * se_lo)
         if certified:
-            note = ("" if n <= 2
+            note = ("" if n <= MAX_GENUS
                     else "no reference data at this genus; treat as unvalidated")
             rows = tuple(sorted(attempt_rows.values()))
             return GeneralThreshold(n0=hi, confidence=confidence,

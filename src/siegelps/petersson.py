@@ -147,24 +147,16 @@ def mc_cmn(weight: Weight, samples: int = 10 ** 6, seed: int = 0) -> IntegralRes
     if samples < 1000:
         raise DomainError("need at least 1000 samples for a meaningful estimate")
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n)
+    entries = n * (n + 1) // 2
     total = 0.0
     total_sq = 0.0
     accepted = 0
     done = 0
     while done < samples:
         count = min(200_000, samples - done)
-        re = rng.uniform(-1.0, 1.0, size=(count, len(iu)))
-        im = rng.uniform(-1.0, 1.0, size=(count, len(iu)))
-        if n <= 2:
-            inside, dets = _small.contraction_det(re + 1j * im)
-        else:
-            W = np.zeros((count, n, n), dtype=np.complex128)
-            W[:, iu, ju] = re + 1j * im
-            W[:, ju, iu] = re + 1j * im
-            evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
-            inside = evs[:, 0] > 0.0
-            dets = np.prod(evs, axis=1)
+        re = rng.uniform(-1.0, 1.0, size=(count, entries))
+        im = rng.uniform(-1.0, 1.0, size=(count, entries))
+        inside, dets = _small.contraction_det(re + 1j * im)
         dets = np.where(inside, dets, 1.0)
         vals = np.where(inside, dets ** (m - n - 1), 0.0)
         total += float(np.sum(vals))

@@ -288,19 +288,8 @@ def haar_unitary(n: int, seed, count: int | None = None):
     q = np.empty(stack, dtype=np.complex128)
     for k in range(0, stack[0], _HAAR_BLOCK):
         part = slice(k, k + _HAAR_BLOCK)
-        q[part] = _gram_schmidt((re[part] + 1j * im[part]) / np.sqrt(2.0))
+        q[part] = _small.gram_schmidt((re[part] + 1j * im[part]) / np.sqrt(2.0))
     return q if count is not None else UnitaryMatrix(q[0])
-
-
-def _gram_schmidt(a: np.ndarray) -> np.ndarray:
-    """Columns of (a stack of) square a orthonormalized in order: the QR factor
-    with phases fixed so that diag(r) > 0, a zero diagonal keeping phase 1."""
-    if a.shape[-1] <= 2:
-        return _small.gram_schmidt(a)
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    size = np.abs(d)
-    return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)[..., None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +431,9 @@ def _kak_from_basis(arr: np.ndarray, V: np.ndarray, t: np.ndarray, n: int):
     # against the more accurate ones; a polar factor would spread the error of
     # the small directions onto the dominant ones.
     K1 = (arr @ V) * np.exp(-t)[None, :]
-    u_left = _gram_schmidt(K1[:n, :] - 1j * K1[n:, :])
+    u_left = _small.gram_schmidt(K1[:n, :] - 1j * K1[n:, :])
     # [V, -JV] = [[a, -b], [b, a]] embeds a - ib; the right factor is its inverse
-    u_right = _gram_schmidt(V[:n, :] + 1j * V[n:, :]).T
+    u_right = _small.gram_schmidt(V[:n, :] + 1j * V[n:, :]).T
     h = np.concatenate([np.exp(t), np.exp(-t)])
     g_back = (_embed(u_left) * h[None, :]) @ _embed(u_right)
     return u_left, t, u_right, float(np.max(np.abs(g_back - arr)))

@@ -116,6 +116,18 @@ def test_n0_table_text_grid(capsys):
     assert [int(v) for v in grid_row[1:]] == [14, 6, 4, 4, 3, 3, 3, 2]
 
 
+def test_n0_table_default_range_at_every_genus(capsys):
+    # m = 2n+1..2n+8, the range of both reference tables, also at genus 3
+    code, out, _ = run(capsys, "n0-table", "--n", "3", "--l-max", "0")
+    assert code == 0
+    assert [int(v) for v in out.splitlines()[0].split()[1:]] == list(range(7, 15))
+    # an explicit bound is kept, not replaced by the default
+    code, _, err = run(capsys, "n0-table", "--n", "1", "--l-max", "0",
+                       "--m-min", "0", "--m-max", "3")
+    assert code == 2
+    assert "m=0" in err
+
+
 # ---------------------------------------------------------------------------
 # constants and coefficients
 # ---------------------------------------------------------------------------

@@ -404,11 +404,29 @@ def test_n0_general_golden_rows():
             assert got[1:] == pytest.approx(want[1:], rel=1e-12)
 
 
+# computed before the genus-3 kernels moved into siegelps._small
+N0_GENERAL_GENUS3_ROWS = (
+    (1, -2.812995021025569e-06, 2.5983544182177335e-08),
+    (2, -2.812234720859185e-06, 2.5984367163705347e-08),
+    (4, -2.6928319396839814e-06, 2.6110544605513045e-08),
+    (8, -7.225064342294127e-07, 2.7368847668019918e-08),
+    (9, -1.3077399010738958e-07, 2.7460935158610717e-08),
+    (10, 3.965663008338259e-07, 2.743540285544825e-08),
+    (12, 1.2009077763609924e-06, 2.7200223956376997e-08),
+    (16, 2.0709790537984695e-06, 2.6671791011058636e-08),
+)
+
+
 def test_n0_general_higher_genus_certifies():
     query = ThresholdQuery(MatrixPolynomial.one(3), Weight(16, 3))
     res = n0_general(query, samples=100_000, seed=1, budget=400_000)
-    assert res.n0 == 10
-    assert "unvalidated" in res.note
+    # mu = 1 is det^0, so the certified n0_detl is a reference at this genus
+    assert res.n0 == n0_detl(0, Weight(16, 3)) == 10
+    assert res.note == ""
+    assert res.samples == 100_000
+    assert [N for N, _, _ in res.rows] == [N for N, _, _ in N0_GENERAL_GENUS3_ROWS]
+    for got, want in zip(res.rows, N0_GENERAL_GENUS3_ROWS):
+        assert got[1:] == pytest.approx(want[1:], rel=1e-12)
 
 
 def test_n0_general_ambiguous_raises():

@@ -88,16 +88,17 @@ def test_mc_cmn_matches_closed_form():
 # mc_cmn(Weight(m, n), 10**6, seed 0) as (value, error estimate), computed with
 # batched eigvalsh before the closed-form test; the draws and decisions are kept
 MC_CMN_GOLDEN = {
-    (1, 4): (4.188822199443216, 0.0047613544116088076),
-    (1, 12): (1.1424466382454774, 0.0028756335714302385),
-    (2, 5): (23.541092835487763, 0.15483743730005023),
-    (2, 8): (3.6137520334894795, 0.050783497691653724),
+    (1, 4, 10 ** 6): (4.188822199443216, 0.0047613544116088076),
+    (1, 12, 10 ** 6): (1.1424466382454774, 0.0028756335714302385),
+    (2, 5, 10 ** 6): (23.541092835487763, 0.15483743730005023),
+    (2, 8, 10 ** 6): (3.6137520334894795, 0.050783497691653724),
+    (3, 8, 10 ** 5): (14.416662682451925, 5.419594370336842),
 }
 
 
 def test_mc_cmn_golden_values():
-    for (n, m), (value, error) in MC_CMN_GOLDEN.items():
-        res = mc_cmn(Weight(m, n), samples=10 ** 6, seed=0)
+    for (n, m, samples), (value, error) in MC_CMN_GOLDEN.items():
+        res = mc_cmn(Weight(m, n), samples=samples, seed=0)
         assert res.value == pytest.approx(value, rel=1e-12)
         assert res.error_estimate == pytest.approx(error, rel=1e-12)
 

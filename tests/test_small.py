@@ -1,4 +1,6 @@
-"""The closed forms for 1x1 and 2x2 stacks against LAPACK."""
+"""Each siegelps._small kernel against LAPACK: within rounding at n = 1 and
+2, where it uses closed forms, and equal at n = 3 and 4, where it calls
+LAPACK itself."""
 
 import tracemalloc
 
@@ -22,13 +24,18 @@ def lapack_gram_schmidt(a):
     return q * np.divide(d, size, out=np.ones_like(d), where=size > 0)[..., None, :]
 
 
+def lapack_solve(p, q):
+    """q p^{-1} over a stack."""
+    return np.swapaxes(np.linalg.solve(np.swapaxes(p, -1, -2), np.swapaxes(q, -1, -2)),
+                       -1, -2)
+
+
 def test_det_and_solve_match_lapack():
     rng = np.random.default_rng(3)
     P, Q = ginibre(rng, (2000, 2, 2)), ginibre(rng, (2000, 2, 2))
     ref = np.linalg.det(P)
     assert np.max(np.abs(_small.det(P) - ref) / np.abs(ref)) < 1e-12
-    solve = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)),
-                        -1, -2)
+    solve = lapack_solve(P, Q)
     quotient = _small.times_adjugate(Q, P) / ref[:, None, None]
     scale = np.max(np.abs(solve), axis=(1, 2))
     assert np.max(np.max(np.abs(quotient - solve), axis=(1, 2)) / scale) < 1e-12
@@ -37,22 +44,80 @@ def test_det_and_solve_match_lapack():
     assert isinstance(one, np.ndarray) and one.shape == ()
     np.reciprocal(one, out=one)
     assert complex(one) == pytest.approx(1 / ref[0], rel=1e-13)
+    # at n = 1 the determinant is a view, so the hot loop allocates nothing
+    P1 = P[:, :1, :1].copy()
+    assert np.shares_memory(_small.det(P1), P1)
+    inv, quotient = _small.inverse_det(P1.copy(), Q[:, :1, :1])
+    assert np.array_equal(inv, np.reciprocal(P1[:, 0, 0]))
+    assert np.array_equal(quotient, Q[:, :1, :1] / P1)
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernels_are_lapack_above_two(n):
+    rng = np.random.default_rng(37 + n)
+    p, q = ginibre(rng, (300, n, n)), ginibre(rng, (300, n, n))
+    dets = np.linalg.det(p)
+    assert np.array_equal(_small.det(p), dets)
+    one = _small.det(p[0])
+    assert isinstance(one, np.ndarray) and one.shape == ()
+    inv, quotient = _small.inverse_det(p, q)
+    assert np.array_equal(inv, np.reciprocal(dets))
+    assert np.array_equal(quotient, lapack_solve(p, q))
+    assert _small.inverse_det(p)[1] is None
+    assert np.array_equal(_small.gram_schmidt(q), lapack_gram_schmidt(q))
+    s = rng.uniform(0, 1, (300, n))
+    w = (q * s[:, None, :]) @ np.swapaxes(q, -1, -2)
+    assert np.array_equal(_small.congruence_diag(q, s), (w + np.swapaxes(w, -1, -2)) / 2)
+    iu, ju = np.triu_indices(n)
+    entries = ginibre(rng, (20_000, len(iu))) / (2 * n)
+    W = np.zeros((len(entries), n, n), dtype=np.complex128)
+    W[:, iu, ju] = entries
+    W[:, ju, iu] = entries
+    evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
+    inside, dets = _small.contraction_det(entries)
+    assert 0 < inside.sum() < len(inside)
+    assert np.array_equal(inside, evs[:, 0] > 0.0)
+    assert np.array_equal(dets, np.prod(evs, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_pole_values_match_lapack(n):
     rng = np.random.default_rng(5 + n)
     w = sp.Weight(2 * n + 5, n)
     mu = (sp.MatrixPolynomial.det_power(n, 2)
           + 3 * sp.MatrixPolynomial.coordinate(n, 1, n))
     P, Q = ginibre(rng, (500, n, n)) + 3 * np.eye(n), ginibre(rng, (500, n, n))
-    W = np.swapaxes(np.linalg.solve(np.swapaxes(P, -1, -2), np.swapaxes(Q, -1, -2)), -1, -2)
+    W = lapack_solve(P, Q)
     ref = (2j) ** (w.m * n) * mu.evaluate_batch(W) * np.linalg.det(P) ** -w.m
     got = pole_values(w, P.copy(), Q, mu)
     assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
     kernel = np.linalg.det(P) ** -w.m / sp.c_mn(w)
     got = pole_values(w, P.copy())
     assert np.max(np.abs(got - kernel) / np.abs(kernel)) < 1e-12
+
+
+# computed before the genus-3 kernels moved into siegelps._small
+POLE_VALUES_GENUS3 = (
+    [8.793191671734522e-10 - 6.379673395080081e-10j,
+     8.20050295395299e-08 + 7.729163332464004e-09j,
+     -0.006175058139250912 - 0.004417130818850431j,
+     2.636688436773451e-06 + 3.646337158038637e-06j],
+    [-5.328121002846731e-19 + 9.816643934604626e-20j,
+     -1.8073028169690927e-17 - 1.0752682064957213e-17j,
+     4.92358574020399e-13 - 2.1817739455404954e-13j,
+     6.059682297262948e-16 + 5.608365780064569e-16j],
+)
+
+
+def test_pole_values_genus_three_golden():
+    rng = np.random.default_rng(31)
+    P = ginibre(rng, (4, 3, 3)) + 3 * np.eye(3)
+    Q = ginibre(rng, (4, 3, 3))
+    w = sp.Weight(11, 3)
+    mu = sp.MatrixPolynomial.det_power(3, 2) + sp.MatrixPolynomial.coordinate(3, 1, 3)
+    values, kernel = POLE_VALUES_GENUS3
+    assert pole_values(w, P.copy(), Q, mu) == pytest.approx(values, rel=1e-12)
+    assert pole_values(w, P.copy()) == pytest.approx(kernel, rel=1e-12)
 
 
 def _eigvalsh_decision(a, b, c):
