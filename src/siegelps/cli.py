@@ -56,7 +56,6 @@ from .petersson import (
 )
 from .poincare import (
     CongruenceGroup,
-    EnumerationBall,
     _norm_cap,
     enumerate_ball,
     kernel_series,
@@ -133,7 +132,7 @@ def _get_ball(group: CongruenceGroup, radius: float, budget: int, cache_dir):
     if os.path.exists(path):
         ball = load_ball(path)
         if ball.group == group and _norm_cap(ball.radius) == cap:
-            return EnumerationBall(group, radius, ball.elements)
+            return ball
     ball = enumerate_ball(group, radius, budget=budget)
     os.makedirs(cache_dir, exist_ok=True)
     save_ball(path, ball)

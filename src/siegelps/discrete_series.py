@@ -157,7 +157,7 @@ def matrix_coeff_kak(spec: MatrixCoefficientSpec, factors: KAKFactors) -> comple
         raise DimensionError("factors and spec must share the same genus")
     m = spec.weight.m
     u = factors.u
-    W = (u.mat * np.tanh(factors.t)[None, :]) @ u.mat.T
+    W = _small.congruence_diag(u.mat, np.tanh(factors.t))
     # log cosh t = log(e^t + e^-t) - log 2, finite where cosh overflows
     log_cosh = float(np.sum(np.logaddexp(factors.t, -factors.t) - np.log(2.0)))
     return (chi(m, u) * chi(m, factors.uprime)

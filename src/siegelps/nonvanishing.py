@@ -147,7 +147,7 @@ def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> floa
 # ---------------------------------------------------------------------------
 
 MAX_GENUS = 5   # the Pfaffian's cancellation grows with n (README, numerical notes)
-_ROUNDING = 16 * np.finfo(float).eps   # charged per unit of sum |terms|
+_ROUNDING = 16 * float(np.finfo(float).eps)   # charged per unit of sum |terms|
 _EPSREL = 1e-11
 _EPSREL_FLOOR = 50 * np.finfo(float).eps   # the least epsrel quad accepts
 

@@ -37,7 +37,6 @@ from .poincare import CongruenceGroup, _ball_for, series_evaluator_genus1
 from .polynomials import MatrixPolynomial
 from .symplectic import SiegelPoint, kak_decompose, random_symplectic
 
-_EPS_GAMMA = 2          # order of {+-I} in SL2(Z), the group the quadrature covers
 PAIRING_TOL = 0.02      # relative error allowed in the pairing identities
 
 
@@ -214,6 +213,7 @@ def petersson(f1, f2, weight: Weight,
     if weight.n != 1:
         raise DimensionError("the quadrature harness is genus-1 only")
     dom = domain or FundamentalDomainSpec()
+    eps = CongruenceGroup(1, 1).epsilon()     # the quadrature covers SL2(Z)
     m = weight.m
     prev = None
     evals = 0
@@ -227,13 +227,12 @@ def petersson(f1, f2, weight: Weight,
             diff = np.abs(value - prev)
             err = float(np.max(diff))
             if np.all(diff <= dom.tol * np.maximum(np.abs(value), 1e-30)):
-                return IntegralResult(value=value / _EPS_GAMMA,
-                                      error_estimate=err / _EPS_GAMMA,
+                return IntegralResult(value=value / eps, error_estimate=err / eps,
                                       evaluations=evals, method=METHOD_QUAD)
         prev = value
     raise ConvergenceError(
         f"grid doubling stalled at {err:.3e} relative to tolerance {dom.tol}",
-        IntegralResult(value=value / _EPS_GAMMA, error_estimate=err / _EPS_GAMMA,
+        IntegralResult(value=value / eps, error_estimate=err / eps,
                        evaluations=evals, method=METHOD_QUAD))
 
 

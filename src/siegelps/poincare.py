@@ -20,12 +20,16 @@ Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
 ``enumerate_ball`` caps the size of stage 1, estimated before any work.
 Elements are stored in a canonical order (norm, then entries) so that sums
 are reproducible.
+
+A ball holds the elements of squared norm at most its cap floor(r^2), so
+radii with the same cap have the same elements: a supplied ball fits any
+radius whose cap is no larger, and is restricted to it.  On Sp(2n, R),
+|g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
+elements in K are the ball of cap 2n.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import os
 import tempfile
@@ -74,48 +78,33 @@ class CongruenceGroup:
             if not np.all(arr == np.round(arr)):
                 return False
             arr = np.round(arr).astype(np.int64)
-        J = j_matrix(self.n).astype(np.int64)
-        if not np.array_equal(arr.T @ J @ arr, J):
-            return False
-        return bool(np.all((arr - np.eye(2 * self.n, dtype=np.int64)) % self.N == 0))
+        return all(_membership(arr[None], self.N))
 
     def k_intersection(self) -> np.ndarray:
-        """All elements lying in the compact subgroup, as integer matrices."""
-        return _k_intersection(self.n, self.N)
+        """All elements lying in the compact subgroup, as integer matrices:
+        the ball of squared norm 2n, canonically ordered."""
+        return enumerate_ball(self, math.sqrt(2 * self.n)).elements
 
 
-@functools.lru_cache(maxsize=None)
-def _k_intersection(n: int, N: int) -> np.ndarray:
-    mats = []
-    if N >= 3:
-        mats.append(np.eye(2 * n, dtype=np.int64))
-    elif N == 2:
-        for signs in itertools.product((1, -1), repeat=n):
-            d = np.diag(np.array(signs, dtype=np.int64))
-            mats.append(np.block([[d, np.zeros((n, n), np.int64)],
-                                  [np.zeros((n, n), np.int64), d]]))
-    else:
-        # u = diag(i^{a_1}, ..., i^{a_n}) P over fourth roots and permutations
-        for perm in itertools.permutations(range(n)):
-            for phases in itertools.product((1, 1j, -1, -1j), repeat=n):
-                u = np.zeros((n, n), dtype=np.complex128)
-                for r in range(n):
-                    u[r, perm[r]] = phases[r]
-                a = np.round(u.real).astype(np.int64)
-                b = np.round(u.imag).astype(np.int64)
-                mats.append(np.block([[a, b], [-b, a]]))
-    arr = np.stack(mats)
-    out = _canonical_order(arr)
-    out.setflags(write=False)
-    return out
+def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
+    """For an integer stack (k, 2n, 2n): whether every matrix is symplectic,
+    g^T J g = J, and whether every one is congruent to I mod N."""
+    n = stack.shape[-1] // 2
+    J = j_matrix(n).astype(np.int64)
+    return (bool(np.all(np.swapaxes(stack, 1, 2) @ (J @ stack) == J)),
+            bool(np.all((stack - np.eye(2 * n, dtype=np.int64)) % N == 0)))
+
+
+def _order_keys(arr: np.ndarray) -> list[np.ndarray]:
+    """The keys of the canonical order, most significant first: the squared
+    norm, then the entries."""
+    flat = arr.reshape(arr.shape[0], -1)
+    return [np.sum(flat * flat, axis=1), *flat.T]
 
 
 def _canonical_order(arr: np.ndarray) -> np.ndarray:
     """Sort by norm then entries; the summation order contract."""
-    flat = arr.reshape(arr.shape[0], -1)
-    norms = np.sum(flat * flat, axis=1)
-    keys = tuple(flat[:, i] for i in range(flat.shape[1] - 1, -1, -1)) + (norms,)
-    return np.ascontiguousarray(arr[np.lexsort(keys)])
+    return np.ascontiguousarray(arr[np.lexsort(_order_keys(arr)[::-1])])
 
 
 def _norm_cap(radius: float) -> int:
@@ -155,8 +144,9 @@ class EnumerationBall:
     def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
         """The ball of ``radius`` and the shell of the other elements, which
         keeps this radius; a sum over this ball is the sum over the two."""
-        if radius > self.radius + 1e-12:
-            raise DomainError("cannot restrict to a larger radius")
+        if _norm_cap(radius) > _norm_cap(self.radius):
+            raise DomainError(f"a ball of radius {self.radius} does not reach "
+                              f"radius {radius}")
         keep = self.norms_squared() <= _norm_cap(radius)
         return (EnumerationBall(self.group, radius, self.elements[keep]),
                 EnumerationBall(self.group, self.radius, self.elements[~keep]))
@@ -291,14 +281,12 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
 def _ball_for(group: CongruenceGroup, radius: float, ball: EnumerationBall | None = None,
               budget: int = 2 * 10 ** 9) -> EnumerationBall:
     """The ball of ``radius``: enumerated when none is supplied, else the
-    supplied ball of the same group and at least that radius, restricted."""
+    supplied ball of the same group and no smaller cap, restricted."""
     if ball is None:
         return enumerate_ball(group, radius, budget=budget)
     if ball.group != group:
         raise DomainError("supplied ball was enumerated for a different group")
-    if ball.radius < radius - 1e-12:
-        raise DomainError("supplied ball is smaller than the requested radius")
-    return ball.restrict(radius) if ball.radius > radius + 1e-12 else ball
+    return ball if ball.radius == radius else ball.restrict(radius)
 
 
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
@@ -306,24 +294,21 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         raise DomainError(f"ball radius {radius} is not positive and finite")
     if not len(arr):
         return
-    n, N = group.n, group.N
-    J = j_matrix(n).astype(np.int64)
-    eye = np.eye(2 * n, dtype=np.int64)
     symplectic = congruent = ordered = True
     top = 0
     # blocks of _COSETS rows keep the temporaries small beside the ball; each
     # block starts one row early, so the order check spans the seams
     for k in range(0, len(arr), _COSETS):
         part = arr[max(k - 1, 0):k + _COSETS]
-        symplectic &= bool(np.all(np.swapaxes(part, 1, 2) @ (J @ part) == J))
-        congruent &= bool(np.all((part - eye) % N == 0))
-        flat = part.reshape(len(part), -1)
-        norms = np.sum(flat * flat, axis=1)
-        top = max(top, int(np.max(norms)))
-        # canonical order on adjacent rows: the first key that differs, of
-        # the norm and then the entries, must increase
+        is_symplectic, is_congruent = _membership(part, group.N)
+        symplectic &= is_symplectic
+        congruent &= is_congruent
+        keys = _order_keys(part)
+        top = max(top, int(np.max(keys[0])))
+        # canonical order on adjacent rows: the first key that differs must
+        # increase
         tied = np.ones(len(part) - 1, dtype=bool)
-        for key in [norms] + list(flat.T):
+        for key in keys:
             step = np.diff(key)
             ordered &= not np.any(tied & (step < 0))
             tied &= step == 0
@@ -535,10 +520,8 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
         mx = max(mx, float(np.linalg.norm(gmat)))
     threshold = math.sqrt(N * N + 2 * n)
     ball_radius = float(ball_radius) if ball_radius is not None else threshold + 1.0
-    ball = enumerate_ball(group, ball_radius, budget=budget)
-    eye = np.eye(2 * n, dtype=np.int64)
-    compact = np.array([np.array_equal(e.T @ e, eye) for e in ball.elements])
-    noncompact = ball.norms_squared()[~compact]
+    norms = enumerate_ball(group, ball_radius, budget=budget).norms_squared()
+    noncompact = norms[norms > 2 * n]         # |g|^2 = 2n exactly on K
     min_nc = math.sqrt(float(np.min(noncompact))) if len(noncompact) else math.inf
     passed = (mx < bound) and (min_nc >= threshold - 1e-12)
     return NormBoundsReport(r=float(r), bound=bound, max_product_norm=mx,

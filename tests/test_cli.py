@@ -93,6 +93,13 @@ def test_n0_general_zero_weight_exits_3(capsys):
     assert "numerical failure" in err
 
 
+def test_ambiguous_cell_diagnostics_print_plain_floats(capsys):
+    code, _, err = run(capsys, "n0", "--n", "5", "--l", "12", "--m", "11")
+    assert code == 3
+    assert "diagnostics: {2384: (" in err
+    assert "np.float64" not in err
+
+
 def test_n0_table_small_rectangle(capsys):
     code, out, _ = run(capsys, "n0-table", "--n", "1", "--l-min", "0",
                        "--l-max", "1", "--m-min", "4", "--m-max", "5",

@@ -217,14 +217,18 @@ def test_kernel_pairing_rejects_lower_half_plane(ball40):
 
 
 def test_pairings_fit_a_supplied_ball():
-    # a larger level-1 ball is restricted to the radius; a smaller one or a
-    # ball of another level is refused
+    # a larger level-1 ball, or one of the same squared-norm cap, is
+    # restricted to the radius; a smaller one or a ball of another level is
+    # refused
     group = sp.CongruenceGroup(1, 1)
     big, small = sp.enumerate_ball(group, 14.0), sp.enumerate_ball(group, 7.0)
+    same_cap = sp.enumerate_ball(group, 10.0)
     level2 = sp.enumerate_ball(sp.CongruenceGroup(1, 2), 14.0)
     for check in (sp.verify_cor62, sp.verify_thm93):
         direct = check(radius=10.0)
         assert repr(check(radius=10.0, ball=big)) == repr(direct)
+        assert (repr(check(radius=10.0000001, ball=same_cap))
+                == repr(check(radius=10.0000001)))
         for ball in (small, level2):
             with pytest.raises(DomainError):
                 check(radius=10.0, ball=ball)

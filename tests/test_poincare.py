@@ -133,6 +133,20 @@ def test_k_intersection_counts():
     assert len(CongruenceGroup(1, 2).k_intersection()) == 2
     assert len(CongruenceGroup(2, 2).k_intersection()) == 4
     assert len(CongruenceGroup(1, 3).k_intersection()) == 1
+    # canonical arrays pinned by SHA-256 of their little-endian bytes
+    digests = {
+        (1, 1): "a06b8f78cf4b726f0d1f062cc0dfcfce5404960a3ff05f8c85bfa0ab22cb7ed1",
+        (1, 2): "dce0242b6e3434d7023c7568e319beee3d83a82430dc101b5f835b521087ea85",
+        (1, 3): "33679eedd86f9637ab73892a064cdab3d82365cf5063b145affb2272327a6ddc",
+        (1, 4): "33679eedd86f9637ab73892a064cdab3d82365cf5063b145affb2272327a6ddc",
+        (2, 1): "8a53ee357a9a173a655df169b61d870cc36ec5f3d9af02416fc0228ed3cbc284",
+        (2, 2): "0097f0b6d1836c2479d0e08189510ac99299eb7b2bb5eb9aeb8851fb1d6d7619",
+        (2, 3): "b32ccb915e3d58f1bd6613f3139eaa1f4a0ef5dcf27fb6dcf37690c86b922624",
+        (2, 4): "b32ccb915e3d58f1bd6613f3139eaa1f4a0ef5dcf27fb6dcf37690c86b922624",
+    }
+    for (n, N), digest in digests.items():
+        k = CongruenceGroup(n, N).k_intersection()
+        assert hashlib.sha256(k.astype("<i8").tobytes()).hexdigest() == digest, (n, N)
     # each one really lies in the group and in the compact subgroup
     for mat in CongruenceGroup(2, 2).k_intersection():
         assert CongruenceGroup(2, 2).contains(mat)
@@ -206,6 +220,15 @@ def test_restrict_equals_direct(ball40):
     assert ball40.restrict(1.0).norms_squared().shape == (0,)   # no element fits
     with pytest.raises(DomainError):
         ball40.restrict(41.0)
+    # a radius of the same squared-norm cap holds the same elements, so a
+    # ball fits it and splits at it
+    group, ball10 = CongruenceGroup(1, 1), ball40.restrict(10.0)
+    inner, shell = ball10.split(10.0000001)
+    assert np.array_equal(inner.elements, ball10.elements) and len(shell) == 0
+    mu, w = MatrixPolynomial.one(1), Weight(12, 1)
+    z = SiegelPoint.from_complex(np.array([[0.3 + 1.1j]]))
+    assert (poincare_f(mu, w, group, z, 10.0000001, ball=ball10)
+            == poincare_f(mu, w, group, z, 10.0000001))
 
 
 def test_enumeration_validation():
@@ -474,9 +497,12 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
 
 
 def test_norm_bounds_reports():
-    for n, N in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+    # the least squared norm outside K in each group
+    least = {(1, 1): 3, (1, 2): 6, (1, 3): 11, (2, 1): 5, (2, 2): 8}
+    for (n, N), sq in least.items():
         rep = sp.norm_bounds_check(CongruenceGroup(n, N), samples=50, seed=3)
         assert rep.passed
         assert rep.max_product_norm < rep.bound
         assert rep.min_noncompact_norm >= rep.threshold - 1e-12
+        assert rep.min_noncompact_norm == math.sqrt(sq)
         assert rep.level == N
