@@ -193,6 +193,8 @@ def cmd_n0_table(args) -> int:
         args.m_max = 2 * args.n + 8
     ls = list(range(args.l_min, args.l_max + 1))
     ms = list(range(args.m_min, args.m_max + 1))
+    if not ls or not ms:
+        raise DomainError("the l and m ranges must not be empty")
     cells = n0_table(args.n, ls, ms, tol=args.tol)
     by_pos = {(c.l, c.m): c for c in cells}
     width = max(5, len(str(max(c.n0 for c in cells))) + 1)
@@ -276,7 +278,7 @@ def cmd_poincare(args) -> int:
     z = _point_from_args(args, "z", "point", "an evaluation point")
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
-    res = poincare_f(mu, w, group, z, radius, ball=ball, budget=args.budget)
+    res = poincare_f(mu, w, group, z, radius, ball=ball)
     notes = (["note: this weight vanishes identically at this level"]
              if vanishing_case(0, w, args.N) and mu == MatrixPolynomial.one(args.n) else [])
     return _emit_series(args, "poincare", res, notes, mu=args.mu)
@@ -289,7 +291,7 @@ def cmd_kernel(args) -> int:
     xi = _point_from_args(args, "xi", "xi-point", "the kernel point")
     radius = _default_radius(args, args.n)
     ball = _get_ball(group, radius, args.budget, args.cache_dir)
-    res = kernel_series(w, group, xi, z, radius, ball=ball, budget=args.budget)
+    res = kernel_series(w, group, xi, z, radius, ball=ball)
     return _emit_series(args, "kernel", res, [])
 
 
@@ -334,11 +336,16 @@ def _pairing_args(args) -> dict:
             "ball": _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)}
 
 
+def _samples(args) -> dict:
+    """--samples when given; otherwise each check keeps its own count."""
+    return {} if args.samples is None else {"samples": args.samples}
+
+
 _VERIFY_TARGETS = {
     "table1": lambda args: [verify_thresholds(n, args.tol)
                             for n in ([args.n] if args.n else [1, 2])],
-    "coeff": lambda args: [verify_coefficients(args.samples or 100, args.seed)],
-    "cmn": lambda args: verify_cmn(args.samples or 10 ** 6, args.seed),
+    "coeff": lambda args: [verify_coefficients(seed=args.seed, **_samples(args))],
+    "cmn": lambda args: verify_cmn(seed=args.seed, **_samples(args)),
     "cor62": lambda args: [verify_cor62(**_pairing_args(args))],
     "thm93": lambda args: verify_thm93(**_pairing_args(args)),
 }

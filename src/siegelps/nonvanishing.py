@@ -314,7 +314,13 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     Both sides of the threshold must be certified at the one-sided
     ``confidence`` level; the sample count escalates fourfold up to
     ``budget``, after which AmbiguousThresholdError reports the margins.
+    ``confidence`` must lie in (1/2, 1): at 1/2 or less both tests hold by
+    construction.
     """
+    if samples < 1:
+        raise DomainError("need at least one sample")
+    if not 0.5 < confidence < 1:
+        raise DomainError(f"confidence {confidence} must lie in (0.5, 1)")
     mu, weight = query.mu, query.weight
     m, n = weight.m, weight.n
     zq = float(ndtri(confidence))

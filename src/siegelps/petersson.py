@@ -60,45 +60,24 @@ class FundamentalDomainSpec:
 
 
 # ---------------------------------------------------------------------------
-# the classical weight-12 form, from the 24th power of the Euler product
+# the classical weight-12 form, from the eighth power of Jacobi's cube
 # ---------------------------------------------------------------------------
 
-def _euler_coeffs(K: int) -> list[int]:
-    out = [0] * (K + 1)
-    out[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= K:
-        sign = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= K:
-                out[g] += sign
-        k += 1
-    return out
-
-
-def _conv(a: list[int], b: list[int], K: int) -> list[int]:
-    out = [0] * (K + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            top = min(K - i, len(b) - 1)
-            for j in range(top + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-    return out
-
-
 def _tau_coeffs(K: int) -> list[int]:
-    """Coefficients tau(1..K) of the weight-12 form, exact integers."""
-    base = _euler_coeffs(K)
-    result = [1] + [0] * K
-    power = 24
-    while power:
-        if power & 1:
-            result = _conv(result, base, K)
-        power >>= 1
-        if power:
-            base = _conv(base, base, K)
-    return result[: K]          # shifted by one: coefficient of q^{k} is result[k-1]
+    """Coefficients tau(1..K) of the weight-12 form, exact integers.
+
+    Delta = q prod (1 - q^n)^24, and the product is the eighth power of
+    Jacobi's prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^{k(k+1)/2}: three
+    squarings of that sparse series, truncated to q^{K-1}.
+    """
+    series = np.zeros(K, dtype=object)
+    k = 0
+    while k * (k + 1) // 2 < K:
+        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        series = np.convolve(series, series)[:K]
+    return series.tolist()       # coefficient of q^k is tau(k + 1)
 
 
 class DiscriminantForm:

@@ -17,13 +17,16 @@ No step branches on the genus; genus 3 and above are refused until an
 independent oracle can check them.
 
 Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
-``enumerate_ball`` caps the size of stage 1, estimated before any work.
+``enumerate_ball`` caps the size of stage 1, estimated before any work; the
+series take none, so to bound one, enumerate its ball and pass it.
 Elements are stored in a canonical order (norm, then entries) so that sums
 are reproducible.
 
 A ball holds the elements of squared norm at most its cap floor(r^2), so
 radii with the same cap have the same elements: a supplied ball fits any
-radius whose cap is no larger, and is restricted to it.  On Sp(2n, R),
+radius whose cap is no larger, and is restricted to it.  Every radius,
+enumerated, loaded, split or fitted, goes through that cap, which refuses
+one that is not positive and finite.  On Sp(2n, R),
 |g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
 elements in K are the ball of cap 2n.
 """
@@ -110,7 +113,10 @@ def _canonical_order(arr: np.ndarray) -> np.ndarray:
 def _norm_cap(radius: float) -> int:
     """The largest squared norm in the ball of radius r: floor(r^2), allowing
     1e-9 for a radius given as the root of an integer.  Radii with the same
-    cap have the same elements."""
+    cap have the same elements.  Every radius passes through here, and one
+    that is not positive with a finite square is refused."""
+    if not (radius > 0 and math.isfinite(radius * radius)):
+        raise DomainError(f"radius {radius} must be positive with a finite square")
     return int(math.floor(radius * radius + 1e-9))
 
 
@@ -254,12 +260,10 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     volume estimate of its candidates; past it, BudgetError names the
     largest radius that fits.
     """
-    if radius <= 0 or not math.isfinite(radius):
-        raise DomainError("radius must be positive and finite")
+    r2 = _norm_cap(radius)
     n, N = group.n, group.N
     if n > 2:
         raise DimensionError("exact enumeration is implemented for genus 1 and 2")
-    r2 = _norm_cap(radius)
     arr = np.zeros((0, 2 * n, 2 * n), np.int64)
     if r2 >= 2 * n:                      # |T|^2, |M|^2 >= n each
         d = 2 * n * n                    # lattice points of norm <= r2 - n in Z^d
@@ -278,20 +282,19 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     return EnumerationBall(group, radius, arr)
 
 
-def _ball_for(group: CongruenceGroup, radius: float, ball: EnumerationBall | None = None,
-              budget: int = 2 * 10 ** 9) -> EnumerationBall:
+def _ball_for(group: CongruenceGroup, radius: float,
+              ball: EnumerationBall | None = None) -> EnumerationBall:
     """The ball of ``radius``: enumerated when none is supplied, else the
     supplied ball of the same group and no smaller cap, restricted."""
     if ball is None:
-        return enumerate_ball(group, radius, budget=budget)
+        return enumerate_ball(group, radius)
     if ball.group != group:
         raise DomainError("supplied ball was enumerated for a different group")
     return ball if ball.radius == radius else ball.restrict(radius)
 
 
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
-    if not (math.isfinite(radius) and radius > 0):
-        raise DomainError(f"ball radius {radius} is not positive and finite")
+    cap = _norm_cap(radius)
     if not len(arr):
         return
     symplectic = congruent = ordered = True
@@ -317,7 +320,7 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         raise DomainError("enumerated element fails the exact symplectic relation")
     if not congruent:
         raise DomainError("enumerated element fails the congruence condition")
-    if top > _norm_cap(radius):
+    if top > cap:
         raise DomainError("enumerated element exceeds the radius")
     if not ordered:
         raise DomainError("ball elements are not in canonical order")
@@ -408,11 +411,11 @@ def _pole_sums(weight: Weight, ball: EnumerationBall, Z: np.ndarray,
     return out.reshape(shape)
 
 
-def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, budget: int,
-            z: np.ndarray, mu: MatrixPolynomial | None = None,
+def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, z: np.ndarray,
+            mu: MatrixPolynomial | None = None,
             xi: SiegelPoint | None = None) -> TruncatedSeriesResult:
     """The series at one point; the tail is the shell outside half the radius."""
-    ball = _ball_for(group, radius, ball, budget)
+    ball = _ball_for(group, radius, ball)
     inner, shell = (_pole_sums(weight, part, z, mu, xi)
                     for part in ball.split(ball.radius / 2.0))
     return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),
@@ -420,19 +423,18 @@ def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, budget:
 
 
 def poincare_f(mu: MatrixPolynomial, weight: Weight, group: CongruenceGroup,
-               z: SiegelPoint, radius: float, ball: EnumerationBall | None = None,
-               budget: int = 2 * 10 ** 9) -> TruncatedSeriesResult:
+               z: SiegelPoint, radius: float,
+               ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
     """Truncation of the average of (f_{mu,m} | gamma)(z) over the group."""
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or mu.n != weight.n:
         raise DimensionError("mu, weight, group and z must share the same genus")
-    return _series(weight, group, radius, ball, budget, z.z, mu=mu)
+    return _series(weight, group, radius, ball, z.z, mu=mu)
 
 
 def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
                g: SymplecticMatrix, radius: float,
-               ball: EnumerationBall | None = None,
-               budget: int = 2 * 10 ** 9) -> TruncatedSeriesResult:
+               ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
     """Truncation of the group-side average sum of F(gamma g).
 
     By the cocycle, F(gamma g) = j(g, iI)^{-m} (f | gamma)(g.iI), so this is
@@ -443,7 +445,7 @@ def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
     if group.n != weight.n or g.n != weight.n:
         raise DimensionError("spec, group and g must share the same genus")
     center = SiegelPoint.center(weight.n)
-    res = _series(weight, group, radius, ball, budget, act(g, center).z, mu=spec.mu)
+    res = _series(weight, group, radius, ball, act(g, center).z, mu=spec.mu)
     factor = j_factor(g, center) ** (-weight.m)
     return replace(res, value=factor * res.value,
                    tail_estimate=abs(factor) * res.tail_estimate)
@@ -451,13 +453,12 @@ def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
 
 def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
                   z: SiegelPoint, radius: float,
-                  ball: EnumerationBall | None = None,
-                  budget: int = 2 * 10 ** 9) -> TruncatedSeriesResult:
+                  ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
     """Truncated average of the point-evaluation kernel at xi."""
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or xi.n != weight.n:
         raise DimensionError("weight, group, xi and z must share the same genus")
-    return _series(weight, group, radius, ball, budget, z.z, xi=xi)
+    return _series(weight, group, radius, ball, z.z, xi=xi)
 
 
 def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
@@ -505,6 +506,8 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     sqrt(2n cosh 4r) in Frobenius norm.  Exact part: every enumerated group
     element outside the compact subgroup has norm at least sqrt(N^2 + 2n).
     """
+    if not math.isfinite(r) or samples < 1:
+        raise DomainError("need a finite r and at least one sample")
     n, N = group.n, group.N
     rng = np.random.default_rng(seed)
     bound = math.sqrt(2 * n * math.cosh(4 * r))

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-
-_TOKEN = re.compile(r"(X_\{\s*(\d+)\s*,\s*(\d+)\s*\}|det|\d+|\^|\*|\+|-)")
 
 
 def _canonical_terms(n, terms):
@@ -228,75 +227,36 @@ def _perm_sign(perm) -> int:
 # text grammar
 # ---------------------------------------------------------------------------
 
+# The grammar has no parentheses, so it is regular: signed terms, each a
+# product of atoms (det, X_{r,s} or an integer) with an optional integer power.
+_ATOM = r"(?:det|X_\{\s*\d+\s*,\s*\d+\s*\}|\d+)(?:\s*\^\s*\d+)?"
+_TERM = rf"{_ATOM}(?:\s*\*\s*{_ATOM})*"
+_POLYNOMIAL = re.compile(rf"\s*[+-]?\s*{_TERM}(?:\s*[+-]\s*{_TERM})*\s*")
+
+
 def parse_polynomial(text: str, n: int) -> MatrixPolynomial:
     """Parse the shorthand grammar into a polynomial of size n."""
-    tokens = []
-    pos = 0
-    for mo in _TOKEN.finditer(text):
-        if text[pos:mo.start()].strip():
-            raise DomainError(f"unrecognized input near {text[pos:mo.start()]!r}")
-        tokens.append(mo)
-        pos = mo.end()
-    if text[pos:].strip():
-        raise DomainError(f"unrecognized input near {text[pos:]!r}")
-    parser = _Parser(tokens, n)
-    result = parser.expression()
-    if parser.peek() is not None:
-        raise DomainError(f"unexpected token {parser.peek().group(0)!r}")
-    return result
+    if not _POLYNOMIAL.fullmatch(text):
+        raise DomainError(f"cannot parse {text!r} as a polynomial")
+    # + and - only join terms, and * only joins atoms
+    first, *rest = re.split(r"([+-])", text)
+    if first.strip():
+        rest = ["+", first, *rest]
+    (sign, out), *terms = [
+        (sign, functools.reduce(operator.mul, (_atom(a, n) for a in term.split("*"))))
+        for sign, term in zip(rest[::2], rest[1::2])]
+    out = out * (-1 if sign == "-" else 1)
+    for sign, term in terms:
+        out = out - term if sign == "-" else out + term
+    return out
 
 
-class _Parser:
-    def __init__(self, tokens, n):
-        self.tokens = tokens
-        self.i = 0
-        self.n = n
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise DomainError("unexpected end of polynomial text")
-        self.i += 1
-        return tok
-
-    def expression(self) -> MatrixPolynomial:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.group(0) in "+-":
-            self.take()
-            sign = -1 if tok.group(0) == "-" else 1
-        out = self.term() * sign
-        while (tok := self.peek()) is not None and tok.group(0) in "+-":
-            self.take()
-            nxt = self.term()
-            out = out - nxt if tok.group(0) == "-" else out + nxt
-        return out
-
-    def term(self) -> MatrixPolynomial:
-        out = self.factor()
-        while (tok := self.peek()) is not None and tok.group(0) == "*":
-            self.take()
-            out = out * self.factor()
-        return out
-
-    def factor(self) -> MatrixPolynomial:
-        tok = self.take()
-        text = tok.group(0)
-        if text == "det":
-            base = MatrixPolynomial.det_power(self.n, 1)
-        elif text.startswith("X"):
-            base = MatrixPolynomial.coordinate(self.n, int(tok.group(2)), int(tok.group(3)))
-        elif text.isdigit():
-            base = MatrixPolynomial.constant(self.n, float(text))
-        else:
-            raise DomainError(f"unexpected token {text!r}")
-        if (nxt := self.peek()) is not None and nxt.group(0) == "^":
-            self.take()
-            ptok = self.take()
-            if not ptok.group(0).isdigit():
-                raise DomainError("exponent must be a nonnegative integer")
-            base = base ** int(ptok.group(0))
-        return base
+def _atom(text: str, n: int) -> MatrixPolynomial:
+    base, _, power = (part.strip() for part in text.partition("^"))
+    if base == "det":
+        out = MatrixPolynomial.det_power(n, 1)
+    elif base.startswith("X"):
+        out = MatrixPolynomial.coordinate(n, *map(int, re.findall(r"\d+", base)))
+    else:
+        out = MatrixPolynomial.constant(n, float(base))
+    return out ** int(power) if power else out

@@ -384,3 +384,42 @@ def test_csv_unavailable_for_cmn(capsys):
                        "--format", "csv")
     assert code == 2
     assert "csv" in err
+
+
+# ---------------------------------------------------------------------------
+# invalid input exits 2
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    "poincare --n 1 --N 1 --m 12 --z i",
+    "kernel --n 1 --N 1 --m 12 --z i --xi 0.2+1.1i",
+    "verify cor62",
+], ids=["poincare", "kernel", "verify cor62"])
+def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
+    code, _, err = run(capsys, *argv.split(), f"--radius={radius}",
+                       "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "verify coeff --samples 0",
+    "verify cmn --samples 0",
+    "n0 --n 1 --m 6 --mu det --samples 0",
+    "n0 --n 1 --m 6 --mu det --samples -5",
+    "n0 --n 1 --m 6 --mu det --confidence 0",
+    "n0 --n 1 --m 6 --mu det --confidence 0.5",
+    "n0 --n 1 --m 6 --mu det --confidence 1.5",
+    "n0 --n 1 --m 6 --mu det --confidence nan",
+    "n0-table --n 1 --l-min 5 --l-max 2",
+    "n0-table --n 1 --m-min 9 --m-max 3",
+    "norms --n 1 --N 1 --r nan",
+    "norms --n 1 --N 1 --samples 0",
+], ids=str)
+def test_invalid_input_exits_2(capsys, argv):
+    # each is refused before any work, never run on a default or a guess
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == "" and err.startswith("error: ")

@@ -1,5 +1,6 @@
 """Tests for the fundamental-domain pairing and the verification harness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,6 +31,11 @@ TAU = (1, -24, 252, -1472, 4830, -6048)
 def test_tau_coefficients():
     form = DiscriminantForm(cutoff=12)
     assert np.array_equal(form.tau[:6], np.array(TAU, dtype=np.float64))
+    # tau(1..60), pinned from the 24th power of the Euler product; each is
+    # below 2^53, so exact in float64
+    text = ",".join(str(int(t)) for t in DiscriminantForm(60).tau)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a4ca544d93d4920d165c08211e7ab5e82af4a54576f6b3fe385f112bd64b4308")
 
 
 def test_form_value_at_center():

@@ -238,6 +238,27 @@ def test_enumeration_validation():
         enumerate_ball(CongruenceGroup(3, 1), 4.0)
 
 
+@pytest.mark.parametrize("radius", [-6.0, 0.0, math.nan, math.inf, 1e200])
+def test_supplied_ball_refuses_bad_radius(ball40, tmp_path, radius):
+    # a supplied ball answers to the same radius rule as an enumeration:
+    # -6.0 squares to the cap of 6.0, yet no series may run at it
+    group, w = CongruenceGroup(1, 1), Weight(12, 1)
+    z = SiegelPoint.center(1)
+    ball10 = ball40.restrict(10.0)
+    with pytest.raises(DomainError, match="must be positive"):
+        poincare_f(MatrixPolynomial.one(1), w, group, z, radius, ball=ball10)
+    with pytest.raises(DomainError, match="must be positive"):
+        kernel_series(w, group, z, z, radius, ball=ball10)
+    with pytest.raises(DomainError, match="must be positive"):
+        ball10.split(radius)
+    # nor may a cached ball carry it, even an empty one
+    empty = str(tmp_path / "empty.bin")
+    with open(empty, "wb") as fh:
+        np.savez(fh, elements=np.zeros((0, 2, 2), np.int64), level=1, radius=radius)
+    with pytest.raises(DomainError, match="must be positive"):
+        load_ball(empty)
+
+
 def test_budget_error_genus1():
     with pytest.raises(BudgetError) as exc:
         enumerate_ball(CongruenceGroup(1, 1), 10 ** 6, budget=100)
@@ -494,6 +515,12 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
 # ---------------------------------------------------------------------------
 # norm bounds
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs", [{"r": math.nan}, {"r": math.inf}, {"samples": 0}])
+def test_norm_bounds_refuses_bad_input(kwargs):
+    with pytest.raises(DomainError):
+        sp.norm_bounds_check(CongruenceGroup(1, 1), **kwargs)
 
 
 def test_norm_bounds_reports():

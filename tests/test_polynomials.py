@@ -101,13 +101,49 @@ def test_parse_products_and_powers():
     assert p.evaluate(w) == pytest.approx(det.evaluate(w), rel=1e-12)
 
 
+_DET = MatrixPolynomial.det_power(2, 1)
+_ONE = MatrixPolynomial.constant(2, 1.0)
+
+
+def _x(r, s):
+    return MatrixPolynomial.coordinate(2, r, s)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1", _ONE),
+    ("det", _DET),
+    ("det^3", MatrixPolynomial.det_power(2, 3)),
+    ("det ^ 0", _ONE),
+    ("X_{2,1}", _x(2, 1)),
+    ("X_{ 1 , 2 }", _x(1, 2)),
+    ("X_{1,2}^2", _x(1, 2) * _x(1, 2)),
+    ("2^3", MatrixPolynomial.constant(2, 8.0)),
+    ("10", MatrixPolynomial.constant(2, 10.0)),
+    ("-det", -_DET),
+    (" + det", _DET),
+    ("- 2 * X_{1,1}", -2 * _x(1, 1)),
+    ("2*X_{1,1}*X_{2,2} - det", 2 * _x(1, 1) * _x(2, 2) - _DET),
+    ("det^2 + 3*X_{1,2}", MatrixPolynomial.det_power(2, 2) + 3 * _x(1, 2)),
+    ("X_{1,1}*X_{2,2} - X_{1,2}*X_{2,1}", _DET),
+    ("\tdet\n-1 ", _DET - _ONE),
+    ("0*det", MatrixPolynomial.zero(2)),
+], ids=repr)
+def test_parse_accepts(text, expected):
+    assert parse_polynomial(text, 2) == expected
+
+
 def test_parse_errors():
-    with pytest.raises(DomainError):
-        parse_polynomial("X_{1,3}", 2)  # index out of range
-    with pytest.raises(DomainError):
-        parse_polynomial("det + + 1", 2)
-    with pytest.raises(DomainError):
-        parse_polynomial("", 2)
+    def parses(text):
+        try:
+            parse_polynomial(text, 2)
+        except DomainError:
+            return False
+        return True
+
+    rejected = ["det + + 1", "", "   ", "det^", "(det)", "det**2", "2.5", "det^-1",
+                "det3", "--det", "det 2", "det^2^2", "X_{1,2", "X_ {1,2}", "det*",
+                "x_{1,2}", "X_{1,3}"]         # the last: index out of range
+    assert [text for text in rejected if parses(text)] == []
 
 
 def test_json_round_trip():
