@@ -44,22 +44,6 @@ METHOD_MC = "monte_carlo"
 
 
 @dataclass(frozen=True)
-class SimplexRegion:
-    """The ordered region t > x_1 > ... > x_n > 0."""
-
-    n: int
-    t: float
-
-    def __post_init__(self):
-        if int(self.n) < 1:
-            raise DimensionError("genus must be positive")
-        if not (0.0 < float(self.t) <= 1.0):
-            raise DomainError(f"region parameter must lie in (0, 1], got {self.t}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "t", float(self.t))
-
-
-@dataclass(frozen=True)
 class ThresholdQuery:
     """A polynomial weight whose threshold is wanted."""
 
@@ -102,12 +86,12 @@ def big_m(N: int, n: int) -> float:
     return 1.0 / (math.sqrt(1.0 + q) + math.sqrt(q)) ** 2
 
 
-def _validate_ordered(x, n: int, upper: float = 1.0) -> np.ndarray:
+def _validate_ordered(x, n: int) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if arr.ndim != 1 or arr.shape[0] != n:
         raise DimensionError(f"x must be a vector of length {n}")
-    if not (np.all(arr > 0) and np.all(arr < upper) and np.all(np.diff(arr) < 0)):
-        raise DomainError("x must satisfy upper > x_1 > ... > x_n > 0")
+    if not (np.all(arr > 0) and np.all(arr < 1.0) and np.all(np.diff(arr) < 0)):
+        raise DomainError("x must satisfy 1 > x_1 > ... > x_n > 0")
     return arr
 
 
@@ -131,15 +115,23 @@ def phi_lm(l: int, weight: Weight, x) -> float:
     return float(val * _vandermonde(arr))
 
 
+def _density(mu: MatrixPolynomial, weight: Weight, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|mu(u diag(sqrt x) u^T)| prod (1-x)^{m/2-n-1} |Vandermonde(x)| over
+    stacks u (..., n, n) and x (..., n): the integrand of the general threshold."""
+    # symmetric in exact arithmetic; made exactly so, so that weights
+    # which vanish identically on symmetric matrices evaluate to zero
+    W = _small.congruence_diag(u, np.sqrt(x))
+    return (np.abs(mu.evaluate_batch(W))
+            * np.prod((1.0 - x) ** (weight.m / 2.0 - weight.n - 1), axis=-1)
+            * np.abs(_vandermonde(x)))
+
+
 def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> float:
     """|mu(u diag(sqrt x) u^T)| (1-x)-density and Vandermonde: the general weight."""
-    m, n = weight.m, weight.n
+    n = weight.n
     if mu.n != n or u.n != n:
         raise DimensionError("mu, u and the weight must share the same genus")
-    arr = _validate_ordered(x, n)
-    W = _small.congruence_diag(u.mat, np.sqrt(arr))
-    val = abs(mu.evaluate(W)) * np.prod((1.0 - arr) ** (m / 2.0 - n - 1))
-    return float(val * _vandermonde(arr))
+    return float(_density(mu, weight, u.mat, _validate_ordered(x, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +156,9 @@ def _pfaffian(a, idx: tuple) -> tuple[float, float]:
     return value, size
 
 
-def integral_phi(l: int, weight: Weight, region: SimplexRegion,
+def integral_phi(l: int, weight: Weight, t: float,
                  tol: float | None = None) -> IntegralResult:
-    """I(t) as one Pfaffian at every genus (de Bruijn's identity).
+    """I(t) for t in (0, 1], as one Pfaffian at every genus (de Bruijn's identity).
 
     With w(x) = x^{l/2} (1-x)^{m/2-n-1} and Phi_j(x) = B(x; l/2+1+j, m/2-n),
     I(t) = Pf(a) for a_ij = int_0^t w(x) (x^j Phi_i - x^i Phi_j) dx, i < j < n,
@@ -177,15 +169,16 @@ def integral_phi(l: int, weight: Weight, region: SimplexRegion,
     """
     if l < 0:
         raise DomainError("l must be nonnegative")
+    t = float(t)
+    if not 0.0 < t <= 1.0:
+        raise DomainError(f"t must lie in (0, 1], got {t}")
     if tol is not None and not (tol > 0 and math.isfinite(tol)):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
     m, n = weight.m, weight.n
-    if region.n != n:
-        raise DimensionError("region genus differs from the weight")
     if n > MAX_GENUS:
         raise DimensionError(f"the threshold integral is certified up to genus {MAX_GENUS}")
     weight.require_integrable()
-    t, a, b = region.t, l / 2.0 + 1.0, m / 2.0 - n
+    a, b = l / 2.0 + 1.0, m / 2.0 - n
     full = [beta_fn(a + j, b) for j in range(n)]
 
     def phi(j: int, x: float) -> float:
@@ -260,13 +253,13 @@ def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10) -> ThresholdCell:
     precision and AmbiguousThresholdError is raised rather than guessing.
     """
     n = weight.n
-    full = integral_phi(l, weight, SimplexRegion(n, 1.0), tol=tol)
+    full = integral_phi(l, weight, 1.0, tol=tol)
     target = full.value / 2.0
     cache: dict[int, float] = {}
 
     def margin(N: int) -> float:
         if N not in cache:
-            res = integral_phi(l, weight, SimplexRegion(n, big_m(N, n)), tol=tol)
+            res = integral_phi(l, weight, big_m(N, n), tol=tol)
             gap = res.value - target
             err = res.error_estimate + full.error_estimate / 2.0
             if abs(gap) <= 10.0 * err:
@@ -322,7 +315,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     if not 0.5 < confidence < 1:
         raise DomainError(f"confidence {confidence} must lie in (0.5, 1)")
     mu, weight = query.mu, query.weight
-    m, n = weight.m, weight.n
+    n = weight.n
     zq = float(ndtri(confidence))
     count = int(samples)
 
@@ -332,13 +325,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
         rng_x = np.random.default_rng(child_x)
         rng_u = np.random.default_rng(child_u)
         x = np.sort(rng_x.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
-        us = haar_unitary(n, rng_u, count)
-        # symmetric in exact arithmetic; made exactly so, so that weights
-        # which vanish identically on symmetric matrices evaluate to zero
-        W = _small.congruence_diag(us, np.sqrt(x))
-        wts = (np.abs(mu.evaluate_batch(W))
-               * np.prod((1.0 - x) ** (m / 2.0 - n - 1), axis=1)
-               * np.abs(_vandermonde(x)))
+        wts = _density(mu, weight, haar_unitary(n, rng_u, count), x)
         if float(np.max(wts)) == 0.0:
             raise ZeroPolynomialError(
                 "weight polynomial vanishes on the sampled symmetric matrices")

@@ -38,23 +38,20 @@ from .polynomials import MatrixPolynomial
 from .symplectic import SiegelPoint, kak_decompose, random_symplectic
 
 PAIRING_TOL = 0.02      # relative error allowed in the pairing identities
+Y_SPLIT = 2.0           # height between the circular floor and the u = 1/y strip
+Y_MAX = 8.0             # height cutoff of the fundamental-domain quadrature
 
 
 @dataclass(frozen=True)
 class FundamentalDomainSpec:
-    """Quadrature layout for the genus-1 fundamental domain."""
+    """Quadrature grid for the genus-1 fundamental domain, split at height
+    Y_SPLIT and cut off at Y_MAX."""
 
-    y_max: float = 8.0
-    y_split: float = 2.0
     base_nodes: int = 24
     max_doublings: int = 4
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.y_max < 2.0:
-            raise DomainError("height cutoff must be at least 2")
-        if not (1.0 <= self.y_split < self.y_max):
-            raise DomainError("split height must lie in [1, y_max)")
         if self.base_nodes < 4 or self.max_doublings < 1:
             raise DomainError("grid parameters too small")
 
@@ -156,7 +153,7 @@ def mc_cmn(weight: Weight, samples: int = 10 ** 6, seed: int = 0) -> IntegralRes
 # fundamental-domain quadrature
 # ---------------------------------------------------------------------------
 
-def _grid_value(f1, f2, m: int, dom: FundamentalDomainSpec, nodes: int) -> complex:
+def _grid_value(f1, f2, m: int, nodes: int) -> complex:
     xg, wx = np.polynomial.legendre.leggauss(nodes)
     x = 0.5 * xg
     wxs = 0.5 * wx
@@ -167,12 +164,12 @@ def _grid_value(f1, f2, m: int, dom: FundamentalDomainSpec, nodes: int) -> compl
                       axis=(-2, -1))
     # region A: circular floor up to the split height
     ylow = np.sqrt(1.0 - x * x)
-    half = 0.5 * (dom.y_split - ylow)
-    mid = 0.5 * (dom.y_split + ylow)
+    half = 0.5 * (Y_SPLIT - ylow)
+    mid = 0.5 * (Y_SPLIT + ylow)
     total = region(mid[:, None] + half[:, None] * xg[None, :],
                    half[:, None] * wx[None, :], m - 2)
     # region B: u = 1/y flattens the tall strip
-    lo, hi = 1.0 / dom.y_max, 1.0 / dom.y_split
+    lo, hi = 1.0 / Y_MAX, 1.0 / Y_SPLIT
     U = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
     return total + region(1.0 / U[None, :], 0.5 * (hi - lo) * wx[None, :], m)
 
@@ -200,7 +197,7 @@ def petersson(f1, f2, weight: Weight,
     value = 0j
     for level in range(dom.max_doublings + 1):
         nodes = dom.base_nodes * 2 ** level
-        value = _grid_value(f1, f2, m, dom, nodes)
+        value = _grid_value(f1, f2, m, nodes)
         evals += 2 * nodes * nodes
         if prev is not None:
             diff = np.abs(value - prev)
@@ -307,12 +304,12 @@ def verify_cmn(samples: int = 10 ** 6, seed: int = 0) -> list[VerificationReport
     return reports
 
 
-def _cusp_height_budget(f1, f2, m: int, dom: FundamentalDomainSpec) -> float:
+def _cusp_height_budget(f1, f2, m: int) -> float:
     """Crude bound for the mass above the height cutoff."""
     xs = np.linspace(-0.5, 0.5, 16)
-    z_top = xs + 1j * dom.y_max
-    row = np.abs(f1(z_top) * np.conj(f2(z_top))) * dom.y_max ** (m - 2)
-    decay = 2.0 * math.pi - max(m - 2, 0) / dom.y_max
+    z_top = xs + 1j * Y_MAX
+    row = np.abs(f1(z_top) * np.conj(f2(z_top))) * Y_MAX ** (m - 2)
+    decay = 2.0 * math.pi - max(m - 2, 0) / Y_MAX
     if decay <= 0:
         decay = 2.0 * math.pi / 2
     return float(np.max(row)) / decay
@@ -327,7 +324,6 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
     pairing and its half-radius change, the "series" budget.
     """
     w = Weight(delta.m, 1)
-    dom = FundamentalDomainSpec()
     ball = _ball_for(CongruenceGroup(1, 1), radius, ball)
     inner, shell = (series_evaluator_genus1(w, part, **kind)
                     for part in ball.split(radius / 2.0))
@@ -336,13 +332,13 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
         half = inner(z)
         return np.stack([half + shell(z), half])
 
-    res = petersson(delta, series, w, dom)
+    res = petersson(delta, series, w)
     lhs, lhs_half = (complex(v) for v in res.value)
     rel = abs(lhs - rhs) / abs(rhs)
     budget = {
         "series": abs(lhs - lhs_half),
         "quadrature": res.error_estimate,
-        "cutoff": (_cusp_height_budget(delta, lambda z: series(z)[0], w.m, dom)
+        "cutoff": (_cusp_height_budget(delta, lambda z: series(z)[0], w.m)
                    + delta.truncation_bound(math.sqrt(3.0) / 2.0)),
     }
     detail = (f"relative error {rel:.2e} (tolerance {PAIRING_TOL:g}); budget "

@@ -505,12 +505,18 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     Sampled part: products k h_t k' h_{-t'} k'' with |t|, |t'| <= r stay below
     sqrt(2n cosh 4r) in Frobenius norm.  Exact part: every enumerated group
     element outside the compact subgroup has norm at least sqrt(N^2 + 2n).
+    An r whose bound is not a finite float is refused.
     """
-    if not math.isfinite(r) or samples < 1:
-        raise DomainError("need a finite r and at least one sample")
+    if samples < 1:
+        raise DomainError("need at least one sample")
     n, N = group.n, group.N
+    try:
+        bound = math.sqrt(2 * n * math.cosh(4 * r))
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise DomainError(f"r = {r} is out of range: 2n cosh 4r is not a finite float")
     rng = np.random.default_rng(seed)
-    bound = math.sqrt(2 * n * math.cosh(4 * r))
     mx = 0.0
     for _ in range(int(samples)):
         t = rng.uniform(-r, r, size=n)

@@ -79,9 +79,6 @@ class MatrixPolynomial:
 
     # -- structure ----------------------------------------------------------
 
-    def items(self):
-        return self._terms.items()
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -173,26 +170,6 @@ class MatrixPolynomial:
                 term = np.ones(W.shape[:-2], dtype=np.complex128)
             out = out + coeff * term
         return out
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [{"coeff": [c.real, c.imag], "exps": [list(row) for row in e]}
-                for e, c in self._terms.items()]
-
-    @classmethod
-    def from_json(cls, obj, n: int) -> "MatrixPolynomial":
-        if not isinstance(obj, list):
-            raise DomainError("polynomial JSON must be a list of terms")
-        terms: dict = {}
-        for item in obj:
-            try:
-                re_c, im_c = item["coeff"]
-                exps = tuple(tuple(int(v) for v in row) for row in item["exps"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise DomainError(f"malformed polynomial term ({exc})") from None
-            terms[exps] = terms.get(exps, 0j) + complex(re_c, im_c)
-        return cls(n, terms)
 
 
 @functools.lru_cache(maxsize=None)

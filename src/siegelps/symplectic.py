@@ -151,29 +151,6 @@ class SiegelPoint:
 
 
 @dataclass(frozen=True)
-class BoundedDomainPoint:
-    """Symmetric complex w with I - w*w positive definite (Cayley image)."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = as_complex_matrix(self.w, "w")
-        require_symmetric(as_square(w, "w"), "w")
-        require_positive_definite(np.eye(w.shape[0]) - w.conj().T @ w, "I - w*w")
-        object.__setattr__(self, "w", readonly(0.5 * (w + w.T)))
-
-    @property
-    def n(self) -> int:
-        return self.w.shape[0]
-
-    def density(self) -> float:
-        """Invariant volume density 2^{n(n+1)} det(I - w*w)^{-(n+1)}."""
-        n = self.n
-        d = np.linalg.det(np.eye(n) - self.w.conj().T @ self.w).real
-        return float(2.0 ** (n * (n + 1)) * d ** (-(n + 1)))
-
-
-@dataclass(frozen=True)
 class UnitaryMatrix:
     """A validated element of U(n)."""
 
@@ -191,12 +168,9 @@ class UnitaryMatrix:
     def n(self) -> int:
         return self.mat.shape[0]
 
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.mat))
-
 
 # ---------------------------------------------------------------------------
-# group action on the half-space and the bounded domain
+# group action on the half-space
 # ---------------------------------------------------------------------------
 
 def _require_same_n(g: SymplecticMatrix, z: SiegelPoint) -> None:
@@ -232,23 +206,6 @@ def im_transform(g: SymplecticMatrix, z: SiegelPoint) -> np.ndarray:
     return 0.5 * (out.real + out.real.T)
 
 
-def cayley(z: SiegelPoint) -> BoundedDomainPoint:
-    """w = (z - iI)(z + iI)^{-1}, into the bounded domain."""
-    zc = z.z
-    eye = np.eye(z.n)
-    M = zc + 1j * eye
-    w = np.linalg.solve(M.T, (zc - 1j * eye).T).T
-    return BoundedDomainPoint(0.5 * (w + w.T))
-
-
-def cayley_inv(w: BoundedDomainPoint) -> SiegelPoint:
-    """z = i(I + w)(I - w)^{-1}, back to the half-space."""
-    eye = np.eye(w.n)
-    M = eye - w.w
-    z = np.linalg.solve(M.T, (1j * (eye + w.w)).T).T
-    return SiegelPoint.from_complex(0.5 * (z + z.T))
-
-
 # ---------------------------------------------------------------------------
 # the compact subgroup
 # ---------------------------------------------------------------------------
@@ -261,13 +218,6 @@ def _embed(u: np.ndarray) -> np.ndarray:
 def embed_unitary(u: UnitaryMatrix) -> SymplecticMatrix:
     """U(n) -> Sp(2n, R), u = a + ib mapped to [[a, b], [-b, a]]."""
     return SymplecticMatrix(_embed(u.mat))
-
-
-def unitary_part(k: np.ndarray) -> UnitaryMatrix:
-    """Inverse of ``embed_unitary`` on matrices of the block form above."""
-    arr = as_real_matrix(k, "k")
-    n = arr.shape[0] // 2
-    return UnitaryMatrix(arr[:n, :n] + 1j * arr[:n, n:])
 
 
 def chi(r: int, u: UnitaryMatrix) -> complex:

@@ -416,6 +416,7 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "n0-table --n 1 --l-min 5 --l-max 2",
     "n0-table --n 1 --m-min 9 --m-max 3",
     "norms --n 1 --N 1 --r nan",
+    "norms --n 1 --N 1 --r 200",
     "norms --n 1 --N 1 --samples 0",
 ], ids=str)
 def test_invalid_input_exits_2(capsys, argv):

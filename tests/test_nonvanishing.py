@@ -14,7 +14,6 @@ from siegelps import (
     DimensionError,
     DomainError,
     MatrixPolynomial,
-    SimplexRegion,
     ThresholdQuery,
     Weight,
     ZeroPolynomialError,
@@ -118,7 +117,7 @@ def test_integral_genus_one_against_quadrature():
     for l, m in ((0, 6), (1, 4), (3, 9)):
         w = Weight(m, 1)
         for t in (0.3, 0.8, 1.0):
-            res = integral_phi(l, w, SimplexRegion(1, t))
+            res = integral_phi(l, w, t)
             oracle, err = integrate.quad(
                 lambda x: x ** (l / 2.0) * (1.0 - x) ** (m / 2.0 - 2.0), 0.0, t)
             assert res.method == sp.METHOD_CLOSED
@@ -129,7 +128,7 @@ def test_integral_genus_two_against_quadrature():
     for l, m in ((0, 8), (2, 7)):
         w = Weight(m, 2)
         for t in (0.5, 1.0):
-            res = integral_phi(l, w, SimplexRegion(2, t))
+            res = integral_phi(l, w, t)
 
             def inner(x2, x1):
                 return ((x1 * x2) ** (l / 2.0)
@@ -154,7 +153,7 @@ def test_integral_against_selberg_up_to_the_cap():
     with mp.workdps(30):
         for n in range(1, MAX_GENUS + 1):
             for l, m in ((0, 2 * n + 1), (4, 2 * n + 4), (12, 2 * n + 8)):
-                res = integral_phi(l, Weight(m, n), SimplexRegion(n, 1.0))
+                res = integral_phi(l, Weight(m, n), 1.0)
                 rel = float(abs(res.value / _selberg(l, m, n, mp) - 1))
                 assert rel <= res.error_estimate / res.value, (n, l, m)
                 if n == 3:
@@ -168,7 +167,7 @@ def test_integral_genus_three_against_monte_carlo():
     vals = (np.prod(x ** (l / 2.0) * (1.0 - x) ** (m / 2.0 - 4.0), axis=1)
             * (x[:, 0] - x[:, 1]) * (x[:, 0] - x[:, 2]) * (x[:, 1] - x[:, 2]))
     scale = t ** 3 / 6.0
-    res = integral_phi(l, Weight(m, 3), SimplexRegion(3, t))
+    res = integral_phi(l, Weight(m, 3), t)
     assert res.method == sp.METHOD_QUAD
     assert abs(res.value - np.mean(vals) * scale) <= 3 * np.std(vals) / math.sqrt(count) * scale
 
@@ -176,13 +175,13 @@ def test_integral_genus_three_against_monte_carlo():
 def test_integral_above_the_cap_raises():
     n = MAX_GENUS + 1
     with pytest.raises(DimensionError):
-        integral_phi(0, Weight(2 * n + 4, n), SimplexRegion(n, 0.5))
+        integral_phi(0, Weight(2 * n + 4, n), 0.5)
 
 
 def test_integral_tolerance_failure_carries_partial():
     # below 50 eps quad cannot go, so the estimate misses this tolerance
     with pytest.raises(ConvergenceError) as exc:
-        integral_phi(0, Weight(10, 3), SimplexRegion(3, 0.9), tol=1e-20)
+        integral_phi(0, Weight(10, 3), 0.9, tol=1e-20)
     partial = exc.value.partial
     assert partial is not None
     assert partial.method == sp.METHOD_QUAD
@@ -193,21 +192,18 @@ def test_integral_tolerance_failure_carries_partial():
 def test_integral_rejects_bad_tolerance(tol):
     for n in (1, 2):
         with pytest.raises(DomainError):
-            integral_phi(0, Weight(8, n), SimplexRegion(n, 0.5), tol=tol)
+            integral_phi(0, Weight(8, n), 0.5, tol=tol)
 
 
 def test_integral_requires_integrable_weight():
     with pytest.raises(DomainError):
-        integral_phi(0, Weight(2, 1), SimplexRegion(1, 0.5))
+        integral_phi(0, Weight(2, 1), 0.5)
 
 
-def test_simplex_region_validation():
+@pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.nan])
+def test_integral_refuses_t_outside_unit_interval(t):
     with pytest.raises(DomainError):
-        SimplexRegion(1, 0.0)
-    with pytest.raises(DomainError):
-        SimplexRegion(1, 1.5)
-    with pytest.raises(DimensionError):
-        SimplexRegion(0, 0.5)
+        integral_phi(0, Weight(8, 2), t)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +271,8 @@ def test_reference_margins_against_mpmath():
 
         def float_margin(l, m, N):
             w = Weight(m, 2)
-            full = integral_phi(l, w, SimplexRegion(2, 1.0)).value
-            return abs(integral_phi(l, w, SimplexRegion(2, big_m(N, 2))).value / full - 0.5)
+            full = integral_phi(l, w, 1.0).value
+            return abs(integral_phi(l, w, big_m(N, 2)).value / full - 0.5)
 
         tightest = sorted(sp.REFERENCE_N0[2].items(), key=lambda cell: min(
             float_margin(*cell[0], N) for N in (cell[1], cell[1] - 1)))[:5]

@@ -19,6 +19,7 @@ from siegelps import (
     mc_cmn,
     petersson,
 )
+from siegelps.petersson import Y_MAX
 
 TAU = (1, -24, 252, -1472, 4830, -6048)
 
@@ -127,16 +128,15 @@ def test_quadrature_against_incomplete_gamma():
     # f1 = f2 = q gives the x-independent integrand e^{-4 pi y} y^{10},
     # whose height integral is an incomplete gamma function
     w = Weight(12, 1)
-    dom = FundamentalDomainSpec()
     a = 4.0 * math.pi
 
     def inner(x):
         lo = math.sqrt(1.0 - x * x)
         return (gamma(11.0) / a ** 11) * (gammaincc(11.0, a * lo)
-                                          - gammaincc(11.0, a * dom.y_max))
+                                          - gammaincc(11.0, a * Y_MAX))
 
     oracle, err = integrate.quad(inner, -0.5, 0.5, epsabs=1e-18, epsrel=1e-12)
-    res = petersson(q_exp, q_exp, w, dom)
+    res = petersson(q_exp, q_exp, w)
     assert res.value.imag == pytest.approx(0.0, abs=1e-18)
     assert res.value.real == pytest.approx(oracle / 2.0, rel=1e-8)
 
@@ -166,10 +166,6 @@ def test_pairing_norm_positive():
 def test_quadrature_genus_guard_and_validation():
     with pytest.raises(DimensionError):
         petersson(q_exp, q_exp, Weight(6, 2))
-    with pytest.raises(DomainError):
-        FundamentalDomainSpec(y_max=1.5)
-    with pytest.raises(DomainError):
-        FundamentalDomainSpec(y_split=0.9)
     with pytest.raises(DomainError):
         FundamentalDomainSpec(base_nodes=3)
 

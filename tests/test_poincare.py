@@ -517,7 +517,8 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kwargs", [{"r": math.nan}, {"r": math.inf}, {"samples": 0}])
+@pytest.mark.parametrize("kwargs", [{"r": math.nan}, {"r": math.inf}, {"samples": 0},
+                                    {"r": 200.0}])
 def test_norm_bounds_refuses_bad_input(kwargs):
     with pytest.raises(DomainError):
         sp.norm_bounds_check(CongruenceGroup(1, 1), **kwargs)

@@ -146,16 +146,6 @@ def test_parse_errors():
     assert [text for text in rejected if parses(text)] == []
 
 
-def test_json_round_trip():
-    n = 2
-    p = parse_polynomial("det^2 + 3*X_{1,2}", n)
-    q = MatrixPolynomial.from_json(p.to_json(), n)
-    assert p == q
-    rng = np.random.default_rng(11)
-    w = random_sym(n, rng)
-    assert p.evaluate(w) == pytest.approx(q.evaluate(w), rel=1e-14)
-
-
 def test_eq_and_hash():
     n = 2
     a = MatrixPolynomial.coordinate(n, 1, 2)
