@@ -5,6 +5,8 @@ non-vanishing of group averages over principal congruence subgroups, and
 cross-checks inner-product identities at genus 1 by direct quadrature.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousThresholdError,
     BudgetError,
@@ -101,90 +103,6 @@ from .matrixio import load_matrix, matrix_from_json, matrix_to_json, save_matrix
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousThresholdError",
-    "BudgetError",
-    "CongruenceGroup",
-    "ConvergenceError",
-    "DimensionError",
-    "DiscriminantForm",
-    "DomainError",
-    "EnumerationBall",
-    "FundamentalDomainSpec",
-    "GeneralThreshold",
-    "IntegralResult",
-    "KAKFactors",
-    "METHOD_CLOSED",
-    "METHOD_MC",
-    "METHOD_QUAD",
-    "MatrixCoefficientSpec",
-    "MatrixPolynomial",
-    "NAKFactors",
-    "NormBoundsReport",
-    "NumericalError",
-    "REFERENCE_N0",
-    "SamplingError",
-    "SiegelError",
-    "SiegelPoint",
-    "SymplecticMatrix",
-    "ThresholdCell",
-    "ThresholdQuery",
-    "TruncatedSeriesResult",
-    "UnitaryMatrix",
-    "VerificationReport",
-    "Weight",
-    "ZeroPolynomialError",
-    "act",
-    "big_m",
-    "c_mn",
-    "chi",
-    "diagonal_scaling",
-    "embed_unitary",
-    "enumerate_ball",
-    "f_kernel",
-    "f_mu_m",
-    "f_values",
-    "haar_unitary",
-    "hyperbolic",
-    "im_transform",
-    "integral_phi",
-    "j_factor",
-    "j_matrix",
-    "kak_decompose",
-    "kernel_series",
-    "kernel_values",
-    "lift",
-    "lift_nak",
-    "load_ball",
-    "load_matrix",
-    "matrix_coeff_kak",
-    "matrix_from_json",
-    "matrix_to_json",
-    "mc_cmn",
-    "n0_detl",
-    "n0_detl_report",
-    "n0_general",
-    "n0_table",
-    "nak_decompose",
-    "norm_bounds_check",
-    "parse_polynomial",
-    "petersson",
-    "phi_lm",
-    "poincare_F",
-    "poincare_f",
-    "random_symplectic",
-    "save_ball",
-    "save_matrix",
-    "series_evaluator_genus1",
-    "slash",
-    "sp_check",
-    "sp_inverse",
-    "upper_translation",
-    "vanishing_case",
-    "varphi_mu",
-    "verify_cmn",
-    "verify_coefficients",
-    "verify_cor62",
-    "verify_thm93",
-    "verify_thresholds",
-]
+# The public surface is exactly the names imported above.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

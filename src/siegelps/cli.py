@@ -8,8 +8,7 @@ truncation analysis (``norms``), and the verification battery (``verify``).
 Exit codes: 0 success, 1 verification failure, 2 bad usage or invalid input,
 3 numerical failure (non-convergence, ambiguous threshold, budget overrun).
 
-Environment defaults: SIEGEL_SEED, SIEGEL_TOL, SIEGEL_BUDGET, SIEGEL_RADIUS,
-SIEGEL_CACHE_DIR mirror the corresponding options.
+The environment variable SIEGEL_CACHE_DIR supplies the default of --cache-dir.
 """
 
 from __future__ import annotations
@@ -71,11 +70,6 @@ from .symplectic import SiegelPoint, SymplecticMatrix, hyperbolic, kak_decompose
 # ---------------------------------------------------------------------------
 # option plumbing
 # ---------------------------------------------------------------------------
-
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(name)
-    return cast(raw) if raw not in (None, "") else fallback
-
 
 def _parse_complex(text: str) -> complex:
     try:
@@ -231,16 +225,15 @@ def cmd_coeff(args) -> int:
     spec = MatrixCoefficientSpec(mu, w)
     if args.matrix:
         g = SymplecticMatrix(load_matrix(args.matrix, name="group element"))
-        if g.n != args.n:
-            raise DimensionError(f"matrix in {args.matrix} has genus {g.n}, "
-                                 f"expected {args.n}")
     elif args.t:
-        ts = np.array([float(v) for v in args.t.split(",")], dtype=np.float64)
-        if ts.shape != (args.n,):
-            raise DomainError(f"--t needs exactly {args.n} comma-separated values")
-        g = hyperbolic(ts)
+        try:
+            g = hyperbolic([float(v) for v in args.t.split(",")])
+        except ValueError:
+            raise DomainError(f"cannot parse --t {args.t!r} as comma-separated numbers")
     else:
         raise DomainError("give a group element via --matrix FILE or --t LIST")
+    if g.n != args.n:
+        raise DimensionError(f"the group element has genus {g.n}, expected {args.n}")
     factors = kak_decompose(g)
     value = matrix_coeff_kak(spec, factors)
     cross = lift(lambda z: f_mu_m(mu, w, z), w, g)
@@ -374,14 +367,11 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = {
-        "seed": dict(type=int, default=_env("SIEGEL_SEED", int, 0),
-                     help="random seed (default 0, env SIEGEL_SEED)"),
-        "tol": dict(type=float, default=_env("SIEGEL_TOL", float, 1e-10),
-                    help="numeric tolerance (default 1e-10, env SIEGEL_TOL)"),
-        "budget": dict(type=int, default=_env("SIEGEL_BUDGET", int, 2 * 10 ** 9),
-                       help="work budget for ball enumeration (env SIEGEL_BUDGET)"),
-        "radius": dict(type=float, default=_env("SIEGEL_RADIUS", float, None),
-                       help="truncation radius (env SIEGEL_RADIUS)"),
+        "seed": dict(type=int, default=0, help="random seed (default 0)"),
+        "tol": dict(type=float, default=1e-10, help="numeric tolerance (default 1e-10)"),
+        "budget": dict(type=int, default=2 * 10 ** 9,
+                       help="work budget for ball enumeration"),
+        "radius": dict(type=float, default=None, help="truncation radius"),
         "cache-dir": dict(default=os.environ.get("SIEGEL_CACHE_DIR"),
                           help="directory for enumeration caches (env SIEGEL_CACHE_DIR)"),
         "format": dict(choices=("text", "json", "csv"), default="text",

@@ -130,7 +130,11 @@ def slash(f: HalfSpaceFunction, weight: Weight, g: SymplecticMatrix) -> HalfSpac
     m = weight.m
 
     def translated(z: SiegelPoint) -> complex:
-        return j_factor(g, z) ** (-m) * f(act(g, z))
+        try:
+            factor = j_factor(g, z) ** (-m)
+        except (ZeroDivisionError, OverflowError):   # |j|^-m beyond the float range
+            raise NumericalError(f"j(g, z)^(-{m}) is not a finite float") from None
+        return factor * f(act(g, z))
 
     return translated
 

@@ -33,6 +33,7 @@ elements in K are the ball of cap 2n.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import tempfile
@@ -122,8 +123,8 @@ def _norm_cap(radius: float) -> int:
 
 @dataclass(frozen=True)
 class EnumerationBall:
-    """All group elements with Frobenius norm at most ``radius``; a shell
-    from ``split`` holds only those outside its inner radius."""
+    """All group elements with Frobenius norm at most ``radius``, in canonical
+    order; a shell from ``split`` holds only those outside its inner radius."""
 
     group: CongruenceGroup
     radius: float
@@ -145,17 +146,20 @@ class EnumerationBall:
         return np.sum(self.elements * self.elements, axis=(1, 2))
 
     def restrict(self, radius: float) -> "EnumerationBall":
-        return self.split(radius)[0]
-
-    def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
-        """The ball of ``radius`` and the shell of the other elements, which
-        keeps this radius; a sum over this ball is the sum over the two."""
-        if _norm_cap(radius) > _norm_cap(self.radius):
+        """The ball of ``radius``: a view of the prefix within its cap, found
+        by binary search over the elements sorted by norm."""
+        cap = _norm_cap(radius)
+        if cap > _norm_cap(self.radius):
             raise DomainError(f"a ball of radius {self.radius} does not reach "
                               f"radius {radius}")
-        keep = self.norms_squared() <= _norm_cap(radius)
-        return (EnumerationBall(self.group, radius, self.elements[keep]),
-                EnumerationBall(self.group, self.radius, self.elements[~keep]))
+        k = bisect.bisect_right(self.elements, cap, key=lambda g: int(np.sum(g * g)))
+        return EnumerationBall(self.group, radius, self.elements[:k])
+
+    def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
+        """Views of the ball of ``radius`` and of the shell of the other
+        elements, which keeps this radius; this ball's sum is theirs."""
+        inner = self.restrict(radius)
+        return inner, EnumerationBall(self.group, self.radius, self.elements[len(inner):])
 
 
 # Candidate pairs per block of the bottom-half sweep, and cosets per block of

@@ -278,9 +278,14 @@ def diagonal_scaling(y) -> SymplecticMatrix:
 
 
 def hyperbolic(t) -> SymplecticMatrix:
-    """h_t = diag(e^{t_1}, ..., e^{t_n}, e^{-t_1}, ..., e^{-t_n})."""
+    """h_t = diag(e^{t_1}, ..., e^{t_n}, e^{-t_1}, ..., e^{-t_n}), refused where
+    |h_t|_F^2 is not a finite float (some |t_i| above about 354.9)."""
     tv = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return SymplecticMatrix(np.diag(np.concatenate([np.exp(tv), np.exp(-tv)])))
+    with np.errstate(over="ignore"):
+        d = np.exp(np.concatenate([tv, -tv]))
+        if not np.isfinite(np.sum(d * d)):
+            raise DomainError(f"t = {tv.tolist()} is out of range: |h_t|_F^2 is not finite")
+    return SymplecticMatrix(np.diag(d))
 
 
 def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:

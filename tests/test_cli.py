@@ -153,16 +153,31 @@ def test_cmn_rejects_non_integrable(capsys):
     assert "error:" in err
 
 
-def test_cmn_seed_env_changes_mc(capsys, monkeypatch):
-    monkeypatch.setenv("SIEGEL_SEED", "1")
+def test_cmn_seed_changes_mc(capsys):
     _, out1, _ = run(capsys, "cmn", "--n", "1", "--m", "4", "--mc",
-                     "--samples", "2000", "--format", "json")
-    monkeypatch.setenv("SIEGEL_SEED", "2")
+                     "--samples", "2000", "--seed", "1", "--format", "json")
     _, out2, _ = run(capsys, "cmn", "--n", "1", "--m", "4", "--mc",
-                     "--samples", "2000", "--format", "json")
+                     "--samples", "2000", "--seed", "2", "--format", "json")
     v1 = json.loads(out1)["mc"]["value"]
     v2 = json.loads(out2)["mc"]["value"]
     assert v1 != v2
+
+
+@pytest.mark.parametrize("name", ["SIEGEL_SEED", "SIEGEL_TOL"])
+def test_option_defaults_ignore_environment(capsys, monkeypatch, name):
+    # only --cache-dir reads the environment; a malformed value elsewhere is
+    # never parsed
+    monkeypatch.setenv(name, "x")
+    code, out, _ = run(capsys, "n0", "--n", "1", "--m", "6")
+    assert code == 0
+    assert "N0 = 4" in out
+
+
+def test_coeff_lift_overflow_exits_3(capsys):
+    # h_t is representable at t = 200, but j(h_t, iI)^-m = e^{200 m} is not
+    code, out, err = run(capsys, "coeff", "--n", "1", "--m", "6", "--t", "200")
+    assert code == 3
+    assert out == "" and err.startswith("numerical failure: j(g, z)")
 
 
 def test_coeff_radial(capsys):
@@ -418,6 +433,9 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "norms --n 1 --N 1 --r nan",
     "norms --n 1 --N 1 --r 200",
     "norms --n 1 --N 1 --samples 0",
+    "coeff --n 1 --m 6 --t abc",
+    "coeff --n 1 --m 6 --t 400",
+    "coeff --n 1 --m 6 --t 1e6",
 ], ids=str)
 def test_invalid_input_exits_2(capsys, argv):
     # each is refused before any work, never run on a default or a guess

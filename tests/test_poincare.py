@@ -231,6 +231,20 @@ def test_restrict_equals_direct(ball40):
             == poincare_f(mu, w, group, z, 10.0000001))
 
 
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 40.0), (2, 1, 4.0), (2, 2, 6.0)])
+def test_restrict_and_split_are_views(ball40, n, N, radius):
+    # the elements are sorted by norm, so both parts are slices of the parent
+    ball = ball40 if n == 1 else enumerate_ball(CongruenceGroup(n, N), radius)
+    inner, shell = ball.split(radius / 2)
+    for part in (ball.restrict(radius / 2), inner, shell):
+        assert np.shares_memory(part.elements, ball.elements)
+        assert not part.elements.flags.writeable
+    assert len(inner) + len(shell) == len(ball)
+    keep = ball.norms_squared() <= math.floor(radius * radius / 4)
+    assert np.array_equal(inner.elements, ball.elements[keep])
+    assert np.array_equal(shell.elements, ball.elements[~keep])
+
+
 def test_enumeration_validation():
     with pytest.raises(DomainError):
         enumerate_ball(CongruenceGroup(1, 1), -1.0)
