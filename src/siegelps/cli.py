@@ -8,7 +8,9 @@ truncation analysis (``norms``), and the verification battery (``verify``).
 Exit codes: 0 success, 1 verification failure, 2 bad usage or invalid input,
 3 numerical failure (non-convergence, ambiguous threshold, budget overrun).
 
-The environment variable SIEGEL_CACHE_DIR supplies the default of --cache-dir.
+An option without a default of its own is passed on only when it is given,
+so the library function it feeds keeps its default.  The environment
+variable SIEGEL_CACHE_DIR supplies the default of --cache-dir.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,6 +42,7 @@ from .errors import (
 )
 from .matrixio import load_matrix
 from .nonvanishing import (
+    MC_BUDGET,
     ThresholdQuery,
     n0_detl_report,
     n0_general,
@@ -46,6 +50,7 @@ from .nonvanishing import (
     vanishing_case,
 )
 from .petersson import (
+    PAIRING_RADIUS,
     mc_cmn,
     verify_cmn,
     verify_coefficients,
@@ -115,28 +120,43 @@ def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
         sys.stdout.write(body)
 
 
-def _get_ball(group: CongruenceGroup, radius: float, budget: int, cache_dir):
+def _given(args, *names) -> dict:
+    """The named options that were given, by name; one left out is not passed,
+    so the library parameter it feeds keeps its default."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
+def _refuse(args, mode: str, *names) -> None:
+    """Refuse the named options when given: ``mode`` does not read them."""
+    unread = _given(args, *names)
+    if unread:
+        raise DomainError(f"{mode} does not read --{', --'.join(unread)}")
+
+
+def _get_ball(args, group: CongruenceGroup, radius: float):
     """A ball reaching ``radius``, through the cache file named for floor(r^2)
     when there is a cache directory.  floor(r^2) determines the elements, so
     a file written for another radius with the same floor serves this one."""
-    if not cache_dir:
-        return enumerate_ball(group, radius, budget=budget)
+    budget = _given(args, "budget")
+    if not args.cache_dir:
+        return enumerate_ball(group, radius, **budget)
     cap = _norm_cap(radius)
-    path = os.path.join(cache_dir, f"ball_n{group.n}_N{group.N}_r2_{cap}.bin")
+    path = os.path.join(args.cache_dir, f"ball_n{group.n}_N{group.N}_r2_{cap}.bin")
     if os.path.exists(path):
         ball = load_ball(path)
         if ball.group == group and _norm_cap(ball.radius) == cap:
             return ball
-    ball = enumerate_ball(group, radius, budget=budget)
-    os.makedirs(cache_dir, exist_ok=True)
+    ball = enumerate_ball(group, radius, **budget)
+    os.makedirs(args.cache_dir, exist_ok=True)
     save_ball(path, ball)
     return ball
 
 
-def _default_radius(args, n: int) -> float:
+def _default_radius(args) -> float:
     if args.radius is not None:
         return float(args.radius)
-    return 12.0 if n == 1 else 4.0
+    return 12.0 if args.n == 1 else 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,28 +173,28 @@ def _cell_rows(cells) -> list[tuple]:
 def cmd_n0(args) -> int:
     w = Weight(args.m, args.n)
     if args.mu is not None:
+        _refuse(args, "n0 --mu", "tol", "l")
         mu = parse_polynomial(args.mu, args.n)
-        query = ThresholdQuery(mu, w)
-        res = n0_general(query, samples=args.samples, seed=args.seed,
-                         confidence=args.confidence,
-                         budget=max(4 * args.samples, 4_000_000))
+        opts = _given(args, "samples", "seed", "confidence")
+        if args.samples is not None:     # room for a fourfold escalation
+            opts["budget"] = max(4 * args.samples, MC_BUDGET)
+        res = n0_general(ThresholdQuery(mu, w), **opts)
         lines = [f"N0 = {res.n0}  (genus {args.n}, m {args.m}, weight {args.mu!r})",
                  f"certified one-sided at confidence {res.confidence} "
                  f"with {res.samples} samples"]
         if res.note:
             lines.append(f"note: {res.note}")
-        payload = {"command": "n0", "genus": args.n, "m": args.m, "mu": args.mu,
-                   "n0": res.n0, "confidence": res.confidence,
-                   "samples": res.samples, "note": res.note,
-                   "rows": [list(r) for r in res.rows]}
-        _emit(args, lines, payload)
+        _emit(args, lines, {"command": "n0", "genus": args.n, "m": args.m,
+                            "mu": args.mu, **asdict(res)})
         return 0
-    cell = n0_detl_report(args.l, w, tol=args.tol)
-    lines = [f"N0 = {cell.n0}  (genus {args.n}, l {args.l}, m {args.m})",
+    _refuse(args, "n0 without --mu", "samples", "seed", "confidence")
+    l = 0 if args.l is None else args.l
+    cell = n0_detl_report(l, w, **_given(args, "tol"))
+    lines = [f"N0 = {cell.n0}  (genus {args.n}, l {l}, m {args.m})",
              f"method {cell.method}, decision margin {cell.margin:.6e}"]
     lines += [f"note: at level {N} the average vanishes identically"
-              for N in (1, 2) if vanishing_case(args.l, w, N)]
-    payload = {"command": "n0", "genus": args.n, "l": args.l, "m": args.m,
+              for N in (1, 2) if vanishing_case(l, w, N)]
+    payload = {"command": "n0", "genus": args.n, "l": l, "m": args.m,
                "n0": cell.n0, "method": cell.method, "margin": cell.margin}
     _emit(args, lines, payload, csv_header=_CELL_HEADER, csv_rows=_cell_rows([cell]))
     return 0
@@ -189,7 +209,7 @@ def cmd_n0_table(args) -> int:
     ms = list(range(args.m_min, args.m_max + 1))
     if not ls or not ms:
         raise DomainError("the l and m ranges must not be empty")
-    cells = n0_table(args.n, ls, ms, tol=args.tol)
+    cells = n0_table(args.n, ls, ms, **_given(args, "tol"))
     by_pos = {(c.l, c.m): c for c in cells}
     width = max(5, len(str(max(c.n0 for c in cells))) + 1)
     lines = ["l\\m".rjust(6) + "".join(str(m).rjust(width) for m in ms)]
@@ -204,12 +224,14 @@ def cmd_n0_table(args) -> int:
 
 
 def cmd_cmn(args) -> int:
+    if not args.mc:
+        _refuse(args, "cmn without --mc", "samples", "seed")
     w = Weight(args.m, args.n).require_integrable()
     value = c_mn(w)
     lines = [f"C({args.m},{args.n}) = {value:.12e}"]
     payload = {"command": "cmn", "genus": args.n, "m": args.m, "value": value}
     if args.mc:
-        res = mc_cmn(w, samples=args.samples, seed=args.seed)
+        res = mc_cmn(w, **_given(args, "samples", "seed"))
         sigma = abs(res.value - value) / res.error_estimate
         lines.append(f"monte carlo {res.value:.6e} +- {res.error_estimate:.2e} "
                      f"({res.evaluations} samples, {sigma:.2f} sigma from closed form)")
@@ -223,15 +245,15 @@ def cmd_coeff(args) -> int:
     w = Weight(args.m, args.n)
     mu = parse_polynomial(args.mu, args.n)
     spec = MatrixCoefficientSpec(mu, w)
-    if args.matrix:
+    if (args.matrix is None) == (args.t is None):
+        raise DomainError("give a group element via one of --matrix FILE and --t LIST")
+    if args.matrix is not None:
         g = SymplecticMatrix(load_matrix(args.matrix, name="group element"))
-    elif args.t:
+    else:
         try:
             g = hyperbolic([float(v) for v in args.t.split(",")])
         except ValueError:
             raise DomainError(f"cannot parse --t {args.t!r} as comma-separated numbers")
-    else:
-        raise DomainError("give a group element via --matrix FILE or --t LIST")
     if g.n != args.n:
         raise DimensionError(f"the group element has genus {g.n}, expected {args.n}")
     factors = kak_decompose(g)
@@ -250,18 +272,18 @@ def cmd_coeff(args) -> int:
 
 def _point_from_args(args, scalar: str, file: str, what: str) -> SiegelPoint:
     """The point from the option --<scalar> (genus 1) or the JSON matrix file
-    named by --<file>; ``what`` names the point when neither is given."""
+    named by --<file>, exactly one of which is given; ``what`` names the point."""
     text, path = getattr(args, scalar), getattr(args, file.replace("-", "_"))
+    if (text is None) == (path is None):
+        raise DomainError(f"give {what} via one of --{scalar} and --{file} FILE")
     if text is not None:
         if args.n != 1:
             raise DomainError(f"--{scalar} takes a scalar; beyond genus 1 use --{file} FILE")
         return SiegelPoint.from_complex(np.array([[_parse_complex(text)]]))
-    if path:
-        pt = SiegelPoint.from_complex(load_matrix(path, name="point"))
-        if pt.n != args.n:
-            raise DimensionError(f"point in {path} has genus {pt.n}, expected {args.n}")
-        return pt
-    raise DomainError(f"give {what} via --{scalar} or --{file} FILE")
+    pt = SiegelPoint.from_complex(load_matrix(path, name="point"))
+    if pt.n != args.n:
+        raise DimensionError(f"point in {path} has genus {pt.n}, expected {args.n}")
+    return pt
 
 
 def cmd_poincare(args) -> int:
@@ -269,8 +291,8 @@ def cmd_poincare(args) -> int:
     mu = parse_polynomial(args.mu, args.n)
     group = CongruenceGroup(args.n, args.N)
     z = _point_from_args(args, "z", "point", "an evaluation point")
-    radius = _default_radius(args, args.n)
-    ball = _get_ball(group, radius, args.budget, args.cache_dir)
+    radius = _default_radius(args)
+    ball = _get_ball(args, group, radius)
     res = poincare_f(mu, w, group, z, radius, ball=ball)
     notes = (["note: this weight vanishes identically at this level"]
              if vanishing_case(0, w, args.N) and mu == MatrixPolynomial.one(args.n) else [])
@@ -282,8 +304,8 @@ def cmd_kernel(args) -> int:
     group = CongruenceGroup(args.n, args.N)
     z = _point_from_args(args, "z", "point", "an evaluation point")
     xi = _point_from_args(args, "xi", "xi-point", "the kernel point")
-    radius = _default_radius(args, args.n)
-    ball = _get_ball(group, radius, args.budget, args.cache_dir)
+    radius = _default_radius(args)
+    ball = _get_ball(args, group, radius)
     res = kernel_series(w, group, xi, z, radius, ball=ball)
     return _emit_series(args, "kernel", res, [])
 
@@ -293,29 +315,20 @@ def _emit_series(args, command: str, res, notes: list, **extra) -> int:
              f"{res.terms} terms within norm {res.radius:g}; "
              f"half-radius tail {res.tail_estimate:.3e}"] + notes
     _emit(args, lines, {"command": command, "genus": args.n, "level": args.N,
-                        "m": args.m, "value": res.value, "terms": res.terms,
-                        "radius": res.radius, "tail_estimate": res.tail_estimate,
-                        **extra})
+                        "m": args.m, **asdict(res), **extra})
     return 0
 
 
 def cmd_norms(args) -> int:
     group = CongruenceGroup(args.n, args.N)
-    rep = norm_bounds_check(group, r=args.r, samples=args.samples,
-                            seed=args.seed, ball_radius=args.ball_radius,
-                            budget=args.budget)
+    rep = norm_bounds_check(group, **_given(args, "r", "samples", "seed",
+                                            "ball_radius", "budget"))
     lines = [f"sampled product norms: max {rep.max_product_norm:.6f} "
              f"vs bound {rep.bound:.6f} ({rep.samples} samples, r {rep.r:g})",
              f"noncompact minimum: {rep.min_noncompact_norm:.6f} "
              f"vs threshold {rep.threshold:.6f} (ball radius {rep.ball_radius:g})",
              "PASS" if rep.passed else "FAIL"]
-    payload = {"command": "norms", "genus": args.n, "level": args.N,
-               "r": rep.r, "bound": rep.bound,
-               "max_product_norm": rep.max_product_norm,
-               "samples": rep.samples, "threshold": rep.threshold,
-               "min_noncompact_norm": rep.min_noncompact_norm,
-               "ball_radius": rep.ball_radius, "passed": rep.passed}
-    _emit(args, lines, payload)
+    _emit(args, lines, {"command": "norms", "genus": args.n, **asdict(rep)})
     return 0 if rep.passed else 1
 
 
@@ -324,21 +337,15 @@ def cmd_norms(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _pairing_args(args) -> dict:
-    radius = args.radius if args.radius is not None else 40.0
-    return {"radius": radius,
-            "ball": _get_ball(CongruenceGroup(1, 1), radius, args.budget, args.cache_dir)}
-
-
-def _samples(args) -> dict:
-    """--samples when given; otherwise each check keeps its own count."""
-    return {} if args.samples is None else {"samples": args.samples}
+    radius = PAIRING_RADIUS if args.radius is None else args.radius
+    return {"radius": radius, "ball": _get_ball(args, CongruenceGroup(1, 1), radius)}
 
 
 _VERIFY_TARGETS = {
-    "table1": lambda args: [verify_thresholds(n, args.tol)
+    "table1": lambda args: [verify_thresholds(n, **_given(args, "tol"))
                             for n in ([args.n] if args.n else [1, 2])],
-    "coeff": lambda args: [verify_coefficients(seed=args.seed, **_samples(args))],
-    "cmn": lambda args: verify_cmn(seed=args.seed, **_samples(args)),
+    "coeff": lambda args: [verify_coefficients(**_given(args, "samples", "seed"))],
+    "cmn": lambda args: verify_cmn(**_given(args, "samples", "seed")),
     "cor62": lambda args: [verify_cor62(**_pairing_args(args))],
     "thm93": lambda args: verify_thm93(**_pairing_args(args)),
 }
@@ -367,21 +374,28 @@ def cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = {
-        "seed": dict(type=int, default=0, help="random seed (default 0)"),
-        "tol": dict(type=float, default=1e-10, help="numeric tolerance (default 1e-10)"),
-        "budget": dict(type=int, default=2 * 10 ** 9,
-                       help="work budget for ball enumeration"),
-        "radius": dict(type=float, default=None, help="truncation radius"),
+        "n": dict(type=int, required=True, help="genus"),
+        "N": dict(type=int, required=True, help="congruence level"),
+        "m": dict(type=int, required=True, help="scalar weight"),
+        "mu": dict(default="1", help="polynomial weight (default '1')"),
+        "z": dict(help="evaluation point (genus 1), e.g. '0.1+2i'"),
+        "point": dict(help="JSON matrix file with the point"),
+        "samples": dict(type=int, help="sample count"),
+        "seed": dict(type=int, help="random seed"),
+        "tol": dict(type=float, help="numeric tolerance"),
+        "budget": dict(type=int, help="work budget for ball enumeration"),
+        "radius": dict(type=float, help="truncation radius"),
         "cache-dir": dict(default=os.environ.get("SIEGEL_CACHE_DIR"),
                           help="directory for enumeration caches (env SIEGEL_CACHE_DIR)"),
         "format": dict(choices=("text", "json", "csv"), default="text",
                        help="output format"),
-        "output": dict(default=None, help="write output to this file instead of stdout"),
+        "output": dict(help="write output to this file instead of stdout"),
     }
 
     def command(name: str, options: str, help: str) -> argparse.ArgumentParser:
         """A subcommand with the named shared options, --format and --output."""
-        q = sub.add_parser(name, help=help)
+        q = sub.add_parser(name, help=help, epilog="An option without a stated "
+                           "default takes the default of the library function it feeds.")
         for key in options.split() + ["format", "output"]:
             q.add_argument("--" + key, **shared[key])
         return q
@@ -392,82 +406,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "truncated averages on the symplectic group.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = command("n0", "seed tol",
+    q = command("n0", "n m samples seed tol",
                 help="smallest level with a guaranteed nonzero average")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--l", type=int, default=0, help="determinant power (default 0)")
-    q.add_argument("--m", type=int, required=True, help="scalar weight")
-    q.add_argument("--mu", default=None,
-                   help="general polynomial weight, e.g. 'det^2 + 3*X_{1,2}'")
-    q.add_argument("--samples", type=int, default=100_000,
-                   help="Monte Carlo samples for --mu (default 100000)")
-    q.add_argument("--confidence", type=float, default=0.99,
-                   help="one-sided certification level for --mu (default 0.99)")
+    q.add_argument("--l", type=int, help="determinant power (default 0)")
+    q.add_argument("--mu", help="general polynomial weight, e.g. 'det^2 + 3*X_{1,2}'")
+    q.add_argument("--confidence", type=float,
+                   help="one-sided certification level for --mu")
     q.set_defaults(func=cmd_n0)
 
-    q = command("n0-table", "tol",
-                help="threshold table over a rectangle of (l, m)")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--l-min", type=int, default=0)
-    q.add_argument("--l-max", type=int, default=12)
-    q.add_argument("--m-min", type=int, default=None, help="default 2n+1")
-    q.add_argument("--m-max", type=int, default=None, help="default 2n+8")
+    q = command("n0-table", "n tol", help="threshold table over a rectangle of (l, m)")
+    q.add_argument("--l-min", type=int, default=0, help="default 0")
+    q.add_argument("--l-max", type=int, default=12, help="default 12")
+    q.add_argument("--m-min", type=int, help="default 2n+1")
+    q.add_argument("--m-max", type=int, help="default 2n+8")
     q.set_defaults(func=cmd_n0_table)
 
-    q = command("cmn", "seed",
+    q = command("cmn", "n m samples seed",
                 help="normalization constant, closed form and Monte Carlo")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--m", type=int, required=True, help="scalar weight")
     q.add_argument("--mc", action="store_true", help="add a Monte Carlo estimate")
-    q.add_argument("--samples", type=int, default=10 ** 6)
     q.set_defaults(func=cmd_cmn)
 
-    q = command("coeff", "", help="matrix coefficient of a group element")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--m", type=int, required=True, help="scalar weight")
-    q.add_argument("--mu", default="1", help="polynomial weight (default '1')")
-    q.add_argument("--matrix", default=None, help="JSON file with the element")
-    q.add_argument("--t", default=None,
-                   help="comma-separated radial parameters instead of --matrix")
+    q = command("coeff", "n m mu", help="matrix coefficient of a group element")
+    q.add_argument("--matrix", help="JSON file with the element")
+    q.add_argument("--t", help="comma-separated radial parameters instead of --matrix")
     q.set_defaults(func=cmd_coeff)
 
-    q = command("poincare", "budget radius cache-dir",
+    q = command("poincare", "n N m mu z point budget radius cache-dir",
                 help="truncated average of a translated weight vector")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--N", type=int, required=True, help="congruence level")
-    q.add_argument("--m", type=int, required=True, help="scalar weight")
-    q.add_argument("--mu", default="1", help="polynomial weight (default '1')")
-    q.add_argument("--z", default=None, help="evaluation point (genus 1), e.g. '0.1+2i'")
-    q.add_argument("--point", default=None, help="JSON matrix file with the point")
     q.set_defaults(func=cmd_poincare)
 
-    q = command("kernel", "budget radius cache-dir",
+    q = command("kernel", "n N m z point budget radius cache-dir",
                 help="truncated average of the point-evaluation kernel")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--N", type=int, required=True, help="congruence level")
-    q.add_argument("--m", type=int, required=True, help="scalar weight")
-    q.add_argument("--xi", default=None, help="kernel point (genus 1)")
-    q.add_argument("--xi-point", default=None, help="JSON matrix file with the kernel point")
-    q.add_argument("--z", default=None, help="evaluation point (genus 1)")
-    q.add_argument("--point", default=None, help="JSON matrix file with the point")
+    q.add_argument("--xi", help="kernel point (genus 1)")
+    q.add_argument("--xi-point", help="JSON matrix file with the kernel point")
     q.set_defaults(func=cmd_kernel)
 
-    q = command("norms", "seed budget",
+    q = command("norms", "n N samples seed budget",
                 help="norm estimates behind the truncation analysis")
-    q.add_argument("--n", type=int, required=True, help="genus")
-    q.add_argument("--N", type=int, required=True, help="congruence level")
-    q.add_argument("--r", type=float, default=0.5, help="radial box size")
-    q.add_argument("--samples", type=int, default=1000)
-    q.add_argument("--ball-radius", type=float, default=None)
+    q.add_argument("--r", type=float, help="radial box size")
+    q.add_argument("--ball-radius", type=float)
     q.set_defaults(func=cmd_norms)
 
-    q = command("verify", "seed tol budget radius cache-dir",
+    q = command("verify", "samples seed tol budget radius cache-dir",
                 help="run the verification battery")
     q.add_argument("target", choices=sorted(_VERIFY_TARGETS) + ["all"])
-    q.add_argument("--n", type=int, default=None,
-                   help="restrict table verification to one genus")
-    q.add_argument("--samples", type=int, default=None,
-                   help="override per-check sample counts")
+    q.add_argument("--n", type=int, help="restrict table verification to one genus")
     q.set_defaults(func=cmd_verify)
 
     return p

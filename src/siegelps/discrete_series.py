@@ -22,6 +22,7 @@ from . import _small
 from .errors import DimensionError, DomainError, NumericalError
 from .polynomials import MatrixPolynomial
 from .symplectic import (
+    COND_MAX,
     KAKFactors,
     NAKFactors,
     SiegelPoint,
@@ -118,8 +119,9 @@ def f_mu_m(mu: MatrixPolynomial, weight: Weight, z: SiegelPoint) -> complex:
     if mu.n != weight.n or z.n != weight.n:
         raise DimensionError("mu, weight and z must share the same genus")
     zc = z.z
-    if np.linalg.cond(zc + 1j * np.eye(z.n)) > 1e12:
-        raise NumericalError("z + iI is too ill-conditioned")   # unreachable on H_n
+    # sigma_min(z + iI) >= 1 on H_n, so only |z| above about COND_MAX trips this
+    if np.linalg.cond(zc + 1j * np.eye(z.n)) > COND_MAX:
+        raise NumericalError("z + iI is too ill-conditioned")
     return complex(f_values(mu, weight, zc[None, ...])[0])
 
 

@@ -42,6 +42,9 @@ METHOD_CLOSED = "closed_form_beta"
 METHOD_QUAD = "adaptive_quadrature"
 METHOD_MC = "monte_carlo"
 
+THRESHOLD_TOL = 1e-10     # integral tolerance of every det^l threshold decision
+MC_BUDGET = 4_000_000     # sample count past which n0_general stops escalating
+
 
 @dataclass(frozen=True)
 class ThresholdQuery:
@@ -245,7 +248,7 @@ class ThresholdCell:
     margin: float
 
 
-def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10) -> ThresholdCell:
+def n0_detl_report(l: int, weight: Weight, tol: float = THRESHOLD_TOL) -> ThresholdCell:
     """Smallest level N with I(M(N)) > I(1)/2, with decision diagnostics.
 
     The decision margin at each examined N must clear ten times the summed
@@ -274,12 +277,13 @@ def n0_detl_report(l: int, weight: Weight, tol: float = 1e-10) -> ThresholdCell:
                          margin=margin(hi) / full.value)
 
 
-def n0_detl(l: int, weight: Weight, tol: float = 1e-10) -> int:
+def n0_detl(l: int, weight: Weight, tol: float = THRESHOLD_TOL) -> int:
     """Smallest level guaranteeing a nonzero average for the weight det^l."""
     return n0_detl_report(l, weight, tol=tol).n0
 
 
-def n0_table(n: int, l_values, m_values, tol: float = 1e-10) -> list[ThresholdCell]:
+def n0_table(n: int, l_values, m_values,
+             tol: float = THRESHOLD_TOL) -> list[ThresholdCell]:
     """Threshold table over a rectangle of (l, m) pairs."""
     return [n0_detl_report(l, Weight(m, n), tol=tol)
             for l in l_values for m in m_values]
@@ -297,7 +301,7 @@ class GeneralThreshold:
 
 
 def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
-               confidence: float = 0.99, budget: int = 4_000_000) -> GeneralThreshold:
+               confidence: float = 0.99, budget: int = MC_BUDGET) -> GeneralThreshold:
     """Threshold for an arbitrary polynomial weight, by common-random-number MC.
 
     One sample set (ordered uniforms x paired with Haar unitaries, drawn from

@@ -32,12 +32,21 @@ from .errors import (
     DomainError,
     SamplingError,
 )
-from .nonvanishing import METHOD_MC, METHOD_QUAD, REFERENCE_N0, IntegralResult, n0_table
+from .nonvanishing import (
+    METHOD_MC,
+    METHOD_QUAD,
+    REFERENCE_N0,
+    THRESHOLD_TOL,
+    IntegralResult,
+    n0_table,
+)
 from .poincare import CongruenceGroup, _ball_for, series_evaluator_genus1
 from .polynomials import MatrixPolynomial
 from .symplectic import SiegelPoint, kak_decompose, random_symplectic
 
 PAIRING_TOL = 0.02      # relative error allowed in the pairing identities
+PAIRING_RADIUS = 40.0   # truncation radius of the averaged series in the pairing checks
+CMN_SAMPLES = 10 ** 6   # Monte Carlo samples per estimate of C_{m,n}
 Y_SPLIT = 2.0           # height between the circular floor and the u = 1/y strip
 Y_MAX = 8.0             # height cutoff of the fundamental-domain quadrature
 
@@ -112,7 +121,7 @@ class DiscriminantForm:
 # Monte Carlo value of the normalization constant
 # ---------------------------------------------------------------------------
 
-def mc_cmn(weight: Weight, samples: int = 10 ** 6, seed: int = 0) -> IntegralResult:
+def mc_cmn(weight: Weight, samples: int = CMN_SAMPLES, seed: int = 0) -> IntegralResult:
     """Estimate C_{m,n} as 2^{n(n+1)} times the bounded-domain volume integral.
 
     Samples the symmetric-matrix box uniformly, keeps points with
@@ -230,7 +239,7 @@ class VerificationReport:
     detail: str = field(default="", compare=False)
 
 
-def verify_thresholds(n: int, tol: float = 1e-10) -> VerificationReport:
+def verify_thresholds(n: int, tol: float = THRESHOLD_TOL) -> VerificationReport:
     """Every cell of the genus-n reference threshold table, recomputed.
 
     An ambiguous cell raises AmbiguousThresholdError rather than passing or
@@ -286,7 +295,7 @@ def verify_coefficients(samples: int = 100, seed: int = 0,
                f"evaluations (tolerance {tol:g})")
 
 
-def verify_cmn(samples: int = 10 ** 6, seed: int = 0) -> list[VerificationReport]:
+def verify_cmn(samples: int = CMN_SAMPLES, seed: int = 0) -> list[VerificationReport]:
     """Monte Carlo C_{m,n} at four weights, each within three of its standard
     errors of the closed gamma product."""
     reports = []
@@ -348,7 +357,7 @@ def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,
                               passed=rel <= PAIRING_TOL, detail=detail)
 
 
-def verify_cor62(radius: float = 40.0, ball=None) -> VerificationReport:
+def verify_cor62(radius: float = PAIRING_RADIUS, ball=None) -> VerificationReport:
     """Pairing of the weight-12 form against the averaged weight vector.
 
     The computed pairing must reproduce C_{12,1} times the form's value at
@@ -362,7 +371,7 @@ def verify_cor62(radius: float = 40.0, ball=None) -> VerificationReport:
                              mu=MatrixPolynomial.one(1))
 
 
-def verify_thm93(points=(1j, 2j, 0.3 + 0.8j), radius: float = 40.0,
+def verify_thm93(points=(1j, 2j, 0.3 + 0.8j), radius: float = PAIRING_RADIUS,
                  ball=None) -> list[VerificationReport]:
     """Pairing against the averaged point kernel reproduces point values,
     with ``ball`` fitted as in ``verify_cor62``."""

@@ -56,6 +56,8 @@ from .symplectic import (
     j_matrix,
 )
 
+ENUMERATION_BUDGET = 2 * 10 ** 9   # bottom-half candidates a ball may sweep
+
 
 @dataclass(frozen=True)
 class CongruenceGroup:
@@ -257,7 +259,7 @@ def _coset_elements(M: np.ndarray, N: int, r2: int) -> np.ndarray:
 
 
 def enumerate_ball(group: CongruenceGroup, radius: float,
-                   budget: int = 2 * 10 ** 9) -> EnumerationBall:
+                   budget: int = ENUMERATION_BUDGET) -> EnumerationBall:
     """Every group element of Frobenius norm <= radius, canonically ordered.
 
     ``budget`` caps the bottom-half sweep, counted before any work as the
@@ -503,7 +505,7 @@ class NormBoundsReport:
 
 def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 1000,
                       seed: int = 0, ball_radius: float | None = None,
-                      budget: int = 2 * 10 ** 9) -> NormBoundsReport:
+                      budget: int = ENUMERATION_BUDGET) -> NormBoundsReport:
     """Check the two norm estimates behind the truncation analysis.
 
     Sampled part: products k h_t k' h_{-t'} k'' with |t|, |t'| <= r stay below

@@ -176,28 +176,13 @@ class MatrixPolynomial:
 def _det_power_cached(n: int, power: int) -> MatrixPolynomial:
     det = MatrixPolynomial.zero(n)
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
+        # the sign of a permutation is the parity of its inversion count
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         exp = [[0] * n for _ in range(n)]
         for i, j in enumerate(perm):
             exp[i][j] += 1
         det = det + MatrixPolynomial(n, {tuple(map(tuple, exp)): float(sign)})
     return det ** power
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------

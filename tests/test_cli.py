@@ -1,14 +1,18 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
+import inspect
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import siegelps as sp
-from siegelps.cli import main
+from siegelps import cli
+from siegelps.cli import build_parser, main
 
 RADIAL_M4_T1 = 0.1763784476141347
 
@@ -78,7 +82,7 @@ def test_n0_vanishing_note(capsys):
 
 
 def test_n0_general_weight(capsys):
-    code, out, _ = run(capsys, "n0", "--n", "1", "--l", "0", "--m", "6",
+    code, out, _ = run(capsys, "n0", "--n", "1", "--m", "6",
                        "--mu", "1", "--samples", "200000", "--format", "json")
     assert code == 0
     payload = json.loads(out)
@@ -197,6 +201,16 @@ def test_coeff_matrix_file(capsys, tmp_path):
                        "--matrix", path, "--format", "json")
     assert code == 0
     assert json.loads(out)["rel_diff"] < 1e-10
+
+
+def test_coeff_refuses_two_elements(capsys, tmp_path):
+    # --t is not silently ignored beside a readable --matrix
+    path = str(tmp_path / "g.json")
+    sp.save_matrix(path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+    code, out, err = run(capsys, "coeff", "--n", "1", "--m", "8",
+                         "--matrix", path, "--t", "1.0")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "one of" in err
 
 
 def test_coeff_requires_element(capsys):
@@ -394,6 +408,67 @@ def test_unread_shared_option_is_rejected(capsys, argv):
     assert f"unrecognized arguments: {argv[-1]} 1" in err
 
 
+_FORWARDED = [
+    ("n0_general", "n0 --n 1 --m 6 --mu det", {}),
+    ("n0_general", "n0 --n 1 --m 6 --mu det --samples 2000000 --seed 3 --confidence 0.9",
+     {"samples": 2_000_000, "seed": 3, "confidence": 0.9, "budget": 8_000_000}),
+    ("n0_general", "n0 --n 1 --m 6 --mu det --samples 1000",
+     {"samples": 1000, "budget": sp.nonvanishing.MC_BUDGET}),
+    ("n0_detl_report", "n0 --n 1 --m 6", {}),
+    ("n0_detl_report", "n0 --n 1 --m 6 --tol 1e-9", {"tol": 1e-9}),
+    ("n0_table", "n0-table --n 1", {}),
+    ("mc_cmn", "cmn --n 1 --m 4 --mc", {}),
+    ("mc_cmn", "cmn --n 1 --m 4 --mc --samples 2000 --seed 5", {"samples": 2000, "seed": 5}),
+    ("norm_bounds_check", "norms --n 1 --N 2", {}),
+    ("norm_bounds_check", "norms --n 1 --N 2 --r 0.3 --samples 9 --seed 1 "
+     "--ball-radius 5 --budget 99",
+     {"r": 0.3, "samples": 9, "seed": 1, "ball_radius": 5.0, "budget": 99}),
+    ("enumerate_ball", "poincare --n 1 --N 1 --m 12 --z i", {}),
+    ("enumerate_ball", "kernel --n 1 --N 1 --m 12 --z i --xi i --budget 99", {"budget": 99}),
+    ("enumerate_ball", "verify cor62", {}),
+    ("verify_thresholds", "verify table1 --n 1", {}),
+    ("verify_coefficients", "verify coeff", {}),
+    ("verify_coefficients", "verify coeff --samples 3 --seed 2", {"samples": 3, "seed": 2}),
+    ("verify_cmn", "verify cmn", {}),
+]
+
+
+@pytest.mark.parametrize("name, argv, expected", _FORWARDED,
+                         ids=[argv for _, argv, _ in _FORWARDED])
+def test_omitted_options_keep_library_defaults(capsys, monkeypatch, name, argv, expected):
+    # the CLI passes a defaulted library parameter only when its option is given
+    real = getattr(cli, name)
+    signature = inspect.signature(real)
+    calls = []
+
+    def recorder(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        raise sp.NumericalError("recorded")
+
+    monkeypatch.setattr(cli, name, recorder)
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (3, "", "numerical failure: recorded\n")
+    defaulted = {p.name for p in signature.parameters.values() if p.default is not p.empty}
+    assert {k: v for k, v in calls[0].items() if k in defaulted} == expected
+
+
+_SUBCOMMANDS = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", ["", *_SUBCOMMANDS])
+def test_help_lists_every_option(capsys, command):
+    parser = _SUBCOMMANDS[command] if command else build_parser()
+    code, out, _ = run(capsys, *command.split(), "--help")
+    assert code == 0
+    options = [o for action in parser._actions for o in action.option_strings]
+    assert "--help" in options
+    for option in options:
+        assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", out), option
+    if not command:
+        assert all(name in out for name in _SUBCOMMANDS)
+
+
 def test_csv_unavailable_for_cmn(capsys):
     code, _, err = run(capsys, "cmn", "--n", "1", "--m", "12",
                        "--format", "csv")
@@ -436,6 +511,19 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "coeff --n 1 --m 6 --t abc",
     "coeff --n 1 --m 6 --t 400",
     "coeff --n 1 --m 6 --t 1e6",
+    # options the chosen mode does not read
+    "n0 --n 1 --m 6 --samples 1000",
+    "n0 --n 1 --m 6 --seed 1",
+    "n0 --n 1 --m 6 --confidence 0.9",
+    "n0 --n 1 --m 6 --mu det --tol 1e-9",
+    "n0 --n 1 --m 6 --mu det --l 3",
+    "cmn --n 1 --m 4 --samples 2000",
+    "cmn --n 1 --m 4 --seed 1",
+    # two sources for one input
+    "poincare --n 1 --N 1 --m 12 --z i --point missing.json",
+    "kernel --n 1 --N 1 --m 12 --z i --point missing.json --xi i",
+    "kernel --n 1 --N 1 --m 12 --z i --xi i --xi-point missing.json",
+    "coeff --n 1 --m 4 --t 1.0 --matrix missing.json",
 ], ids=str)
 def test_invalid_input_exits_2(capsys, argv):
     # each is refused before any work, never run on a default or a guess

@@ -1,7 +1,9 @@
 """The package surface: its export list and the README's library example."""
 
+import ast
 import inspect
 import re
+import sys
 from pathlib import Path
 
 import siegelps
@@ -26,3 +28,17 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_runtime_imports_are_stdlib_numpy_or_scipy():
+    # the package needs nothing at run time beyond numpy and scipy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    for path in sorted(Path(siegelps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = {node.module.split(".")[0]}
+            else:
+                continue
+            assert roots <= allowed, f"{path.name}:{node.lineno} imports {roots - allowed}"
