@@ -83,26 +83,17 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse {text!r} as a complex number")
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return {"re": z.real, "im": z.imag}
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+def _json_default(obj):
+    """What json does not encode itself: complex numbers as {re, im}, numpy
+    scalars as their Python values."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj.item()
 
 
 def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
     if args.format == "json":
-        body = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+        body = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
     elif args.format == "csv":
         if csv_rows is None:
             raise DomainError("csv output is not available for this command")
@@ -337,8 +328,12 @@ def cmd_norms(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _pairing_args(args) -> dict:
-    radius = PAIRING_RADIUS if args.radius is None else args.radius
-    return {"radius": radius, "ball": _get_ball(args, CongruenceGroup(1, 1), radius)}
+    """The radius and genus-1 ball of the pairing checks, fetched once a run."""
+    if "pairing" not in vars(args):
+        radius = PAIRING_RADIUS if args.radius is None else args.radius
+        args.pairing = {"radius": radius,
+                        "ball": _get_ball(args, CongruenceGroup(1, 1), radius)}
+    return args.pairing
 
 
 _VERIFY_TARGETS = {

@@ -314,14 +314,11 @@ def verify_cmn(samples: int = CMN_SAMPLES, seed: int = 0) -> list[VerificationRe
 
 
 def _cusp_height_budget(f1, f2, m: int) -> float:
-    """Crude bound for the mass above the height cutoff."""
+    """Crude bound for the mass above the height cutoff, for m < 2 + 2 pi Y_MAX."""
     xs = np.linspace(-0.5, 0.5, 16)
     z_top = xs + 1j * Y_MAX
     row = np.abs(f1(z_top) * np.conj(f2(z_top))) * Y_MAX ** (m - 2)
-    decay = 2.0 * math.pi - max(m - 2, 0) / Y_MAX
-    if decay <= 0:
-        decay = 2.0 * math.pi / 2
-    return float(np.max(row)) / decay
+    return float(np.max(row)) / (2.0 * math.pi - (m - 2) / Y_MAX)
 
 
 def _pair_with_series(identity: str, delta: DiscriminantForm, rhs: complex,

@@ -26,7 +26,10 @@ A ball holds the elements of squared norm at most its cap floor(r^2), so
 radii with the same cap have the same elements: a supplied ball fits any
 radius whose cap is no larger, and is restricted to it.  Every radius,
 enumerated, loaded, split or fitted, goes through that cap, which refuses
-one that is not positive and finite.  On Sp(2n, R),
+one that is not positive and finite.  Every ``EnumerationBall`` is checked
+once, when it is made: int64 elements of its group, within its cap, in
+canonical order.  The views from ``restrict`` and ``split`` keep that check,
+so no series or cache hit repeats it.  On Sp(2n, R),
 |g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
 elements in K are the ball of cap 2n.
 """
@@ -126,20 +129,33 @@ def _norm_cap(radius: float) -> int:
 @dataclass(frozen=True)
 class EnumerationBall:
     """All group elements with Frobenius norm at most ``radius``, in canonical
-    order; a shell from ``split`` holds only those outside its inner radius."""
+    order; a shell from ``split`` holds only those outside its inner radius.
+
+    Making one checks the elements: an int64 array (k, 2n, 2n) of symplectic
+    matrices congruent to I mod N, none past the radius's cap, in canonical
+    order.  ``restrict`` and ``split`` return views that keep the check."""
 
     group: CongruenceGroup
     radius: float
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=np.int64)
-        if arr.ndim != 3 or arr.shape[1:] != (2 * self.group.n, 2 * self.group.n):
-            raise DimensionError("elements must have shape (k, 2n, 2n)")
-        arr = np.ascontiguousarray(arr)
+        arr = np.ascontiguousarray(self.elements)
+        n2 = 2 * self.group.n
+        if arr.dtype != np.int64 or arr.shape[1:] != (n2, n2):
+            raise DomainError(f"ball elements must be an int64 array of shape "
+                              f"(k, {n2}, {n2}), got {arr.dtype} {arr.shape}")
+        _validate_ball(self.group, self.radius, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
         object.__setattr__(self, "radius", float(self.radius))
+
+    def _view(self, radius: float, elements: np.ndarray) -> "EnumerationBall":
+        """A ball of a prefix or suffix of these elements.  It keeps the
+        contract this ball was checked for, so the check does not run again."""
+        view = object.__new__(EnumerationBall)
+        view.__dict__.update(group=self.group, radius=float(radius), elements=elements)
+        return view
 
     def __len__(self) -> int:
         return self.elements.shape[0]
@@ -155,13 +171,13 @@ class EnumerationBall:
             raise DomainError(f"a ball of radius {self.radius} does not reach "
                               f"radius {radius}")
         k = bisect.bisect_right(self.elements, cap, key=lambda g: int(np.sum(g * g)))
-        return EnumerationBall(self.group, radius, self.elements[:k])
+        return self._view(radius, self.elements[:k])
 
     def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
         """Views of the ball of ``radius`` and of the shell of the other
         elements, which keeps this radius; this ball's sum is theirs."""
         inner = self.restrict(radius)
-        return inner, EnumerationBall(self.group, self.radius, self.elements[len(inner):])
+        return inner, self._view(self.radius, self.elements[len(inner):])
 
 
 # Candidate pairs per block of the bottom-half sweep, and cosets per block of
@@ -232,8 +248,8 @@ def _coset_elements(M: np.ndarray, N: int, r2: int) -> np.ndarray:
     E = np.zeros((len(pairs), n, n), np.int64)
     for k, (a, c) in enumerate(pairs):
         E[k, a, c] = E[k, c, a] = 1
-    b = (N * (E @ M[:, None])).reshape(len(M), len(E), -1).astype(np.float64)
-    t = T.reshape(len(M), -1).astype(np.float64)
+    b = (N * (E @ M[:, None])).reshape(len(M), len(E), 2 * n * n).astype(np.float64)
+    t = T.reshape(len(M), 2 * n * n).astype(np.float64)
     Q = b @ np.swapaxes(b, 1, 2)
     center = -np.linalg.solve(Q, (b @ t[:, :, None]))[:, :, 0]
     R = np.swapaxes(np.linalg.cholesky(Q), 1, 2)
@@ -284,7 +300,6 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
         M = _bottom_halves(n, N, r2)
         arr = _canonical_order(np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
                                                for k in range(0, len(M), _COSETS)]))
-    _validate_ball(group, radius, arr)
     return EnumerationBall(group, radius, arr)
 
 
@@ -296,13 +311,12 @@ def _ball_for(group: CongruenceGroup, radius: float,
         return enumerate_ball(group, radius)
     if ball.group != group:
         raise DomainError("supplied ball was enumerated for a different group")
-    return ball if ball.radius == radius else ball.restrict(radius)
+    return ball.restrict(radius)
 
 
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
+    """The ball contract, checked when an ``EnumerationBall`` is made."""
     cap = _norm_cap(radius)
-    if not len(arr):
-        return
     symplectic = congruent = ordered = True
     top = 0
     # blocks of _COSETS rows keep the temporaries small beside the ball; each
@@ -351,23 +365,18 @@ def save_ball(path: str, ball: EnumerationBall) -> None:
 
 def load_ball(path: str) -> EnumerationBall:
     """Read a ball written by ``save_ball``.  Each archive member's CRC-32
-    catches a changed or cut payload, then the ball invariants are checked;
-    any other file, the older raw format included, raises DomainError."""
+    catches a changed or cut payload, and the ball checks itself; any other
+    file, the older raw format included, raises DomainError."""
     with open(path, "rb") as fh:        # np.load(path) leaks the handle on error
         try:
             with np.load(fh, allow_pickle=False) as data:
                 arr, N, radius = data["elements"], int(data["level"]), float(data["radius"])
+            n = arr.shape[1] // 2
         # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError)
         except (ValueError, KeyError, IndexError, EOFError, OSError, TypeError,
                 zipfile.BadZipFile) as exc:
             raise DomainError(f"{path}: not a valid ball cache ({exc})") from None
-    if (arr.dtype != np.int64 or arr.ndim != 3 or arr.shape[1] != arr.shape[2]
-            or arr.shape[1] % 2):
-        raise DomainError(f"{path}: ball cache elements must be an int64 array "
-                          f"of shape (k, 2n, 2n), got {arr.dtype} {arr.shape}")
-    group = CongruenceGroup(arr.shape[1] // 2, N)
-    _validate_ball(group, radius, arr)
-    return EnumerationBall(group, radius, arr)
+    return EnumerationBall(CongruenceGroup(n, N), radius, arr)
 
 
 # ---------------------------------------------------------------------------

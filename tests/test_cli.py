@@ -344,6 +344,22 @@ def test_corrupt_cache_is_rejected(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_verify_all_fetches_the_pairing_ball_once(capsys, monkeypatch):
+    report = sp.VerificationReport(identity="stub", lhs=1, rhs=1, rel_err=0.0,
+                                   error_budget={}, passed=True, detail="stub")
+    for name, out in (("verify_thresholds", report), ("verify_coefficients", report),
+                      ("verify_cmn", [report]), ("verify_cor62", report),
+                      ("verify_thm93", [report])):
+        monkeypatch.setattr(cli, name, lambda *args, out=out, **kwargs: out)
+    radii, enumerate_ball = [], cli.enumerate_ball
+    monkeypatch.setattr(cli, "enumerate_ball",
+                        lambda group, radius, **kw: radii.append(radius)
+                        or enumerate_ball(group, radius, **kw))
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0 and "6/6 checks passed" in out
+    assert radii == [40.0]
+
+
 def test_output_file(capsys, tmp_path):
     target = str(tmp_path / "result.json")
     code, out, _ = run(capsys, "n0", "--n", "1", "--l", "0", "--m", "6",

@@ -348,7 +348,8 @@ def test_load_rejects_broken_invariants(tmp_path):
     repeated[0] = repeated[1]
     for order in (ball.elements[::-1], swapped, repeated):
         bad = str(tmp_path / "order.bin")
-        save_ball(bad, sp.EnumerationBall(ball.group, ball.radius, order))
+        with open(bad, "wb") as fh:
+            np.savez(fh, elements=order, level=ball.group.N, radius=ball.radius)
         with pytest.raises(DomainError):
             load_ball(bad)
 
@@ -368,9 +369,81 @@ def test_load_checks_every_block(tmp_path):
     bad = str(tmp_path / "blocks.bin")
     for arr, message in ((swapped, "canonical order"), (broken, "symplectic"),
                          (both, "symplectic")):
-        save_ball(bad, sp.EnumerationBall(ball.group, ball.radius, arr))
+        with open(bad, "wb") as fh:
+            np.savez(fh, elements=arr, level=ball.group.N, radius=ball.radius)
         with pytest.raises(DomainError, match=message):
             load_ball(bad)
+
+
+def _changed(arr, index, value):
+    arr = arr.copy()
+    arr[index] = value
+    return arr
+
+
+@pytest.mark.parametrize("broken, message", [
+    (lambda g, r, e: (g, r, e[::-1]), "canonical order"),
+    (lambda g, r, e: (g, r, _changed(e, [5, 6], e[[6, 5]])), "canonical order"),
+    (lambda g, r, e: (g, r, _changed(e, 0, e[1])), "canonical order"),
+    (lambda g, r, e: (g, r, _changed(e, (0, 0, 0), e[0, 0, 0] + 1)), "symplectic"),
+    (lambda g, r, e: (CongruenceGroup(1, 2), r, e), "congruence"),
+    (lambda g, r, e: (g, 9.0, e), "exceeds the radius"),
+    (lambda g, r, e: (g, r, e.astype(float)), "int64"),
+], ids=["reversed", "swapped", "repeated", "entry", "level", "radius", "float"])
+def test_ball_checks_itself(broken, message):
+    # no ball can be made that breaks the contract a series or a split
+    # relies on, whichever way it is made
+    ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
+    group, radius, arr = broken(ball.group, ball.radius, ball.elements)
+    with pytest.raises(DomainError, match=message):
+        sp.EnumerationBall(group, radius, arr)
+    again = sp.EnumerationBall(ball.group, ball.radius, ball.elements.copy())
+    assert np.array_equal(again.elements, ball.elements)
+
+
+def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
+    check, radii = sp.poincare._validate_ball, []
+
+    def counted(group, radius, arr):
+        radii.append(radius)
+        check(group, radius, arr)
+
+    monkeypatch.setattr(sp.poincare, "_validate_ball", counted)
+    group = CongruenceGroup(1, 1)
+    ball = enumerate_ball(group, 10.0)
+    path = str(tmp_path / "ball.bin")
+    save_ball(path, ball)
+    load_ball(path)
+    assert radii == [10.0, 10.0]       # once per enumeration and per load
+
+    def refuse(group, radius, arr):
+        raise AssertionError("the ball check ran again")
+
+    monkeypatch.setattr(sp.poincare, "_validate_ball", refuse)
+    with pytest.raises(AssertionError):
+        sp.EnumerationBall(group, ball.radius, ball.elements)
+    assert len(ball.restrict(6.0)) == 196
+    assert sum(map(len, ball.split(5.0))) == len(ball)
+    res = poincare_f(MatrixPolynomial.one(1), Weight(12, 1), group,
+                     SiegelPoint.center(1), 5.0, ball=ball)
+    assert res.terms == 132
+    assert sp.verify_cor62(radius=6.0, ball=ball).identity == "pairing-vs-center-value"
+
+
+def test_coset_block_of_imprimitive_bottom_halves_is_empty():
+    M = np.array([[[0, 0, 2, 0], [0, 0, 0, 1]]], dtype=np.int64)
+    assert sp.poincare._coset_elements(M, 1, 10).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 1, math.sqrt(7)),
+                                          (2, 2, 4.2)])
+@pytest.mark.parametrize("cosets", [1, 3])
+def test_coset_block_size_does_not_change_the_ball(monkeypatch, n, N, radius, cosets):
+    # small blocks give blocks whose bottom halves are all imprimitive
+    group = CongruenceGroup(n, N)
+    whole = enumerate_ball(group, radius)
+    monkeypatch.setattr(sp.poincare, "_COSETS", cosets)
+    assert np.array_equal(enumerate_ball(group, radius).elements, whole.elements)
 
 
 # ---------------------------------------------------------------------------
