@@ -33,13 +33,7 @@ from .discrete_series import (
     lift,
     matrix_coeff_kak,
 )
-from .errors import (
-    AmbiguousThresholdError,
-    BudgetError,
-    DimensionError,
-    DomainError,
-    SiegelError,
-)
+from .errors import DimensionError, DomainError, SiegelError
 from .matrixio import load_matrix
 from .nonvanishing import (
     MC_BUDGET,
@@ -83,17 +77,22 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse {text!r} as a complex number")
 
 
-def _json_default(obj):
-    """What json does not encode itself: complex numbers as {re, im}, numpy
-    scalars as their Python values."""
+def _json_ready(obj):
+    """The payload in JSON's terms: numpy scalars as Python values, complex
+    numbers as {re, im}, and a non-finite float as null (JSON has no inf)."""
+    obj = obj.item() if isinstance(obj, np.generic) else obj
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj.item()
+        obj = {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
     if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        body = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         if csv_rows is None:
             raise DomainError("csv output is not available for this command")
@@ -462,19 +461,13 @@ def main(argv=None) -> int:
     except (DomainError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetError as exc:
+    except SiegelError as exc:      # BudgetError and AmbiguousThresholdError add a hint
         print(f"numerical failure: {exc}", file=sys.stderr)
-        if exc.feasible_radius is not None:
+        if getattr(exc, "feasible_radius", None) is not None:
             print(f"a radius of about {exc.feasible_radius:g} fits the budget",
                   file=sys.stderr)
-        return 3
-    except AmbiguousThresholdError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        if exc.diagnostics:
+        if getattr(exc, "diagnostics", None):
             print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
-        return 3
-    except SiegelError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

@@ -22,25 +22,13 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_real_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
+def as_matrix(a, name: str = "matrix", dtype=np.float64, square: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-d array of ``dtype``, and require it square if asked."""
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    return check_finite(arr, name)
-
-
-def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-d complex128 array."""
-    arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
-    return check_finite(arr, name)
-
-
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    check_finite(arr, name)
+    if square and arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
     return arr
 

@@ -12,7 +12,7 @@ once I(M(N)) > I(1)/2, where
 
 is the concentration level of the congruence subgroup.  The smallest such N
 is the threshold reported by ``n0_detl`` (weights det^l, with I(t) one
-Pfaffian of one-dimensional integrals up to genus MAX_GENUS) and
+Pfaffian of Gauss-Legendre integrals up to genus MAX_GENUS) and
 ``n0_general`` (arbitrary polynomial weights, by Monte Carlo over the
 unitary group).
 """
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, beta as beta_fn, ndtri
 
 from . import _small
@@ -35,6 +34,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .discrete_series import Weight
+from .matrixio import readonly
 from .polynomials import MatrixPolynomial
 from .symplectic import UnitaryMatrix, haar_unitary
 
@@ -141,10 +141,32 @@ def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> floa
 # the threshold integral
 # ---------------------------------------------------------------------------
 
+BASE_NODES, MAX_DOUBLINGS = 24, 4   # nodes of the first grid, doublings after it
+_NODES: dict[int, tuple] = {}   # read-only nodes and weights on [-1, 1], by count
+
+
+def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES,
+                    max_doublings: int = MAX_DOUBLINGS):
+    """The package's one quadrature rule: ``rule(x, w)`` over grids of
+    base_nodes * 2^k Gauss-Legendre nodes until every component agrees with
+    the grid before to relative ``tol``.  Returns the last value, its change
+    (the error), each grid's node count and whether the stop test held."""
+    prev, grids = None, [base_nodes * 2 ** k for k in range(max_doublings + 1)]
+    for k, nodes in enumerate(grids):
+        if nodes not in _NODES:
+            _NODES[nodes] = tuple(map(readonly, np.polynomial.legendre.leggauss(nodes)))
+        value = rule(*_NODES[nodes])
+        if prev is not None:
+            change = np.abs(value - prev)
+            if np.all(change <= tol * np.maximum(np.abs(value), 1e-30)):
+                return value, change, grids[:k + 1], True
+        prev = value
+    return value, change, grids, False
+
+
 MAX_GENUS = 5   # the Pfaffian's cancellation grows with n (README, numerical notes)
 _ROUNDING = 16 * float(np.finfo(float).eps)   # charged per unit of sum |terms|
 _EPSREL = 1e-11
-_EPSREL_FLOOR = 50 * np.finfo(float).eps   # the least epsrel quad accepts
 
 
 def _pfaffian(a, idx: tuple) -> tuple[float, float]:
@@ -165,10 +187,14 @@ def integral_phi(l: int, weight: Weight, t: float,
 
     With w(x) = x^{l/2} (1-x)^{m/2-n-1} and Phi_j(x) = B(x; l/2+1+j, m/2-n),
     I(t) = Pf(a) for a_ij = int_0^t w(x) (x^j Phi_i - x^i Phi_j) dx, i < j < n,
-    each one quad under x = t sin^2(theta), bordered for odd n by the closed
-    forms a_in = Phi_i(t) (so genus 1 is the incomplete beta).  The error is
-    sum |dPf/da_ij| abserr_ij + _ROUNDING sum |terms|.  Raises DimensionError
-    above MAX_GENUS, and ConvergenceError, carrying the result, over ``tol``.
+    bordered for odd n by the closed forms a_in = Phi_i(t) (so genus 1 is the
+    incomplete beta).  Under x = t sin^2(theta) each grid of _gauss_doubling
+    gives a = P - P^T, P_ij = sum_k W_k Phi_i(x_k) x_k^j.  The error is sum
+    |dPf/da_ij| (change_ij + _ROUNDING (P + P^T)_ij) + _ROUNDING sum |terms|,
+    the middle term for rounding of the integrand and of the rule, which two
+    grids can share; ``evaluations`` counts incomplete betas.  Raises
+    DimensionError above MAX_GENUS, and ConvergenceError, carrying the
+    result, over ``tol``.
     """
     if l < 0:
         raise DomainError("l must be nonnegative")
@@ -182,32 +208,34 @@ def integral_phi(l: int, weight: Weight, t: float,
         raise DimensionError(f"the threshold integral is certified up to genus {MAX_GENUS}")
     weight.require_integrable()
     a, b = l / 2.0 + 1.0, m / 2.0 - n
-    full = [beta_fn(a + j, b) for j in range(n)]
+    js = np.arange(n)[:, None]
+    full = beta_fn(a + js, b)
 
-    def phi(j: int, x: float) -> float:
-        return float(betainc(a + j, b, x) * full[j])
-
-    def integrand(theta: float, i: int, j: int) -> float:
-        x = t * math.sin(theta) ** 2
+    def entries(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        theta = np.pi / 4.0 * (1.0 + nodes)
+        x = t * np.sin(theta) ** 2
         # 1 - t sin^2 = (1-t) + t cos^2 avoids cancellation at the right edge
-        one_minus = (1.0 - t) + t * math.cos(theta) ** 2
-        return (x ** (l / 2.0) * one_minus ** (b - 1.0) * (x ** j * phi(i, x) - x ** i * phi(j, x))
-                * t * math.sin(2.0 * theta))
+        one_minus = (1.0 - t) + t * np.cos(theta) ** 2
+        w = (np.pi / 4.0 * weights * x ** (l / 2.0) * one_minus ** (b - 1.0)
+             * t * np.sin(2.0 * theta))
+        p = (betainc(a + js, b, x) * full * w) @ (x ** js).T
+        return np.stack([p - p.T, p + p.T])   # the entries, and their sums of |terms|
 
-    epsrel = max(_EPSREL_FLOOR, min(_EPSREL, tol or _EPSREL))
-    mat = [[phi(i, t) if j == n else 0.0 for j in range(n + n % 2)] for i in range(n)]
-    errs, evaluations = {}, n % 2 * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i][j], errs[i, j], info = integrate.quad(
-                integrand, 0.0, math.pi / 2.0, args=(i, j), epsabs=0.0, epsrel=epsrel,
-                limit=200, full_output=True)[:3]
-            evaluations += int(info["neval"])
-    idx = tuple(range(n + n % 2))
+    size = n + n % 2
+    mat, err, grids = np.zeros((size, size)), np.zeros((size, size)), []
+    if n > 1:
+        (mat[:n, :n], sums), change, grids, _ = _gauss_doubling(
+            entries, min(_EPSREL, tol or _EPSREL))
+        err[:n, :n] = change[0] + _ROUNDING * sums
+    if n % 2:
+        mat[:n, n] = (betainc(a + js, b, t) * full)[:, 0]
+    mat, err = mat.tolist(), err.tolist()
+    idx = tuple(range(size))
     value, terms = _pfaffian(mat, idx)
-    error = sum(abs(_pfaffian(mat, tuple(k for k in idx if k not in ij))[0]) * e
-                for ij, e in errs.items()) + _ROUNDING * terms
-    result = IntegralResult(value, error, evaluations, METHOD_QUAD if errs else METHOD_CLOSED)
+    error = sum(abs(_pfaffian(mat, tuple(k for k in idx if k not in (i, j)))[0])
+                * err[i][j] for i in range(n) for j in range(i + 1, n))
+    result = IntegralResult(value, error + _ROUNDING * terms, n * (n % 2 + sum(grids)),
+                            METHOD_QUAD if grids else METHOD_CLOSED)
     if tol is not None and result.error_estimate > tol * max(1.0, abs(result.value)):
         raise ConvergenceError(
             f"error estimate {result.error_estimate:.3e} exceeds tolerance", result)

@@ -33,11 +33,14 @@ from .errors import (
     SamplingError,
 )
 from .nonvanishing import (
+    BASE_NODES,
+    MAX_DOUBLINGS,
     METHOD_MC,
     METHOD_QUAD,
     REFERENCE_N0,
     THRESHOLD_TOL,
     IntegralResult,
+    _gauss_doubling,
     n0_table,
 )
 from .poincare import CongruenceGroup, _ball_for, series_evaluator_genus1
@@ -56,8 +59,8 @@ class FundamentalDomainSpec:
     """Quadrature grid for the genus-1 fundamental domain, split at height
     Y_SPLIT and cut off at Y_MAX."""
 
-    base_nodes: int = 24
-    max_doublings: int = 4
+    base_nodes: int = BASE_NODES
+    max_doublings: int = MAX_DOUBLINGS
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -162,8 +165,7 @@ def mc_cmn(weight: Weight, samples: int = CMN_SAMPLES, seed: int = 0) -> Integra
 # fundamental-domain quadrature
 # ---------------------------------------------------------------------------
 
-def _grid_value(f1, f2, m: int, nodes: int) -> complex:
-    xg, wx = np.polynomial.legendre.leggauss(nodes)
+def _grid_value(f1, f2, m: int, xg: np.ndarray, wx: np.ndarray) -> complex:
     x = 0.5 * xg
     wxs = 0.5 * wx
 
@@ -199,26 +201,17 @@ def petersson(f1, f2, weight: Weight,
         raise DimensionError("the quadrature harness is genus-1 only")
     dom = domain or FundamentalDomainSpec()
     eps = CongruenceGroup(1, 1).epsilon()     # the quadrature covers SL2(Z)
-    m = weight.m
-    prev = None
-    evals = 0
-    err = math.inf
-    value = 0j
-    for level in range(dom.max_doublings + 1):
-        nodes = dom.base_nodes * 2 ** level
-        value = _grid_value(f1, f2, m, nodes)
-        evals += 2 * nodes * nodes
-        if prev is not None:
-            diff = np.abs(value - prev)
-            err = float(np.max(diff))
-            if np.all(diff <= dom.tol * np.maximum(np.abs(value), 1e-30)):
-                return IntegralResult(value=value / eps, error_estimate=err / eps,
-                                      evaluations=evals, method=METHOD_QUAD)
-        prev = value
-    raise ConvergenceError(
-        f"grid doubling stalled at {err:.3e} relative to tolerance {dom.tol}",
-        IntegralResult(value=value / eps, error_estimate=err / eps,
-                       evaluations=evals, method=METHOD_QUAD))
+    value, change, grids, converged = _gauss_doubling(
+        lambda xg, wx: _grid_value(f1, f2, weight.m, xg, wx),
+        dom.tol, dom.base_nodes, dom.max_doublings)
+    err = float(np.max(change))
+    result = IntegralResult(value=value / eps, error_estimate=err / eps,
+                            evaluations=sum(2 * k * k for k in grids),
+                            method=METHOD_QUAD)
+    if not converged:
+        raise ConvergenceError(
+            f"grid doubling stalled at {err:.3e} relative to tolerance {dom.tol}", result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .symplectic import (
 )
 
 ENUMERATION_BUDGET = 2 * 10 ** 9   # bottom-half candidates a ball may sweep
+_PRODUCT_ROUNDING = 32 * float(np.finfo(float).eps)   # of a sampled product's norm
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class EnumerationBall:
     elements: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.elements)
+        arr = np.ascontiguousarray(self.elements).view()   # no copy; the caller's flag stays
         n2 = 2 * self.group.n
         if arr.dtype != np.int64 or arr.shape[1:] != (n2, n2):
             raise DomainError(f"ball elements must be an int64 array of shape "
@@ -517,10 +518,11 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
                       budget: int = ENUMERATION_BUDGET) -> NormBoundsReport:
     """Check the two norm estimates behind the truncation analysis.
 
-    Sampled part: products k h_t k' h_{-t'} k'' with |t|, |t'| <= r stay below
-    sqrt(2n cosh 4r) in Frobenius norm.  Exact part: every enumerated group
-    element outside the compact subgroup has norm at least sqrt(N^2 + 2n).
-    An r whose bound is not a finite float is refused.
+    Sampled part: products k h_t k' h_{-t'} k'' with |t|, |t'| <= r stay within
+    sqrt(2n cosh 4r) in Frobenius norm, up to rounding (equal at r = 0).  Exact
+    part: every enumerated group element outside the compact subgroup has
+    squared norm at least N^2 + 2n.  A negative r is refused, as is one whose
+    bound is not a finite float.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -529,8 +531,9 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
         bound = math.sqrt(2 * n * math.cosh(4 * r))
     except OverflowError:
         bound = math.inf
-    if not math.isfinite(bound):
-        raise DomainError(f"r = {r} is out of range: 2n cosh 4r is not a finite float")
+    if not (r >= 0 and math.isfinite(bound)):
+        raise DomainError(f"r = {r} is out of range: it must be nonnegative, "
+                          f"with 2n cosh 4r a finite float")
     rng = np.random.default_rng(seed)
     mx = 0.0
     for _ in range(int(samples)):
@@ -547,7 +550,7 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     norms = enumerate_ball(group, ball_radius, budget=budget).norms_squared()
     noncompact = norms[norms > 2 * n]         # |g|^2 = 2n exactly on K
     min_nc = math.sqrt(float(np.min(noncompact))) if len(noncompact) else math.inf
-    passed = (mx < bound) and (min_nc >= threshold - 1e-12)
+    passed = mx <= bound * (1 + _PRODUCT_ROUNDING) and bool(np.all(noncompact >= N * N + 2 * n))
     return NormBoundsReport(r=float(r), bound=bound, max_product_norm=mx,
                             samples=int(samples), level=N, threshold=threshold,
                             min_noncompact_norm=min_nc, ball_radius=ball_radius,

@@ -17,9 +17,7 @@ import numpy as np
 from . import _small
 from .errors import DimensionError, DomainError, NumericalError
 from .matrixio import (
-    as_complex_matrix,
-    as_real_matrix,
-    as_square,
+    as_matrix,
     readonly,
     require_positive_definite,
     require_symmetric,
@@ -50,8 +48,7 @@ def sp_check(g) -> bool:
     Rounding in g^T J g grows with |g|_F^2, so the defect is measured
     relative to it; an absolute bound rejects valid elements far from K.
     """
-    arr = as_real_matrix(g, "g")
-    as_square(arr, "g")
+    arr = as_matrix(g, "g", square=True)
     if arr.shape[0] % 2 != 0:
         raise DimensionError(f"symplectic matrices have even size, got {arr.shape[0]}")
     J = j_matrix(arr.shape[0] // 2)
@@ -70,7 +67,7 @@ class SymplecticMatrix:
     g: np.ndarray
 
     def __post_init__(self):
-        arr = as_real_matrix(self.g, "g")
+        arr = as_matrix(self.g, "g")
         if not sp_check(arr):
             raise DomainError("matrix fails the symplectic relation g^T J g = J")
         object.__setattr__(self, "g", readonly(arr))
@@ -120,9 +117,8 @@ class SiegelPoint:
     y: np.ndarray
 
     def __post_init__(self):
-        x = as_real_matrix(self.x, "x")
-        y = as_real_matrix(self.y, "y")
-        as_square(x, "x")
+        x = as_matrix(self.x, "x", square=True)
+        y = as_matrix(self.y, "y")
         if x.shape != y.shape:
             raise DimensionError("x and y must have the same shape")
         require_symmetric(x, "x")
@@ -141,7 +137,7 @@ class SiegelPoint:
 
     @classmethod
     def from_complex(cls, zmat) -> "SiegelPoint":
-        arr = as_complex_matrix(zmat, "z")
+        arr = as_matrix(zmat, "z", np.complex128)
         return cls(arr.real, arr.imag)
 
     @classmethod
@@ -157,8 +153,7 @@ class UnitaryMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.mat, "u")
-        as_square(m, "u")
+        m = as_matrix(self.mat, "u", np.complex128, square=True)
         defect = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
         if defect > UNITARY_TOL:
             raise DomainError(f"matrix fails unitarity by {defect:.3e}")
@@ -257,8 +252,7 @@ def _spd_sqrt(y: np.ndarray):
 
 def upper_translation(x) -> SymplecticMatrix:
     """n_x = [[I, x], [0, I]] for symmetric x."""
-    arr = as_real_matrix(x, "x")
-    require_symmetric(as_square(arr, "x"), "x")
+    arr = require_symmetric(as_matrix(x, "x", square=True), "x")
     n = arr.shape[0]
     out = np.eye(2 * n)
     out[:n, n:] = arr
@@ -267,8 +261,7 @@ def upper_translation(x) -> SymplecticMatrix:
 
 def diagonal_scaling(y) -> SymplecticMatrix:
     """a_y = [[y^{1/2}, 0], [0, y^{-1/2}]] for positive definite y."""
-    arr = as_real_matrix(y, "y")
-    require_symmetric(as_square(arr, "y"), "y")
+    arr = require_symmetric(as_matrix(y, "y", square=True), "y")
     ysq, ysqinv = _spd_sqrt(arr)
     n = arr.shape[0]
     out = np.zeros((2 * n, 2 * n))

@@ -62,7 +62,7 @@ def test_n0_genus_three(capsys):
 
 
 def test_n0_tolerance_below_quad_floor(capsys):
-    # quad's epsrel is held at 50 eps or above; the decision still certifies
+    # a tolerance near rounding still certifies the decision
     code, out, _ = run(capsys, "n0", "--n", "2", "--m", "8", "--tol", "1e-14")
     assert code == 0
     assert "N0 = 11" in out
@@ -100,7 +100,7 @@ def test_n0_general_zero_weight_exits_3(capsys):
 def test_ambiguous_cell_diagnostics_print_plain_floats(capsys):
     code, _, err = run(capsys, "n0", "--n", "5", "--l", "12", "--m", "11")
     assert code == 3
-    assert "diagnostics: {2384: (" in err
+    assert "diagnostics: {2392: (" in err
     assert "np.float64" not in err
 
 
@@ -376,6 +376,27 @@ def test_norms_command(capsys):
     assert "PASS" in out
 
 
+def test_norms_pass_at_r_zero(capsys):
+    # the sampled products are unitary, so their norm is the bound up to rounding
+    code, out, _ = run(capsys, "norms", "--n", "2", "--N", "1", "--r", "0")
+    assert code == 0
+    assert "PASS" in out
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_output_is_strict(capsys):
+    # no element outside K within the ball: the minimum is inf, written as null
+    argv = ("norms", "--n", "1", "--N", "5", "--ball-radius", "2", "--samples", "20")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_refuse_constant)["min_noncompact_norm"] is None
+    _, text, _ = run(capsys, *argv)
+    assert "noncompact minimum: inf" in text
+
+
 # ---------------------------------------------------------------------------
 # verification battery
 # ---------------------------------------------------------------------------
@@ -523,6 +544,7 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "n0-table --n 1 --m-min 9 --m-max 3",
     "norms --n 1 --N 1 --r nan",
     "norms --n 1 --N 1 --r 200",
+    "norms --n 1 --N 1 --r -0.5",
     "norms --n 1 --N 1 --samples 0",
     "coeff --n 1 --m 6 --t abc",
     "coeff --n 1 --m 6 --t 400",

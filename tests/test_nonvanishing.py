@@ -160,6 +160,42 @@ def test_integral_against_selberg_up_to_the_cap():
                     assert rel <= 1e-13, (l, m)
 
 
+def _mp_integral(l, m, n, t, mp):
+    """I(t) with mpmath: each Pfaffian entry one mp.quad, bordered for odd n."""
+    a, b = mp.mpf(l) / 2 + 1, mp.mpf(m) / 2 - n
+
+    def entry(i, j):
+        def f(theta):
+            x = t * mp.sin(theta) ** 2
+            inner = x ** j * mp.betainc(a + i, b, 0, x) - x ** i * mp.betainc(a + j, b, 0, x)
+            return (x ** (a - 1) * ((1 - t) + t * mp.cos(theta) ** 2) ** (b - 1) * inner
+                    * t * mp.sin(2 * theta))
+        return mp.quad(f, [0, mp.pi / 2])
+
+    def pf(idx):
+        return 1 if not idx else mp.fsum(
+            (-1) ** (k + 1) * mat[idx[0]][idx[k]] * pf(idx[1:k] + idx[k + 1:])
+            for k in range(1, len(idx)))
+
+    size = n + n % 2
+    mat = [[entry(i, j) if i < j < n else mp.betainc(a + i, b, 0, t) if j == n > i else 0
+            for j in range(size)] for i in range(size)]
+    return pf(tuple(range(size)))
+
+
+@pytest.mark.parametrize("n, l, m, N", [(2, 12, 5, 437), (2, 12, 5, 2000), (3, 12, 7, 925)])
+def test_integral_near_one_against_mpmath(n, l, m, N):
+    # Gauss-Legendre converges slowest as t = M(N) nears 1: the largest N0 of
+    # the genus-2 and genus-3 tables (437, 925) and beyond, against entries
+    # recomputed at 30 digits at the same float t
+    mp = pytest.importorskip("mpmath")
+    t = big_m(N, n)
+    res = integral_phi(l, Weight(m, n), t)
+    with mp.workdps(30):
+        oracle = _mp_integral(l, m, n, mp.mpf(t), mp)
+    assert abs(res.value - oracle) <= res.error_estimate
+
+
 def test_integral_genus_three_against_monte_carlo():
     l, m, t, count = 2, 11, 0.7, 200_000
     rng = np.random.default_rng(5)
@@ -179,7 +215,7 @@ def test_integral_above_the_cap_raises():
 
 
 def test_integral_tolerance_failure_carries_partial():
-    # below 50 eps quad cannot go, so the estimate misses this tolerance
+    # the Pfaffian's rounding term alone exceeds 1e-20, so the estimate misses it
     with pytest.raises(ConvergenceError) as exc:
         integral_phi(0, Weight(10, 3), 0.9, tol=1e-20)
     partial = exc.value.partial

@@ -2,7 +2,9 @@
 
 import ast
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,3 +44,14 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
             else:
                 continue
             assert roots <= allowed, f"{path.name}:{node.lineno} imports {roots - allowed}"
+
+
+def test_import_loads_no_scipy_integrate():
+    # in a fresh interpreter, since this session imports scipy.integrate itself
+    code = ("import sys, siegelps; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    path = os.pathsep.join([str(Path(siegelps.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.strip() == "[]"

@@ -245,6 +245,16 @@ def test_restrict_and_split_are_views(ball40, n, N, radius):
     assert np.array_equal(shell.elements, ball.elements[~keep])
 
 
+def test_ball_leaves_the_callers_array_writeable():
+    # the ball's elements are a read-only view of the caller's array, not a copy
+    ball = enumerate_ball(CongruenceGroup(1, 1), 6.0)
+    a = ball.elements.copy()
+    made = sp.EnumerationBall(ball.group, ball.radius, a)
+    assert a.flags.writeable
+    assert not made.elements.flags.writeable
+    assert np.shares_memory(made.elements, a)
+
+
 def test_enumeration_validation():
     with pytest.raises(DomainError):
         enumerate_ball(CongruenceGroup(1, 1), -1.0)
@@ -605,10 +615,18 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
 
 
 @pytest.mark.parametrize("kwargs", [{"r": math.nan}, {"r": math.inf}, {"samples": 0},
-                                    {"r": 200.0}])
+                                    {"r": 200.0}, {"r": -0.5}])
 def test_norm_bounds_refuses_bad_input(kwargs):
     with pytest.raises(DomainError):
         sp.norm_bounds_check(CongruenceGroup(1, 1), **kwargs)
+
+
+def test_norm_bounds_pass_at_r_zero():
+    # at r = 0 every sampled product is unitary, of norm sqrt(2n) = the bound
+    for n in (1, 2):
+        rep = sp.norm_bounds_check(CongruenceGroup(n, 1), r=0.0, samples=500, seed=1)
+        assert rep.max_product_norm == pytest.approx(rep.bound, rel=1e-14)
+        assert rep.passed
 
 
 def test_norm_bounds_reports():
