@@ -77,6 +77,12 @@ def _parse_complex(text: str) -> complex:
         raise DomainError(f"cannot parse {text!r} as a complex number")
 
 
+def _seed(text: str) -> int:
+    if not text.strip().isdecimal():   # numpy's generators refuse negative seeds
+        raise DomainError(f"--seed must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _json_ready(obj):
     """The payload in JSON's terms: numpy scalars as Python values, complex
     numbers as {re, im}, and a non-finite float as null (JSON has no inf)."""
@@ -375,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "z": dict(help="evaluation point (genus 1), e.g. '0.1+2i'"),
         "point": dict(help="JSON matrix file with the point"),
         "samples": dict(type=int, help="sample count"),
-        "seed": dict(type=int, help="random seed"),
+        "seed": dict(type=_seed, help="random seed, a nonnegative integer"),
         "tol": dict(type=float, help="numeric tolerance"),
         "budget": dict(type=int, help="work budget for ball enumeration"),
         "radius": dict(type=float, help="truncation radius"),
@@ -451,13 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:    # a refused --seed raises DomainError while the options are parsed
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (DomainError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ unitary group).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,21 +165,17 @@ def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES,
     return value, change, grids, False
 
 
-MAX_GENUS = 5   # the Pfaffian's cancellation grows with n (README, numerical notes)
-_ROUNDING = 16 * float(np.finfo(float).eps)   # charged per unit of sum |terms|
+MAX_GENUS = 5   # the Pfaffian's cancellation amplifies the entries' errors (README)
+_ROUNDING = 16 * float(np.finfo(float).eps)   # charged per unit of an entry's |terms|
 _EPSREL = 1e-11
 
 
-def _pfaffian(a, idx: tuple) -> tuple[float, float]:
-    """Pf(a[idx, idx]) for ascending idx by first-row expansion, and sum |terms|."""
-    if not idx:
-        return 1.0, 1.0
-    value = size = 0.0
-    for k in range(1, len(idx)):
-        sub, sub_size = _pfaffian(a, idx[1:k] + idx[k + 1:])
-        value += (-1) ** (k + 1) * a[idx[0]][idx[k]] * sub
-        size += abs(a[idx[0]][idx[k]]) * sub_size
-    return value, size
+def _pfaffian(a, idx: tuple):
+    """Pf(a[idx, idx]) for ascending idx by first-row expansion, exact over ints."""
+    if len(idx) < 3:
+        return a[idx[0]][idx[1]] if idx else 1
+    return sum((-1) ** (k + 1) * a[idx[0]][idx[k]] * _pfaffian(a, idx[1:k] + idx[k + 1:])
+               for k in range(1, len(idx)))
 
 
 def integral_phi(l: int, weight: Weight, t: float,
@@ -189,12 +186,12 @@ def integral_phi(l: int, weight: Weight, t: float,
     I(t) = Pf(a) for a_ij = int_0^t w(x) (x^j Phi_i - x^i Phi_j) dx, i < j < n,
     bordered for odd n by the closed forms a_in = Phi_i(t) (so genus 1 is the
     incomplete beta).  Under x = t sin^2(theta) each grid of _gauss_doubling
-    gives a = P - P^T, P_ij = sum_k W_k Phi_i(x_k) x_k^j.  The error is sum
-    |dPf/da_ij| (change_ij + _ROUNDING (P + P^T)_ij) + _ROUNDING sum |terms|,
-    the middle term for rounding of the integrand and of the rule, which two
-    grids can share; ``evaluations`` counts incomplete betas.  Raises
-    DimensionError above MAX_GENUS, and ConvergenceError, carrying the
-    result, over ``tol``.
+    gives a = P - P^T, P_ij = sum_k W_k Phi_i(x_k) x_k^j.  The expansion is
+    exact, so the error is one rounding plus sum |dPf/da_ij| err_ij: err_ij is
+    the entry's last change plus _ROUNDING (P + P^T)_ij (rounding of integrand
+    and rule, which two grids can share), or _ROUNDING a_in for a closed form.
+    ``evaluations`` counts incomplete betas.  Raises DimensionError above
+    MAX_GENUS, and ConvergenceError, carrying the result, over ``tol``.
     """
     if l < 0:
         raise DomainError("l must be nonnegative")
@@ -221,7 +218,7 @@ def integral_phi(l: int, weight: Weight, t: float,
         p = (betainc(a + js, b, x) * full * w) @ (x ** js).T
         return np.stack([p - p.T, p + p.T])   # the entries, and their sums of |terms|
 
-    size = n + n % 2
+    size, half = n + n % 2, (n + 1) // 2
     mat, err, grids = np.zeros((size, size)), np.zeros((size, size)), []
     if n > 1:
         (mat[:n, :n], sums), change, grids, _ = _gauss_doubling(
@@ -229,12 +226,16 @@ def integral_phi(l: int, weight: Weight, t: float,
         err[:n, :n] = change[0] + _ROUNDING * sums
     if n % 2:
         mat[:n, n] = (betainc(a + js, b, t) * full)[:, 0]
-    mat, err = mat.tolist(), err.tolist()
-    idx = tuple(range(size))
-    value, terms = _pfaffian(mat, idx)
-    error = sum(abs(_pfaffian(mat, tuple(k for k in idx if k not in (i, j)))[0])
-                * err[i][j] for i in range(n) for j in range(i + 1, n))
-    result = IntegralResult(value, error + _ROUNDING * terms, n * (n % 2 + sum(grids)),
+        err[:n, n] = _ROUNDING * mat[:n, n]   # positive closed forms
+    mat, err, scale, idx = mat.tolist(), err.tolist(), 1, tuple(range(size))
+    if half > 1:   # integers over one power of two; one entry is its own Pfaffian
+        ratios = [[x.as_integer_ratio() for x in row] for row in mat]
+        scale = max(q for row in ratios for _, q in row)
+        mat = [[p * (scale // q) for p, q in row] for row in ratios]
+    value = _pfaffian(mat, idx) / scale ** half   # int / int is correctly rounded
+    error = sum(abs(_pfaffian(mat, idx[:i] + idx[i + 1:j] + idx[j + 1:])) / scale ** (half - 1)
+                * err[i][j] for i in range(size) for j in range(i + 1, size))
+    result = IntegralResult(value, error + math.ulp(value) / 2, n * (n % 2 + sum(grids)),
                             METHOD_QUAD if grids else METHOD_CLOSED)
     if tol is not None and result.error_estimate > tol * max(1.0, abs(result.value)):
         raise ConvergenceError(
@@ -283,25 +284,22 @@ def n0_detl_report(l: int, weight: Weight, tol: float = THRESHOLD_TOL) -> Thresh
     integral error estimates, otherwise the cell is ambiguous at working
     precision and AmbiguousThresholdError is raised rather than guessing.
     """
-    n = weight.n
     full = integral_phi(l, weight, 1.0, tol=tol)
     target = full.value / 2.0
-    cache: dict[int, float] = {}
 
+    @functools.cache
     def margin(N: int) -> float:
-        if N not in cache:
-            res = integral_phi(l, weight, big_m(N, n), tol=tol)
-            gap = res.value - target
-            err = res.error_estimate + full.error_estimate / 2.0
-            if abs(gap) <= 10.0 * err:
-                raise AmbiguousThresholdError(
-                    f"margin at N={N} is {gap:.3e} with error bound {err:.3e}",
-                    diagnostics={N: (gap, err)})
-            cache[N] = gap
-        return cache[N]
+        res = integral_phi(l, weight, big_m(N, weight.n), tol=tol)
+        gap = res.value - target
+        err = res.error_estimate + full.error_estimate / 2.0
+        if abs(gap) <= 10.0 * err:
+            raise AmbiguousThresholdError(
+                f"margin at N={N} is {gap:.3e} with error bound {err:.3e}",
+                diagnostics={N: (gap, err)})
+        return gap
 
     hi = _first_positive(margin)
-    return ThresholdCell(n=n, l=l, m=weight.m, n0=hi, method=full.method,
+    return ThresholdCell(n=weight.n, l=l, m=weight.m, n0=hi, method=full.method,
                          margin=margin(hi) / full.value)
 
 

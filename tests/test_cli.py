@@ -100,7 +100,7 @@ def test_n0_general_zero_weight_exits_3(capsys):
 def test_ambiguous_cell_diagnostics_print_plain_floats(capsys):
     code, _, err = run(capsys, "n0", "--n", "5", "--l", "12", "--m", "11")
     assert code == 3
-    assert "diagnostics: {2392: (" in err
+    assert "diagnostics: {2390: (" in err
     assert "np.float64" not in err
 
 
@@ -549,6 +549,11 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "coeff --n 1 --m 6 --t abc",
     "coeff --n 1 --m 6 --t 400",
     "coeff --n 1 --m 6 --t 1e6",
+    "n0 --n 1 --m 6 --mu det --seed -1",
+    "cmn --n 1 --m 4 --mc --seed -1",
+    "norms --n 1 --N 1 --seed -1",
+    "verify coeff --seed -1",
+    "verify cmn --seed -1",
     # options the chosen mode does not read
     "n0 --n 1 --m 6 --samples 1000",
     "n0 --n 1 --m 6 --seed 1",

@@ -160,6 +160,14 @@ def test_integral_against_selberg_up_to_the_cap():
                     assert rel <= 1e-13, (l, m)
 
 
+@pytest.mark.parametrize("l, m", [(0, 11), (4, 14), (12, 18), (12, 11)])
+def test_integral_genus_five_estimate_at_one(l, m):
+    # the Selberg cells above and (12, 11), where charging the expansion for
+    # its own rounding made the estimate 5.2e-5 relative
+    res = integral_phi(l, Weight(m, 5), 1.0)
+    assert res.error_estimate <= 1e-5 * res.value
+
+
 def _mp_integral(l, m, n, t, mp):
     """I(t) with mpmath: each Pfaffian entry one mp.quad, bordered for odd n."""
     a, b = mp.mpf(l) / 2 + 1, mp.mpf(m) / 2 - n
@@ -215,7 +223,7 @@ def test_integral_above_the_cap_raises():
 
 
 def test_integral_tolerance_failure_carries_partial():
-    # the Pfaffian's rounding term alone exceeds 1e-20, so the estimate misses it
+    # the rounding charges alone exceed 1e-20, so the estimate misses it
     with pytest.raises(ConvergenceError) as exc:
         integral_phi(0, Weight(10, 3), 0.9, tol=1e-20)
     partial = exc.value.partial
@@ -321,6 +329,13 @@ def test_reference_margins_against_mpmath():
     cell = min(margins, key=lambda key: abs(margins[key]))
     assert cell == (1, 11, 3, 110)
     assert float(margins[cell]) == pytest.approx(-5.8637275906e-7, rel=1e-9)
+
+
+def test_n0_genus_five_cells_of_the_exact_expansion():
+    # ambiguous while the expansion was charged for its own rounding; mpmath
+    # at 30 digits gives the same signs at N0 and N0 - 1
+    for l, n0 in ((6, 1572), (8, 1845), (9, 1982)):
+        assert n0_detl(l, Weight(11, 5)) == n0
 
 
 def test_n0_genus_two_spot_cells():
