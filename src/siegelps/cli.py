@@ -100,8 +100,6 @@ def _emit(args, lines, payload, csv_header=None, csv_rows=None) -> None:
     if args.format == "json":
         body = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
-        if csv_rows is None:
-            raise DomainError("csv output is not available for this command")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -459,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:    # a refused --seed raises DomainError while the options are parsed
         args = build_parser().parse_args(argv)
+        if args.format == "csv" and (args.command not in ("n0", "n0-table", "verify")
+                                     or getattr(args, "mu", None)):   # no rows; before any work
+            raise DomainError("csv output is not available for this command")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

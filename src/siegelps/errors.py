@@ -33,7 +33,7 @@ class ConvergenceError(SiegelError):
 class AmbiguousThresholdError(SiegelError):
     """Threshold decision could not be certified at the working precision.
 
-    ``diagnostics`` holds the per-candidate margins that were examined.
+    ``diagnostics`` holds the deciding margins, {N: (estimate, spread)} at N0 - 1 and N0.
     """
 
     def __init__(self, message, diagnostics=None):

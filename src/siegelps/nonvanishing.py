@@ -19,7 +19,6 @@ unitary group).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -232,9 +231,11 @@ def integral_phi(l: int, weight: Weight, t: float,
         ratios = [[x.as_integer_ratio() for x in row] for row in mat]
         scale = max(q for row in ratios for _, q in row)
         mat = [[p * (scale // q) for p, q in row] for row in ratios]
-    value = _pfaffian(mat, idx) / scale ** half   # int / int is correctly rounded
-    error = sum(abs(_pfaffian(mat, idx[:i] + idx[i + 1:j] + idx[j + 1:])) / scale ** (half - 1)
-                * err[i][j] for i in range(size) for j in range(i + 1, size))
+    minors = {(i, j): _pfaffian(mat, idx[:i] + idx[i + 1:j] + idx[j + 1:])
+              for i in range(size) for j in range(i + 1, size)}   # each expanded once
+    value = sum((-1) ** (j + 1) * mat[0][j] * minors[0, j]   # int / int is correctly rounded
+                for j in range(1, size)) / scale ** half
+    error = sum(abs(p) / scale ** (half - 1) * err[i][j] for (i, j), p in minors.items())
     result = IntegralResult(value, error + math.ulp(value) / 2, n * (n % 2 + sum(grids)),
                             METHOD_QUAD if grids else METHOD_CLOSED)
     if tol is not None and result.error_estimate > tol * max(1.0, abs(result.value)):
@@ -247,22 +248,33 @@ def integral_phi(l: int, weight: Weight, t: float,
 # threshold searches
 # ---------------------------------------------------------------------------
 
-def _first_positive(margin) -> int:
-    """Smallest N >= 1 with margin(N) > 0 for an increasing margin: double N
-    (up to 2^30) until it is positive, then bisect."""
-    hi = 1
-    while margin(hi) <= 0.0:
-        hi *= 2
+def _threshold(margin, factor: float, subject: str) -> tuple[int, dict]:
+    """N0, the least N >= 1 whose margin(N) = (estimate, spread) has a positive
+    estimate, found by doubling N (up to 2^30) and bisecting; and each level
+    examined, as {N: (estimate, spread)}.  The true margin increases with N, so
+    N0 and N0 - 1 alone decide N0: each must clear zero by ``factor`` spreads,
+    or AmbiguousThresholdError names ``subject`` and carries those two levels."""
+    rows: dict[int, tuple] = {}
+
+    def positive(N: int) -> bool:
+        rows[N] = margin(N)
+        return rows[N][0] > 0.0
+
+    lo, hi = 0, 1   # margin(lo) <= 0 whenever lo >= 1
+    while not positive(hi):
+        lo, hi = hi, 2 * hi
         if hi > 2 ** 30:
             raise DomainError("threshold search exceeded level 2^30")
-    lo = hi // 2   # margin(lo) <= 0 whenever lo >= 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if margin(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo, hi = (lo, mid) if positive(mid) else (mid, hi)
+    deciding = {N: rows[N] for N in (lo, hi) if N}
+    if not all(abs(est) > factor * spread for est, spread in deciding.values()):
+        shown = ", ".join(f"{est:.3e} +- {spread:.3e} at N={N}"
+                          for N, (est, spread) in deciding.items())
+        raise AmbiguousThresholdError(f"{subject}: margin {shown}; each must clear zero "
+                                      f"by {factor:.3g} spreads", diagnostics=deciding)
+    return hi, rows
 
 
 @dataclass(frozen=True)
@@ -280,27 +292,19 @@ class ThresholdCell:
 def n0_detl_report(l: int, weight: Weight, tol: float = THRESHOLD_TOL) -> ThresholdCell:
     """Smallest level N with I(M(N)) > I(1)/2, with decision diagnostics.
 
-    The decision margin at each examined N must clear ten times the summed
-    integral error estimates, otherwise the cell is ambiguous at working
-    precision and AmbiguousThresholdError is raised rather than guessing.
-    """
+    The margin I(M(N)) - I(1)/2 at N0 and at N0 - 1 must clear zero by ten
+    times its error bound, the summed integral error estimates, or the cell
+    is ambiguous and AmbiguousThresholdError is raised rather than guessing."""
     full = integral_phi(l, weight, 1.0, tol=tol)
     target = full.value / 2.0
 
-    @functools.cache
-    def margin(N: int) -> float:
+    def margin(N: int) -> tuple[float, float]:
         res = integral_phi(l, weight, big_m(N, weight.n), tol=tol)
-        gap = res.value - target
-        err = res.error_estimate + full.error_estimate / 2.0
-        if abs(gap) <= 10.0 * err:
-            raise AmbiguousThresholdError(
-                f"margin at N={N} is {gap:.3e} with error bound {err:.3e}",
-                diagnostics={N: (gap, err)})
-        return gap
+        return res.value - target, res.error_estimate + full.error_estimate / 2.0
 
-    hi = _first_positive(margin)
-    return ThresholdCell(n=weight.n, l=l, m=weight.m, n0=hi, method=full.method,
-                         margin=margin(hi) / full.value)
+    n0, rows = _threshold(margin, 10.0, f"genus {weight.n}, l = {l}, m = {weight.m}")
+    return ThresholdCell(n=weight.n, l=l, m=weight.m, n0=n0, method=full.method,
+                         margin=rows[n0][0] / full.value)
 
 
 def n0_detl(l: int, weight: Weight, tol: float = THRESHOLD_TOL) -> int:
@@ -334,9 +338,10 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     SeedSequence children of ``seed`` in the order x first, then u) serves
     every candidate level: the level only flips the indicator x_1 < M(N), so
     the estimated margin is exactly monotone in N and bisection is sound.
-    Both sides of the threshold must be certified at the one-sided
-    ``confidence`` level; the sample count escalates fourfold up to
-    ``budget``, after which AmbiguousThresholdError reports the margins.
+    The mean margin at N0 and at N0 - 1 must each clear zero by
+    ndtri(``confidence``) standard errors, a one-sided test at that level;
+    otherwise the sample count escalates fourfold up to ``budget``, after
+    which AmbiguousThresholdError reports the margins at those two levels.
     ``confidence`` must lie in (1/2, 1): at 1/2 or less both tests hold by
     construction.
     """
@@ -348,46 +353,32 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     n = weight.n
     zq = float(ndtri(confidence))
     count = int(samples)
+    root = math.factorial(n) ** -1.0
 
     while True:
-        attempt_rows: dict[int, tuple] = {}
-        child_x, child_u = np.random.SeedSequence(seed).spawn(2)
-        rng_x = np.random.default_rng(child_x)
-        rng_u = np.random.default_rng(child_u)
+        rng_x, rng_u = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         x = np.sort(rng_x.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
         wts = _density(mu, weight, haar_unitary(n, rng_u, count), x)
         if float(np.max(wts)) == 0.0:
             raise ZeroPolynomialError(
                 "weight polynomial vanishes on the sampled symmetric matrices")
-
         half = wts / 2.0
-        root = math.factorial(n) ** -1.0
 
         def stats(N: int) -> tuple[float, float]:
             d = wts * (x[:, 0] < big_m(N, n)) - half
-            mean = float(np.mean(d)) * root
-            se = float(np.std(d) / math.sqrt(count)) * root
-            attempt_rows[N] = (N, mean, se)
-            return mean, se
+            return float(np.mean(d)) * root, float(np.std(d) / math.sqrt(count)) * root
 
-        hi = _first_positive(lambda N: stats(N)[0])
-        mean_hi, se_hi = stats(hi)
-        certified = mean_hi > zq * se_hi
-        if hi > 1:
-            mean_lo, se_lo = stats(hi - 1)
-            certified = certified and (mean_lo < -zq * se_lo)
-        if certified:
-            note = ("" if n <= MAX_GENUS
-                    else "no reference data at this genus; treat as unvalidated")
-            rows = tuple(sorted(attempt_rows.values()))
-            return GeneralThreshold(n0=hi, confidence=confidence,
-                                    samples=count, rows=rows, note=note)
-        if count >= budget:
-            raise AmbiguousThresholdError(
-                f"threshold at N={hi} not certified at confidence {confidence} "
-                f"with {count} samples",
-                diagnostics=tuple(sorted(attempt_rows.values())))
-        count = min(4 * count, int(budget))
+        try:
+            n0, rows = _threshold(stats, zq, f"genus {n}, weight {mu}, m = {weight.m}, "
+                                  f"confidence {confidence}, {count} samples")
+            break
+        except AmbiguousThresholdError:
+            if count >= budget:
+                raise
+            count = min(4 * count, int(budget))
+    note = "" if n <= MAX_GENUS else "no reference data at this genus; treat as unvalidated"
+    rows = tuple((N, *row) for N, row in sorted(rows.items()))
+    return GeneralThreshold(n0=n0, confidence=confidence, samples=count, rows=rows, note=note)
 
 
 def vanishing_case(l: int, weight: Weight, N: int) -> bool:

@@ -99,6 +99,15 @@ class MatrixPolynomial:
             return f"MatrixPolynomial({self.n}, 0)"
         return f"MatrixPolynomial({self.n}, {len(self._terms)} terms, degree {self.degree()})"
 
+    def __str__(self):
+        """The polynomial in the text grammar, one monomial per term."""
+        def monomial(exps, c):
+            atoms = [f"X_{{{r + 1},{s + 1}}}" + (f"^{e}" if e > 1 else "")
+                     for r, row in enumerate(exps) for s, e in enumerate(row) if e]
+            coeff = f"{c.real:.15g}" if c.imag == 0 else str(c)
+            return "*".join(atoms if c == 1 and atoms else [coeff, *atoms])
+        return " + ".join(monomial(*term) for term in self._terms.items()).replace("+ -", "- ") or "0"
+
     # -- arithmetic ----------------------------------------------------------
 
     def _check_compatible(self, other):

@@ -104,6 +104,14 @@ def test_ambiguous_cell_diagnostics_print_plain_floats(capsys):
     assert "np.float64" not in err
 
 
+def test_ambiguous_table_cell_is_named(capsys):
+    code, _, err = run(capsys, "n0-table", "--n", "5", "--l-min", "10", "--l-max", "10",
+                       "--m-min", "11", "--m-max", "11")
+    assert code == 3
+    assert err.startswith("numerical failure: genus 5, l = 10, m = 11: margin ")
+    assert "diagnostics: {2117: (" in err
+
+
 def test_n0_table_small_rectangle(capsys):
     code, out, _ = run(capsys, "n0-table", "--n", "1", "--l-min", "0",
                        "--l-max", "1", "--m-min", "4", "--m-max", "5",
@@ -567,9 +575,22 @@ def test_bad_radius_with_cache_exits_2(capsys, tmp_path, argv, radius):
     "kernel --n 1 --N 1 --m 12 --z i --point missing.json --xi i",
     "kernel --n 1 --N 1 --m 12 --z i --xi i --xi-point missing.json",
     "coeff --n 1 --m 4 --t 1.0 --matrix missing.json",
+    # output formats the command cannot write
+    "norms --n 2 --N 1 --format csv",
+    "poincare --n 1 --N 2 --m 12 --z i --format csv",
+    "kernel --n 1 --N 1 --m 12 --z i --xi 0.3+0.8i --format csv",
+    "cmn --n 2 --m 5 --mc --format csv",
+    "coeff --n 1 --m 4 --t 1.0 --format csv",
+    "n0 --n 1 --m 6 --mu det --format csv",
 ], ids=str)
-def test_invalid_input_exits_2(capsys, argv):
+def test_invalid_input_exits_2(capsys, monkeypatch, argv):
     # each is refused before any work, never run on a default or a guess
+    if "csv" in argv:   # a format is refused before the library is reached
+        for name in ("n0_general", "c_mn", "mc_cmn", "kak_decompose", "matrix_coeff_kak",
+                     "enumerate_ball", "poincare_f", "kernel_series", "norm_bounds_check"):
+            monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("library reached"))
     code, out, err = run(capsys, *argv.split())
     assert code == 2
     assert out == "" and err.startswith("error: ")
+    if "csv" in argv:
+        assert err == "error: csv output is not available for this command\n"

@@ -361,6 +361,57 @@ def test_n0_table_rectangle():
     assert got == expected
 
 
+def _chosen_margins(monkeypatch, margins, weight=Weight(6, 1)):
+    """Make integral_phi give I(1) = 2 with no error and I(M(N)) = 1 + est
+    with error ``spread``, so that n0_detl_report sees the margins
+    {N: (est, spread)} exactly."""
+    level = {big_m(N, weight.n): N for N in margins}
+
+    def fake(l, w, t, tol=None):
+        if t == 1.0:
+            return sp.IntegralResult(2.0, 0.0, 0, sp.METHOD_QUAD)
+        est, spread = margins[level[t]]
+        return sp.IntegralResult(1.0 + est, spread, 0, sp.METHOD_QUAD)
+
+    monkeypatch.setattr(sp.nonvanishing, "integral_phi", fake)
+    return weight
+
+
+def test_search_ignores_an_undecided_level_below_n0_minus_one(monkeypatch):
+    # the search examines 1, 2, 4, 8, 16, 12, 10, 9; level 4 is undecided,
+    # but only N0 = 10 and N0 - 1 = 9 decide the threshold
+    margins = {N: (N - 9.5, 1.0 if N == 4 else 0.01) for N in range(1, 17)}
+    cell = sp.n0_detl_report(0, _chosen_margins(monkeypatch, margins))
+    assert (cell.n0, cell.margin) == (10, 0.25)
+
+
+def test_search_raises_at_an_undecided_lower_neighbour(monkeypatch):
+    margins = {N: (N - 9.5, 0.1 if N == 9 else 0.01) for N in range(1, 17)}
+    with pytest.raises(AmbiguousThresholdError, match="genus 1, l = 0, m = 6") as exc:
+        sp.n0_detl_report(0, _chosen_margins(monkeypatch, margins))
+    assert exc.value.diagnostics == {9: (-0.5, 0.1), 10: (0.5, 0.01)}
+
+
+def test_search_at_level_one_has_no_lower_neighbour(monkeypatch):
+    weight = _chosen_margins(monkeypatch, {1: (0.5, 0.01)})
+    assert sp.n0_detl_report(0, weight).n0 == 1
+    weight = _chosen_margins(monkeypatch, {1: (0.5, 0.1)})
+    with pytest.raises(AmbiguousThresholdError) as exc:
+        sp.n0_detl_report(0, weight)
+    assert exc.value.diagnostics == {1: (0.5, 0.1)}
+
+
+@pytest.mark.parametrize("n, l, m, n0, calls", [
+    (1, 0, 6, 4, 5), (2, 12, 5, 437, 19), (3, 4, 10, 44, 13)])
+def test_search_integral_calls(monkeypatch, n, l, m, n0, calls):
+    # I(1) once, then one integral per examined level, none twice
+    real, seen = integral_phi, []
+    monkeypatch.setattr(sp.nonvanishing, "integral_phi",
+                        lambda *args, **kw: seen.append(args[2]) or real(*args, **kw))
+    assert n0_detl(l, Weight(m, n)) == n0
+    assert len(seen) == len(set(seen)) == calls
+
+
 # ---------------------------------------------------------------------------
 # general polynomial weights (Monte Carlo with common random numbers)
 # ---------------------------------------------------------------------------
@@ -480,9 +531,10 @@ def test_n0_general_ambiguous_raises():
     # hairline margins at a distant threshold cannot be certified from
     # a small certification budget
     query = ThresholdQuery(MatrixPolynomial.one(3), Weight(8, 3))
-    with pytest.raises(AmbiguousThresholdError) as exc:
+    with pytest.raises(AmbiguousThresholdError, match="genus 3, weight 1, m = 8") as exc:
         n0_general(query, samples=50_000, seed=0, budget=50_000)
-    assert exc.value.diagnostics  # the examined rows come back to the caller
+    # the two deciding levels come back to the caller, as for det^l weights
+    assert list(exc.value.diagnostics) == [60, 61]
 
 
 def test_n0_general_zero_on_symmetric_matrices():

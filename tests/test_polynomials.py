@@ -160,3 +160,12 @@ def test_eq_and_hash():
     rng = np.random.default_rng(12)
     w = random_sym(n, rng)
     assert (a - c).evaluate(w) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("1", 3), ("det", 2), ("det^2 + 3*X_{1,2}", 2), ("X_{1,1}^3 - 7", 1),
+    ("2*X_{1,1}*X_{2,2} - det", 2)])
+def test_str_is_text_the_grammar_reads_back(text, n):
+    mu = parse_polynomial(text, n)
+    assert parse_polynomial(str(mu), n) == mu
+    assert str(MatrixPolynomial.one(n)) == "1" and str(MatrixPolynomial.zero(n)) == "0"
