@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "point": dict(help="JSON matrix file with the point"),
         "samples": dict(type=int, help="sample count"),
         "seed": dict(type=_seed, help="random seed, a nonnegative integer"),
-        "tol": dict(type=float, help="numeric tolerance"),
+        "tol": dict(type=float, help="integral fails if error estimate > tol*max(1, |I|)"),
         "budget": dict(type=int, help="work budget for ball enumeration"),
         "radius": dict(type=float, help="truncation radius"),
         "cache-dir": dict(default=os.environ.get("SIEGEL_CACHE_DIR"),

@@ -81,13 +81,12 @@ def pole_values(weight: Weight, P: np.ndarray, Q: np.ndarray | None = None,
                 mu: MatrixPolynomial | None = None) -> np.ndarray:
     """Weight-vector or kernel values in pole form, over stacks (..., n, n).
 
-    With ``mu``: (2i)^{mn} mu(Q P^{-1}) det(P)^{-m}.  This is f_{mu,m}(z) at
-    P = z + iI, Q = z - iI and, by the cocycle, j(g, z)^{-m} f_{mu,m}(g.z) at
-    P = (A + iC)z + (B + iD), Q = (A - iC)z + (B - iD) for g = (A B; C D).
-    Without ``mu``: the kernel C_{m,n}^{-1} det(P)^{-m}, at P = (z - conj(xi))/2i
-    or ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Q is not read when mu is
-    constant.  ``_small.inverse_det`` gives 1/det P, overwriting P at n = 1,
-    and Q P^{-1}; det(P)^{-m} is formed by repeated squaring of 1/det P.
+    With ``mu``: (2i)^{mn} mu(Q P^{-1}) det(P)^{-m}, which is f_{mu,m}(z) at
+    P = z + iI, Q = z - iI.  Without ``mu``: the kernel C_{m,n}^{-1}
+    det(P)^{-m}, at P = (z - conj(xi))/2i.  ``pole_terms`` gives P and Q of a
+    translate.  Q is not read when mu is constant.  ``_small.inverse_det``
+    gives 1/det P, overwriting P at n = 1, and Q P^{-1}; det(P)^{-m} is
+    formed by repeated squaring of 1/det P.
     """
     n, m = weight.n, weight.m
     numer = mu is not None and mu.degree() > 0
@@ -105,6 +104,27 @@ def pole_values(weight: Weight, P: np.ndarray, Q: np.ndarray | None = None,
         values *= (2j) ** (m * n) * (mu.evaluate_batch(W) if numer
                                      else mu.evaluate(np.zeros((n, n))))
     return values
+
+
+def pole_terms(weight: Weight, g: np.ndarray, cols: np.ndarray,
+               mu: MatrixPolynomial | None = None,
+               xi: SiegelPoint | None = None) -> np.ndarray:
+    """``pole_values`` of each g = (A B; C D) of a float stack (k, 2n, 2n) at
+    p points, as (k, p); ``cols`` (2n, p n) holds the points' columns [z; I]
+    side by side.  By the cocycle, j(g, z)^{-m} f_{mu,m}(g.z) takes
+    P = (A + iC)z + (B + iD) and, for a nonconstant mu, Q = (A - iC)z + (B - iD);
+    at cols = [iI; I] it is the lift of f_{mu,m} to g.  The kernel at xi takes
+    P = ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Each pair of row blocks
+    [H K] gives its matrices H z + K in one product [H K] @ cols.
+    """
+    n = weight.n
+    top, bottom = g[:, :n], g[:, n:]
+    if xi is not None:
+        rows = [(top - np.conj(xi.z) @ bottom) / 2j]
+    else:
+        rows = [top + 1j * bottom] + ([top - 1j * bottom] if mu.degree() else [])
+    return pole_values(weight, *[(r.reshape(-1, 2 * n) @ cols).reshape(len(g), n, -1, n)
+                                 .transpose(0, 2, 1, 3) for r in rows], mu=mu)
 
 
 def f_values(mu: MatrixPolynomial, weight: Weight, Z: np.ndarray) -> np.ndarray:

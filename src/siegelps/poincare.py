@@ -41,21 +41,19 @@ import math
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_series import MatrixCoefficientSpec, Weight, pole_values
+from .discrete_series import MatrixCoefficientSpec, Weight, pole_terms
 from .errors import BudgetError, DimensionError, DomainError
 from .polynomials import MatrixPolynomial
 from .symplectic import (
     SiegelPoint,
     SymplecticMatrix,
-    act,
     embed_unitary,
     haar_unitary,
     hyperbolic,
-    j_factor,
     j_matrix,
 )
 
@@ -399,40 +397,26 @@ class TruncatedSeriesResult:
     tail_estimate: float
 
 
-def _pole_sums(weight: Weight, ball: EnumerationBall, Z: np.ndarray,
+def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
                mu: MatrixPolynomial | None = None, xi: SiegelPoint | None = None):
-    """Sums over the ball of j(g, z)^{-m} f(g.z), f = f_{mu,m} or the kernel at xi.
-
-    Each term is ``pole_values`` at the pole matrices of g at z; ``Z`` stacks
-    points as (..., n, n).  Blocks of terms, in ball order, span about _BLOCK
-    term-points; a block's matrices H z + K come from one product [H K] @ [z; I].
-    """
-    n = weight.n
-    Z = np.asarray(Z, dtype=np.complex128)
-    shape, Z = Z.shape[:-2], Z.reshape(-1, n, n)
-    cols = (np.concatenate([Z, np.broadcast_to(np.eye(n), Z.shape)], axis=1)
-            .transpose(1, 0, 2).reshape(2 * n, -1))
-    out = np.zeros(len(Z), dtype=np.complex128)
-    step = max(_BLOCK // max(len(Z), 1), 1)
+    """Sums over the ball of ``pole_terms`` at the points' columns ``cols``, in
+    blocks of terms, in ball order, that span about _BLOCK term-points."""
+    points = cols.shape[1] // weight.n
+    out = np.zeros(points, dtype=np.complex128)
+    step = max(_BLOCK // max(points, 1), 1)
     for k0 in range(0, len(ball), step):
-        E = ball.elements[k0:k0 + step].astype(np.float64)
-        top, bottom = E[:, :n], E[:, n:]
-        if xi is not None:
-            rows = [(top - np.conj(xi.z) @ bottom) / 2j]
-        else:
-            rows = [top + 1j * bottom] + ([top - 1j * bottom] if mu.degree() else [])
-        poles = [(r.reshape(-1, 2 * n) @ cols).reshape(len(E), n, -1, n)
-                 .transpose(0, 2, 1, 3) for r in rows]
-        out += pole_values(weight, *poles, mu=mu).sum(axis=0)
-    return out.reshape(shape)
+        out += pole_terms(weight, ball.elements[k0:k0 + step].astype(np.float64),
+                          cols, mu, xi).sum(axis=0)
+    return out
 
 
-def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, z: np.ndarray,
+def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: np.ndarray,
             mu: MatrixPolynomial | None = None,
             xi: SiegelPoint | None = None) -> TruncatedSeriesResult:
-    """The series at one point; the tail is the shell outside half the radius."""
+    """The series at the point with columns ``cols``; the tail is the shell
+    outside half the radius."""
     ball = _ball_for(group, radius, ball)
-    inner, shell = (_pole_sums(weight, part, z, mu, xi)
+    inner, shell = (_pole_sums(weight, part, cols, mu, xi).reshape(())
                     for part in ball.split(ball.radius / 2.0))
     return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),
                                  radius=ball.radius, tail_estimate=abs(shell))
@@ -445,26 +429,20 @@ def poincare_f(mu: MatrixPolynomial, weight: Weight, group: CongruenceGroup,
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or mu.n != weight.n:
         raise DimensionError("mu, weight, group and z must share the same genus")
-    return _series(weight, group, radius, ball, z.z, mu=mu)
+    return _series(weight, group, radius, ball, np.vstack([z.z, np.eye(weight.n)]), mu=mu)
 
 
 def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
                g: SymplecticMatrix, radius: float,
                ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
-    """Truncation of the group-side average sum of F(gamma g).
-
-    By the cocycle, F(gamma g) = j(g, iI)^{-m} (f | gamma)(g.iI), so this is
-    the weight-vector series at g.iI times j(g, iI)^{-m}.
-    """
+    """Truncation of the group-side average sum of F(gamma g): each term is the
+    lift of f_{mu,m} to gamma g, its pole form at the columns g [iI; I]."""
     weight = spec.weight
     weight.require_integrable()
     if group.n != weight.n or g.n != weight.n:
         raise DimensionError("spec, group and g must share the same genus")
-    center = SiegelPoint.center(weight.n)
-    res = _series(weight, group, radius, ball, act(g, center).z, mu=spec.mu)
-    factor = j_factor(g, center) ** (-weight.m)
-    return replace(res, value=factor * res.value,
-                   tail_estimate=abs(factor) * res.tail_estimate)
+    cols = g.g @ np.vstack([1j * np.eye(weight.n), np.eye(weight.n)])
+    return _series(weight, group, radius, ball, cols, mu=spec.mu)
 
 
 def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
@@ -474,7 +452,7 @@ def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
     weight.require_integrable()
     if group.n != weight.n or z.n != weight.n or xi.n != weight.n:
         raise DimensionError("weight, group, xi and z must share the same genus")
-    return _series(weight, group, radius, ball, z.z, xi=xi)
+    return _series(weight, group, radius, ball, np.vstack([z.z, np.eye(weight.n)]), xi=xi)
 
 
 def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
@@ -490,8 +468,8 @@ def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
     if ball.group.n != 1 or weight.n != 1:
         raise DimensionError("this evaluator is genus-1 only")
     weight.require_integrable()
-    return lambda z: _pole_sums(
-        weight, ball, np.asarray(z, dtype=np.complex128)[..., None, None], mu, xi)
+    return lambda z: _pole_sums(weight, ball, np.vstack([np.ravel(z), np.ones(np.size(z))]),
+                                mu, xi).reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------

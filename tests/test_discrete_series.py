@@ -1,5 +1,7 @@
 """Tests for weight vectors, lifts, and closed-form matrix coefficients."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from siegelps import (
     SiegelPoint,
     Weight,
 )
+from siegelps.discrete_series import pole_terms
 from conftest import random_point
 
 # value of the radial coefficient at genus 1, weight 4, t = 1 for the
@@ -103,6 +106,23 @@ def test_coefficient_identity_against_lift():
     # closed Cartan form of the lift versus direct evaluation
     rep = sp.verify_coefficients(samples=5, seed=34, tol=1e-9)
     assert rep.passed and rep.rel_err <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pole_terms_at_center_equal_the_slash_lift(n):
+    # verify_coefficients lifts by pole_terms; this ties that lift, element by
+    # element, to the validated slash -> act -> j_factor -> f_mu_m chain
+    rng = np.random.default_rng(70 + n)
+    w = Weight(8, n)
+    gs = [sp.random_symplectic(n, rng) for _ in range(30)]
+    G, center = np.stack([g.g for g in gs]), np.vstack([1j * np.eye(n), np.eye(n)])
+    for mu in (MatrixPolynomial.one(n), MatrixPolynomial.det_power(n, 1),
+               MatrixPolynomial.det_power(n, 2), MatrixPolynomial.coordinate(n, 1, 1)):
+        got = pole_terms(w, G, center, mu)
+        assert got.shape == (len(gs), 1)
+        f = functools.partial(sp.f_mu_m, mu, w)
+        for g, value in zip(gs, got[:, 0]):
+            assert value == pytest.approx(sp.lift(f, w, g), rel=1e-12)
 
 
 def test_coefficient_conjugate_symmetry():
