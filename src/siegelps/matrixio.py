@@ -23,8 +23,12 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix", dtype=np.float64, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d array of ``dtype``, and require it square if asked."""
-    arr = np.asarray(a, dtype=dtype)
+    """Coerce to a finite 2-d array of ``dtype`` (a real one refuses nonzero imaginary parts)."""
+    arr = np.asarray(a)
+    to_real = np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating)
+    if to_real and np.any(arr.imag):
+        raise DomainError(f"{name} has a nonzero imaginary part")
+    arr = np.asarray(arr.real if to_real else arr, dtype=dtype)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     check_finite(arr, name)

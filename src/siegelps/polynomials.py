@@ -165,19 +165,18 @@ class MatrixPolynomial:
         return complex(self.evaluate_batch(np.asarray(w, dtype=np.complex128)))
 
     def evaluate_batch(self, W: np.ndarray) -> np.ndarray:
-        """Value at a stack of matrices with shape (..., n, n)."""
+        """Value at a stack (..., n, n): sum of coeff * W[..., r, s] ** e over nonzero e."""
         W = np.asarray(W, dtype=np.complex128)
         if W.shape[-2:] != (self.n, self.n):
             raise DimensionError(f"argument must have trailing shape ({self.n}, {self.n})")
         out = np.zeros(W.shape[:-2], dtype=np.complex128)
         for exps, coeff in self._terms.items():
-            E = np.asarray(exps)
-            mask = E > 0
-            if mask.any():
-                term = np.prod(W[..., mask] ** E[mask], axis=-1)
-            else:
-                term = np.ones(W.shape[:-2], dtype=np.complex128)
-            out = out + coeff * term
+            term = coeff
+            for r, row in enumerate(exps):
+                for s, e in enumerate(row):
+                    if e:
+                        term = term * W[..., r, s] ** e
+            out += term
         return out
 
 

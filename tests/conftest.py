@@ -16,3 +16,15 @@ def random_point(n: int, rng: np.random.Generator) -> sp.SiegelPoint:
 def ball40() -> sp.EnumerationBall:
     """Genus-1 full-group ball reused by the series and pairing tests."""
     return sp.enumerate_ball(sp.CongruenceGroup(1, 1), 40.0)
+
+
+@pytest.fixture(scope="session")
+def cor62_report(ball40) -> sp.VerificationReport:
+    """The r = 40 pairing-vs-center-value report, computed once per session."""
+    return sp.verify_cor62(ball=ball40)
+
+
+@pytest.fixture(scope="session")
+def thm93_reports(ball40) -> list:
+    """The r = 40 kernel-pairing reports, computed once per session."""
+    return sp.verify_thm93(ball=ball40)

@@ -85,20 +85,20 @@ def test_criterion_5_exact_vanishing():
             f"(N={N}, m={m}, l={l}): |{res.value}| exceeds {bound:.3e}")
 
 
-def test_criterion_6_pairing_identity(ball40):
+def test_criterion_6_pairing_identity(cor62_report):
     """Fundamental-domain pairing of the weight-12 form against the averaged
     weight vector reproduces the normalized center value within 2%."""
-    rep = sp.verify_cor62(ball=ball40)
+    rep = cor62_report
     print(f"lhs {rep.lhs}, rhs {rep.rhs}, relative error {rep.rel_err:.3e}, "
           f"budget {rep.error_budget}")
     assert rep.passed, f"relative error {rep.rel_err:.3e} exceeds 0.02"
     assert rep.rel_err <= 0.02
 
 
-def test_criterion_7_kernel_pairing_identity(ball40):
+def test_criterion_7_kernel_pairing_identity(thm93_reports):
     """Pairing against the averaged point kernel reproduces the form's
     value at all three reference points within 2%."""
-    reports = sp.verify_thm93(ball=ball40)
+    reports = thm93_reports
     assert len(reports) == 3
     for rep in reports:
         print(f"{rep.identity}: relative error {rep.rel_err:.3e}")

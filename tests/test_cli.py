@@ -221,6 +221,15 @@ def test_coeff_refuses_two_elements(capsys, tmp_path):
     assert out == "" and err.startswith("error: ") and "one of" in err
 
 
+def test_coeff_refuses_complex_element(capsys, tmp_path):
+    # a nonzero imaginary part is an invalid element, not the identity
+    path = tmp_path / "g.json"
+    path.write_text('{"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0.5, 0], [0, 0]]}')
+    code, out, err = run(capsys, "coeff", "--n", "1", "--m", "4", "--matrix", str(path))
+    assert code == 2
+    assert out == "" and "g has a nonzero imaginary part" in err
+
+
 def test_coeff_requires_element(capsys):
     code, _, err = run(capsys, "coeff", "--n", "1", "--m", "4")
     assert code == 2

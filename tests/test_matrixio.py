@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import siegelps as sp
 from siegelps import matrixio
 from siegelps.errors import DimensionError, DomainError
 
@@ -51,3 +52,16 @@ def test_require_positive_definite():
 def test_check_finite_rejects_nan():
     with pytest.raises(DomainError):
         matrixio.check_finite(np.array([[np.nan]]))
+
+
+def test_complex_input_to_a_real_matrix():
+    # a nonzero imaginary part is refused by name, not cast away
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match="g has a nonzero imaginary part"):
+        sp.SymplecticMatrix(np.eye(2) + 0.5j * swap)
+    with pytest.raises(DomainError, match="x has a nonzero imaginary part"):
+        sp.SiegelPoint(np.array([[0.1 + 0.2j]]), np.array([[1.0]]))
+    # all-zero imaginary parts are the real matrix, with no warning
+    g = sp.SymplecticMatrix(np.eye(2) + 0j)
+    assert g.g.dtype == np.float64 and np.array_equal(g.g, np.eye(2))
+    assert np.array_equal(sp.SiegelPoint(np.zeros((1, 1)) + 0j, np.eye(1)).x, np.zeros((1, 1)))

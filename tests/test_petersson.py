@@ -195,8 +195,8 @@ GOLDEN_LHS = {
 }
 
 
-def test_pairing_reproduces_center_value(ball40):
-    rep = sp.verify_cor62(ball=ball40)
+def test_pairing_reproduces_center_value(cor62_report):
+    rep = cor62_report
     assert rep.passed
     assert rep.rel_err < 1e-6
     assert rep.lhs == pytest.approx(GOLDEN_LHS[rep.identity], rel=1e-12)
@@ -204,8 +204,8 @@ def test_pairing_reproduces_center_value(ball40):
     assert rep.identity == "pairing-vs-center-value"
 
 
-def test_kernel_pairing_reproduces_point_values(ball40):
-    reports = sp.verify_thm93(ball=ball40)
+def test_kernel_pairing_reproduces_point_values(thm93_reports):
+    reports = thm93_reports
     assert len(reports) == 3
     for rep in reports:
         assert rep.passed

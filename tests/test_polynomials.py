@@ -67,17 +67,34 @@ def test_degree():
 
 
 def test_evaluate_batch_matches_scalar():
+    # an independent reference: Python complex arithmetic over each exponent tuple
+    def reference(p, w):
+        total = 0j
+        for exps, coeff in p._terms.items():
+            for r, row in enumerate(exps):
+                for s, e in enumerate(row):
+                    coeff *= complex(w[r, s]) ** e
+            total += coeff
+        return total
+
     rng = np.random.default_rng(8)
-    n = 2
-    p = MatrixPolynomial.det_power(n, 1) + MatrixPolynomial.coordinate(n, 2, 2) ** 2
-    W = np.stack([random_sym(n, rng) for _ in range(7)]).reshape(7, n, n)
-    batch = p.evaluate_batch(W)
-    assert batch.shape == (7,)
-    for i in range(7):
-        assert batch[i] == pytest.approx(p.evaluate(W[i]), rel=1e-12)
-    # higher-dimensional stacks keep their leading shape
-    W4 = W.reshape(7, 1, n, n)
-    assert p.evaluate_batch(W4).shape == (7, 1)
+    for n in (1, 2, 3):
+        polys = [MatrixPolynomial.det_power(n, 1) + MatrixPolynomial.coordinate(n, n, n) ** 2,
+                 # a constant term, an exponent above 2 and a lower-triangle entry
+                 parse_polynomial(f"X_{{{n},1}}^3 - 2*X_{{1,1}}*X_{{{n},{n}}} + 7", n),
+                 MatrixPolynomial.det_power(n, 2)]
+        # general complex matrices, so X_{r,s} and X_{s,r} differ
+        W = rng.standard_normal((5, 7, n, n)) + 1j * rng.standard_normal((5, 7, n, n))
+        for p in polys:
+            batch = p.evaluate_batch(W)
+            assert batch.shape == (5, 7)
+            for idx in np.ndindex(5, 7):
+                assert batch[idx] == pytest.approx(reference(p, W[idx]), rel=1e-12)
+            single = p.evaluate_batch(W[0, 0])
+            assert single.shape == ()
+            assert complex(single) == pytest.approx(reference(p, W[0, 0]), rel=1e-12)
+            assert p.evaluate(W[0, 0]) == complex(single)
+            assert p.evaluate_batch(np.zeros((0, n, n))).shape == (0,)
 
 
 def test_parse_round_trip():
