@@ -34,7 +34,7 @@ from .discrete_series import (
     matrix_coeff_kak,
 )
 from .errors import DimensionError, DomainError, SiegelError
-from .matrixio import load_matrix
+from .matrixio import load_matrix, require_genus
 from .nonvanishing import (
     MC_BUDGET,
     ThresholdQuery,
@@ -248,8 +248,7 @@ def cmd_coeff(args) -> int:
             g = hyperbolic([float(v) for v in args.t.split(",")])
         except ValueError:
             raise DomainError(f"cannot parse --t {args.t!r} as comma-separated numbers")
-    if g.n != args.n:
-        raise DimensionError(f"the group element has genus {g.n}, expected {args.n}")
+    require_genus(args.n, **{"the group element": g})
     factors = kak_decompose(g)
     value = matrix_coeff_kak(spec, factors)
     cross = lift(lambda z: f_mu_m(mu, w, z), w, g)
@@ -275,8 +274,7 @@ def _point_from_args(args, scalar: str, file: str, what: str) -> SiegelPoint:
             raise DomainError(f"--{scalar} takes a scalar; beyond genus 1 use --{file} FILE")
         return SiegelPoint.from_complex(np.array([[_parse_complex(text)]]))
     pt = SiegelPoint.from_complex(load_matrix(path, name="point"))
-    if pt.n != args.n:
-        raise DimensionError(f"point in {path} has genus {pt.n}, expected {args.n}")
+    require_genus(args.n, **{f"the point in {path}": pt})
     return pt
 
 
@@ -339,19 +337,25 @@ def _pairing_args(args) -> dict:
     return args.pairing
 
 
+# each target: the options it reads, and its reports
 _VERIFY_TARGETS = {
-    "table1": lambda args: [verify_thresholds(n, **_given(args, "tol"))
-                            for n in ([args.n] if args.n else [1, 2])],
-    "coeff": lambda args: [verify_coefficients(**_given(args, "samples", "seed"))],
-    "cmn": lambda args: verify_cmn(**_given(args, "samples", "seed")),
-    "cor62": lambda args: [verify_cor62(**_pairing_args(args))],
-    "thm93": lambda args: verify_thm93(**_pairing_args(args)),
+    "table1": ("n tol", lambda args: [verify_thresholds(n, **_given(args, "tol"))
+                                      for n in ([args.n] if args.n else [1, 2])]),
+    "coeff": ("samples seed",
+              lambda args: [verify_coefficients(**_given(args, "samples", "seed"))]),
+    "cmn": ("samples seed", lambda args: verify_cmn(**_given(args, "samples", "seed"))),
+    "cor62": ("radius budget cache-dir", lambda args: [verify_cor62(**_pairing_args(args))]),
+    "thm93": ("radius budget cache-dir", lambda args: verify_thm93(**_pairing_args(args))),
 }
 
 
 def cmd_verify(args) -> int:
     targets = list(_VERIFY_TARGETS) if args.target == "all" else [args.target]
-    reports = [rep for t in targets for rep in _VERIFY_TARGETS[t](args)]
+    # --cache-dir is exempt: SIEGEL_CACHE_DIR fills it for every target
+    unread = {o for reads, _ in _VERIFY_TARGETS.values() for o in reads.split()} - {"cache-dir"}
+    unread -= {o for t in targets for o in _VERIFY_TARGETS[t][0].split()}
+    _refuse(args, f"verify {args.target}", *sorted(unread))
+    reports = [rep for t in targets for rep in _VERIFY_TARGETS[t][1](args)]
     lines = [f"{'PASS' if r.passed else 'FAIL'} {r.identity} — {r.detail}"
              for r in reports]
     ok = all(r.passed for r in reports)

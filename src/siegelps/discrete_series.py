@@ -20,6 +20,7 @@ from scipy.special import gammaln
 
 from . import _small
 from .errors import DimensionError, DomainError, NumericalError
+from .matrixio import require_genus, require_integer
 from .polynomials import MatrixPolynomial
 from .symplectic import (
     COND_MAX,
@@ -43,12 +44,12 @@ class Weight:
     n: int
 
     def __post_init__(self):
-        if int(self.n) < 1:
+        object.__setattr__(self, "n", require_integer(self.n, "genus", DimensionError))
+        object.__setattr__(self, "m", require_integer(self.m, "weight"))
+        if self.n < 1:
             raise DimensionError("genus must be a positive integer")
-        if int(self.m) <= int(self.n):
+        if self.m <= self.n:
             raise DomainError(f"weight must exceed the genus, got m={self.m}, n={self.n}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
 
     @property
     def integrable(self) -> bool:
@@ -69,8 +70,7 @@ class MatrixCoefficientSpec:
     weight: Weight
 
     def __post_init__(self):
-        if self.mu.n != self.weight.n:
-            raise DimensionError("polynomial size and weight genus differ")
+        require_genus(self.weight.n, mu=self.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +129,7 @@ def pole_terms(weight: Weight, g: np.ndarray, cols: np.ndarray,
 
 def f_values(mu: MatrixPolynomial, weight: Weight, Z: np.ndarray) -> np.ndarray:
     """f_{mu,m} over a stack of half-space points given as complex matrices."""
+    require_genus(weight.n, mu=mu, Z=Z)
     Z = np.asarray(Z, dtype=np.complex128)
     iI = 1j * np.eye(weight.n)
     return pole_values(weight, Z + iI, Z - iI, mu)
@@ -136,8 +137,6 @@ def f_values(mu: MatrixPolynomial, weight: Weight, Z: np.ndarray) -> np.ndarray:
 
 def f_mu_m(mu: MatrixPolynomial, weight: Weight, z: SiegelPoint) -> complex:
     """The weight vector f_{mu,m} at a single point."""
-    if mu.n != weight.n or z.n != weight.n:
-        raise DimensionError("mu, weight and z must share the same genus")
     zc = z.z
     # sigma_min(z + iI) >= 1 on H_n, so only |z| above about COND_MAX trips this
     if np.linalg.cond(zc + 1j * np.eye(z.n)) > COND_MAX:
@@ -147,8 +146,7 @@ def f_mu_m(mu: MatrixPolynomial, weight: Weight, z: SiegelPoint) -> complex:
 
 def slash(f: HalfSpaceFunction, weight: Weight, g: SymplecticMatrix) -> HalfSpaceFunction:
     """The weight-m slash action: (f|g)(z) = j(g, z)^{-m} f(g.z)."""
-    if g.n != weight.n:
-        raise DimensionError("group element and weight must share the same genus")
+    require_genus(weight.n, g=g)
     m = weight.m
 
     def translated(z: SiegelPoint) -> complex:
@@ -168,8 +166,7 @@ def lift(f: HalfSpaceFunction, weight: Weight, g: SymplecticMatrix) -> complex:
 
 def lift_nak(f: HalfSpaceFunction, weight: Weight, factors: NAKFactors) -> complex:
     """The lift in Iwasawa coordinates: chi_m(u) det(y)^{m/2} f(x + iy)."""
-    if factors.n != weight.n:
-        raise DimensionError("factors and weight must share the same genus")
+    require_genus(weight.n, factors=factors)
     dety = float(np.linalg.det(factors.y))
     return chi(weight.m, factors.u) * dety ** (weight.m / 2) * f(SiegelPoint(factors.x, factors.y))
 
@@ -179,8 +176,7 @@ def matrix_coeff_kak(spec: MatrixCoefficientSpec, factors: KAKFactors) -> comple
 
         det(u)^m det(u')^m mu(u tanh(d_t) u^T) / det(cosh(d_t))^m.
     """
-    if factors.n != spec.weight.n:
-        raise DimensionError("factors and spec must share the same genus")
+    require_genus(spec.weight.n, factors=factors)
     m = spec.weight.m
     u = factors.u
     W = _small.congruence_diag(u.mat, np.tanh(factors.t))
@@ -211,12 +207,11 @@ def c_mn(weight: Weight) -> float:
 
 def kernel_values(weight: Weight, xi: SiegelPoint, Z: np.ndarray) -> np.ndarray:
     """Point-evaluation kernel over a stack of half-space points."""
+    require_genus(weight.n, xi=xi, Z=Z)
     weight.require_integrable()
     return pole_values(weight, (np.asarray(Z, dtype=np.complex128) - np.conj(xi.z)) / 2j)
 
 
 def f_kernel(weight: Weight, xi: SiegelPoint, z: SiegelPoint) -> complex:
     """f_{1,m,xi}(z) = C_{m,n}^{-1} det((z - conj(xi)) / 2i)^{-m}."""
-    if xi.n != weight.n or z.n != weight.n:
-        raise DimensionError("xi, z and the weight must share the same genus")
     return complex(kernel_values(weight, xi, z.z[None, ...])[0])

@@ -1,4 +1,4 @@
-"""Matrix validation helpers and the JSON on-disk schema.
+"""Validation helpers, among them the genus rule, and the JSON on-disk schema.
 
 A matrix is stored as ``{"rows": r, "cols": c, "re": [[...]], "im": [[...]]}``
 with ``im`` omitted for real matrices; entries are row-major lists of floats.
@@ -44,6 +44,28 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def require_integer(value, what: str, error=DomainError) -> int:
+    """``value`` as an int, refused with ``error`` unless it equals an integer,
+    so that 8.9, NaN and inf are refused rather than truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):   # int(NaN), int(inf), int(None)
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def require_genus(n: int, **inputs) -> None:
+    """Refuse, naming each, the inputs whose genus is not n: an input's genus is
+    its ``.n``, or k for an array of shape (..., k, k).  None is skipped."""
+    shapes = {name: (x.n, x.n) if hasattr(x, "n") else np.shape(x)[-2:]
+              for name, x in inputs.items() if x is not None}
+    wrong = [f"{name} has genus {s[0]}" if len(s) == 2 and s[0] == s[1]
+             else f"{name} has trailing shape {s}" for name, s in shapes.items() if s != (n, n)]
+    if wrong:
+        raise DimensionError(f"expected genus {n}, but {' and '.join(wrong)}")
+
+
 def require_positive_definite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Positive definiteness via Cholesky (the cheapest reliable test)."""
     try:
@@ -67,17 +89,15 @@ def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     """Decode the JSON schema; returns float64 or complex128."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        re = np.asarray(obj["re"], dtype=np.float64)
+        parts = {key: np.asarray(obj[key], dtype=np.float64) for key in ("re", "im") if key in obj}
+        re = parts["re"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"{name}: malformed matrix object ({exc})") from None
-    if re.shape != (rows, cols):
-        raise DimensionError(f"{name}: 're' has shape {re.shape}, header says {(rows, cols)}")
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=np.float64)
-        if im.shape != (rows, cols):
-            raise DimensionError(f"{name}: 'im' has shape {im.shape}, header says {(rows, cols)}")
-        return check_finite(re + 1j * im, name)
-    return check_finite(re, name)
+    for key, part in parts.items():
+        if part.shape != (rows, cols):
+            raise DimensionError(
+                f"{name}: {key!r} has shape {part.shape}, header says {(rows, cols)}")
+    return check_finite(re + 1j * parts["im"] if "im" in parts else re, name)
 
 
 def load_matrix(path: str, name: str = "matrix") -> np.ndarray:

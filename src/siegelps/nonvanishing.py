@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .discrete_series import Weight
-from .matrixio import readonly
+from .matrixio import readonly, require_genus, require_integer
 from .polynomials import MatrixPolynomial
 from .symplectic import UnitaryMatrix, haar_unitary
 
@@ -54,8 +54,7 @@ class ThresholdQuery:
     weight: Weight
 
     def __post_init__(self):
-        if self.mu.n != self.weight.n:
-            raise DimensionError("polynomial size and weight genus differ")
+        require_genus(self.weight.n, mu=self.mu)
         if self.mu.is_zero():
             raise ZeroPolynomialError("weight polynomial is identically zero")
         self.weight.require_integrable()
@@ -81,9 +80,9 @@ class IntegralResult:
 
 def big_m(N: int, n: int) -> float:
     """Concentration level M(N); strictly increasing in N with limit 1."""
-    if int(N) < 1:
+    if require_integer(N, "level") < 1:
         raise DomainError("level must be a positive integer")
-    if int(n) < 1:
+    if require_integer(n, "genus", DimensionError) < 1:
         raise DimensionError("genus must be positive")
     q = 4.0 * n / (float(N) * float(N))
     return 1.0 / (math.sqrt(1.0 + q) + math.sqrt(q)) ** 2
@@ -131,10 +130,8 @@ def _density(mu: MatrixPolynomial, weight: Weight, u: np.ndarray, x: np.ndarray)
 
 def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> float:
     """|mu(u diag(sqrt x) u^T)| (1-x)-density and Vandermonde: the general weight."""
-    n = weight.n
-    if mu.n != n or u.n != n:
-        raise DimensionError("mu, u and the weight must share the same genus")
-    return float(_density(mu, weight, u.mat, _validate_ordered(x, n)))
+    require_genus(weight.n, mu=mu, u=u)
+    return float(_density(mu, weight, u.mat, _validate_ordered(x, weight.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +385,7 @@ def vanishing_case(l: int, weight: Weight, N: int) -> bool:
     the average unless 4 | (m + 2l); at N = 2 sign matrices force 2 | m.
     From N = 3 on the stabilizer is trivial and nothing vanishes identically.
     """
-    if int(N) < 1:
+    if require_integer(N, "level") < 1:
         raise DomainError("level must be a positive integer")
     if l < 0:
         raise DomainError("l must be nonnegative")

@@ -25,12 +25,8 @@ from .discrete_series import (
     matrix_coeff_kak,
     pole_terms,
 )
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    DomainError,
-    SamplingError,
-)
+from .errors import ConvergenceError, DomainError, SamplingError
+from .matrixio import require_genus
 from .nonvanishing import (
     BASE_NODES,
     MAX_DOUBLINGS,
@@ -196,8 +192,7 @@ def petersson(f1, f2, weight: Weight,
     the doubling stops once every component has converged, and the error
     estimate is the largest component's.
     """
-    if weight.n != 1:
-        raise DimensionError("the quadrature harness is genus-1 only")
+    require_genus(1, weight=weight)   # the quadrature harness is genus-1 only
     dom = domain or FundamentalDomainSpec()
     eps = CongruenceGroup(1, 1).epsilon()     # the quadrature covers SL2(Z)
     value, change, grids, converged = _gauss_doubling(

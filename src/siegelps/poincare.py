@@ -47,6 +47,7 @@ import numpy as np
 
 from .discrete_series import MatrixCoefficientSpec, Weight, pole_terms
 from .errors import BudgetError, DimensionError, DomainError
+from .matrixio import require_genus, require_integer
 from .polynomials import MatrixPolynomial
 from .symplectic import (
     SiegelPoint,
@@ -69,10 +70,10 @@ class CongruenceGroup:
     N: int
 
     def __post_init__(self):
-        if int(self.n) < 1 or int(self.N) < 1:
+        object.__setattr__(self, "n", require_integer(self.n, "genus"))
+        object.__setattr__(self, "N", require_integer(self.N, "level"))
+        if self.n < 1 or self.N < 1:
             raise DomainError("genus and level must be positive integers")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "N", int(self.N))
 
     def epsilon(self) -> int:
         """Order of the central subgroup {+-I} inside the group."""
@@ -427,8 +428,7 @@ def poincare_f(mu: MatrixPolynomial, weight: Weight, group: CongruenceGroup,
                ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
     """Truncation of the average of (f_{mu,m} | gamma)(z) over the group."""
     weight.require_integrable()
-    if group.n != weight.n or z.n != weight.n or mu.n != weight.n:
-        raise DimensionError("mu, weight, group and z must share the same genus")
+    require_genus(weight.n, mu=mu, group=group, z=z)
     return _series(weight, group, radius, ball, np.vstack([z.z, np.eye(weight.n)]), mu=mu)
 
 
@@ -439,8 +439,7 @@ def poincare_F(spec: MatrixCoefficientSpec, group: CongruenceGroup,
     lift of f_{mu,m} to gamma g, its pole form at the columns g [iI; I]."""
     weight = spec.weight
     weight.require_integrable()
-    if group.n != weight.n or g.n != weight.n:
-        raise DimensionError("spec, group and g must share the same genus")
+    require_genus(weight.n, group=group, g=g)
     cols = g.g @ np.vstack([1j * np.eye(weight.n), np.eye(weight.n)])
     return _series(weight, group, radius, ball, cols, mu=spec.mu)
 
@@ -450,8 +449,7 @@ def kernel_series(weight: Weight, group: CongruenceGroup, xi: SiegelPoint,
                   ball: EnumerationBall | None = None) -> TruncatedSeriesResult:
     """Truncated average of the point-evaluation kernel at xi."""
     weight.require_integrable()
-    if group.n != weight.n or z.n != weight.n or xi.n != weight.n:
-        raise DimensionError("weight, group, xi and z must share the same genus")
+    require_genus(weight.n, group=group, xi=xi, z=z)
     return _series(weight, group, radius, ball, np.vstack([z.z, np.eye(weight.n)]), xi=xi)
 
 
@@ -465,8 +463,7 @@ def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
     """
     if (mu is None) == (xi is None):
         raise DomainError("give exactly one of mu and xi")
-    if ball.group.n != 1 or weight.n != 1:
-        raise DimensionError("this evaluator is genus-1 only")
+    require_genus(1, weight=weight, ball=ball.group, mu=mu, xi=xi)
     weight.require_integrable()
     return lambda z: _pole_sums(weight, ball, np.vstack([np.ravel(z), np.ones(np.size(z))]),
                                 mu, xi).reshape(np.shape(z))

@@ -16,6 +16,7 @@ import re
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .matrixio import require_genus, require_integer
 
 
 def _canonical_terms(n, terms):
@@ -38,7 +39,7 @@ class MatrixPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=None):
-        n = int(n)
+        n = require_integer(n, "matrix size", DimensionError)
         if n < 1:
             raise DimensionError("matrix size must be positive")
         object.__setattr__(self, "n", n)
@@ -110,14 +111,10 @@ class MatrixPolynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.n != other.n:
-            raise DimensionError("polynomials have different matrix sizes")
-
     def __add__(self, other):
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        self._check_compatible(other)
+        require_genus(self.n, other=other)
         merged = dict(self._terms)
         for e, c in other._terms.items():
             merged[e] = merged.get(e, 0j) + c
@@ -136,7 +133,7 @@ class MatrixPolynomial:
             return MatrixPolynomial(self.n, {e: c * other for e, c in self._terms.items()})
         if not isinstance(other, MatrixPolynomial):
             return NotImplemented
-        self._check_compatible(other)
+        require_genus(self.n, other=other)
         prod: dict = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -167,8 +164,7 @@ class MatrixPolynomial:
     def evaluate_batch(self, W: np.ndarray) -> np.ndarray:
         """Value at a stack (..., n, n): sum of coeff * W[..., r, s] ** e over nonzero e."""
         W = np.asarray(W, dtype=np.complex128)
-        if W.shape[-2:] != (self.n, self.n):
-            raise DimensionError(f"argument must have trailing shape ({self.n}, {self.n})")
+        require_genus(self.n, W=W)
         out = np.zeros(W.shape[:-2], dtype=np.complex128)
         for exps, coeff in self._terms.items():
             term = coeff

@@ -19,6 +19,7 @@ from .errors import DimensionError, DomainError, NumericalError
 from .matrixio import (
     as_matrix,
     readonly,
+    require_genus,
     require_positive_definite,
     require_symmetric,
 )
@@ -97,8 +98,7 @@ class SymplecticMatrix:
         return cls(np.eye(2 * n))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        if self.n != other.n:
-            raise DimensionError("cannot multiply symplectic matrices of different genus")
+        require_genus(self.n, other=other)
         return SymplecticMatrix(self.g @ other.g)
 
 
@@ -168,14 +168,9 @@ class UnitaryMatrix:
 # group action on the half-space
 # ---------------------------------------------------------------------------
 
-def _require_same_n(g: SymplecticMatrix, z: SiegelPoint) -> None:
-    if g.n != z.n:
-        raise DimensionError(f"genus mismatch: g has n={g.n}, z has n={z.n}")
-
-
 def act(g: SymplecticMatrix, z: SiegelPoint) -> SiegelPoint:
     """Moebius action g.z = (Az + B)(Cz + D)^{-1}."""
-    _require_same_n(g, z)
+    require_genus(g.n, z=z)
     zc = z.z
     M = g.C @ zc + g.D
     if np.linalg.cond(M) > COND_MAX:
@@ -188,13 +183,13 @@ def act(g: SymplecticMatrix, z: SiegelPoint) -> SiegelPoint:
 
 def j_factor(g: SymplecticMatrix, z: SiegelPoint) -> complex:
     """Automorphy factor j(g, z) = det(Cz + D)."""
-    _require_same_n(g, z)
+    require_genus(g.n, z=z)
     return complex(np.linalg.det(g.C @ z.z + g.D))
 
 
 def im_transform(g: SymplecticMatrix, z: SiegelPoint) -> np.ndarray:
     """Imaginary part of g.z computed directly: (Cz+D)^{-*} y (Cz+D)^{-1}."""
-    _require_same_n(g, z)
+    require_genus(g.n, z=z)
     M = g.C @ z.z + g.D
     Minv = np.linalg.inv(M)
     out = Minv.conj().T @ z.y @ Minv
@@ -305,8 +300,7 @@ class NAKFactors:
 
     def __post_init__(self):
         pt = SiegelPoint(self.x, self.y)   # validates symmetry and positivity
-        if pt.n != self.u.n:
-            raise DimensionError("x, y and u must share the same size")
+        require_genus(pt.n, u=self.u)
         object.__setattr__(self, "x", pt.x)
         object.__setattr__(self, "y", pt.y)
 
@@ -330,8 +324,9 @@ class KAKFactors:
 
     def __post_init__(self):
         tv = np.atleast_1d(np.asarray(self.t, dtype=np.float64))
-        if tv.ndim != 1 or tv.shape[0] != self.u.n or self.u.n != self.uprime.n:
-            raise DimensionError("t must be a vector matching the size of u and u'")
+        require_genus(self.u.n, uprime=self.uprime)
+        if tv.ndim != 1 or tv.shape[0] != self.u.n:
+            raise DimensionError(f"t must be a vector of length {self.u.n}, the genus of u")
         if np.any(tv < -1e-12):
             raise DomainError("singular exponents must be nonnegative")
         if np.any(np.diff(tv) > 1e-12):

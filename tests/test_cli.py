@@ -230,6 +230,24 @@ def test_coeff_refuses_complex_element(capsys, tmp_path):
     assert out == "" and "g has a nonzero imaginary part" in err
 
 
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_coeff_refuses_non_numeric_entry(capsys, tmp_path, key):
+    # a malformed part is invalid input wherever it sits, never a traceback
+    parts = {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    parts[key] = [["a", 0], [0, 0]]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, **parts}))
+    code, out, err = run(capsys, "coeff", "--n", "1", "--m", "4", "--matrix", str(path))
+    assert code == 2
+    assert out == "" and "group element: malformed matrix object" in err
+
+
+def test_coeff_names_a_group_element_of_another_genus(capsys):
+    code, out, err = run(capsys, "coeff", "--n", "1", "--m", "4", "--t", "1.0,2.0")
+    assert (code, out) == (2, "")
+    assert err == "error: expected genus 1, but the group element has genus 2\n"
+
+
 def test_coeff_requires_element(capsys):
     code, _, err = run(capsys, "coeff", "--n", "1", "--m", "4")
     assert code == 2
@@ -460,6 +478,74 @@ def test_unread_shared_option_is_rejected(capsys, argv):
     code, _, err = run(capsys, *argv, "1")
     assert code == 2
     assert f"unrecognized arguments: {argv[-1]} 1" in err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    ("verify coeff --n 2 --samples 3", "--n"),
+    ("verify coeff --tol 1e-3 --samples 3", "--tol"),
+    ("verify cmn --samples 1000 --radius 3", "--radius"),
+    ("verify table1 --n 1 --samples 5", "--samples"),
+    ("verify table1 --budget 99", "--budget"),
+    ("verify cor62 --seed 1", "--seed"),
+    ("verify thm93 --tol 1e-3", "--tol"),
+], ids=str)
+def test_verify_target_refuses_options_it_does_not_read(capsys, monkeypatch, argv, unread):
+    # refused before any work: no check runs on an option it would ignore
+    for name in ("verify_thresholds", "verify_coefficients", "verify_cmn",
+                 "verify_cor62", "verify_thm93", "enumerate_ball"):
+        monkeypatch.setattr(cli, name, lambda *args, **kw: pytest.fail("check reached"))
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {argv.split()[1]} does not read {unread}\n"
+
+
+def test_verify_reads_cache_dir_from_the_environment(capsys, monkeypatch, tmp_path):
+    # SIEGEL_CACHE_DIR fills --cache-dir for every target, so no target refuses it
+    monkeypatch.setenv("SIEGEL_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, "verify", "coeff", "--samples", "3")
+    assert code == 0
+    assert "PASS coefficient-identity" in out
+
+
+def _readme_option_table() -> tuple[dict, list]:
+    """README's table of shared options: {subcommand: the options marked yes},
+    and the options in column order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table_text = re.search(r"^\| Subcommand \|.*?(?=\n\n)", text, re.M | re.S)[0]
+    header, _, *rows = table_text.splitlines()
+    options = re.findall(r"`(--[\w-]+)`", header)
+    table = {}
+    for row in rows:
+        first, *cells = [cell.strip() for cell in row.strip("|").split("|")]
+        marked = {option for option, cell in zip(options, cells) if cell == "yes"}
+        table.update({name: marked for name in re.findall(r"`([\w-]+)`", first)})
+    return table, options
+
+
+_README_OPTIONS, _SHARED = _readme_option_table()
+_REQUIRED = {"n0": "--n 1 --m 6", "n0-table": "--n 1", "cmn": "--n 1 --m 4",
+             "coeff": "--n 1 --m 4", "poincare": "--n 1 --N 1 --m 12",
+             "kernel": "--n 1 --N 1 --m 12", "norms": "--n 1 --N 2", "verify": "all"}
+
+
+def test_readme_option_table_covers_every_subcommand():
+    assert sorted(_README_OPTIONS) == sorted(_SUBCOMMANDS) == sorted(_REQUIRED)
+    # the verify row is the union of the options its targets read
+    read = {f"--{o}" for options, _ in cli._VERIFY_TARGETS.values() for o in options.split()}
+    assert _README_OPTIONS["verify"] == read & set(_SHARED)
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED))
+def test_parser_takes_the_shared_options_readme_marks(capsys, command):
+    # parse only: the subcommand accepts exactly the options its row marks "yes"
+    accepted = set()
+    for option in _SHARED:
+        try:
+            build_parser().parse_args([command, *_REQUIRED[command].split(), option, "1"])
+            accepted.add(option)
+        except SystemExit:
+            assert "unrecognized arguments" in capsys.readouterr().err
+    assert accepted == _README_OPTIONS[command]
 
 
 _FORWARDED = [

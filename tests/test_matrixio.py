@@ -65,3 +65,23 @@ def test_complex_input_to_a_real_matrix():
     g = sp.SymplecticMatrix(np.eye(2) + 0j)
     assert g.g.dtype == np.float64 and np.array_equal(g.g, np.eye(2))
     assert np.array_equal(sp.SiegelPoint(np.zeros((1, 1)) + 0j, np.eye(1)).x, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+def test_non_numeric_part_is_malformed(key):
+    # both parts are parsed under one rule, so neither ends in a bare ValueError
+    obj = {"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}
+    obj[key] = [["a", 0], [0, 0]]
+    with pytest.raises(DomainError, match="^g: malformed matrix object"):
+        matrixio.matrix_from_json(obj, name="g")
+
+
+def test_require_genus_names_each_offending_input():
+    matrixio.require_genus(2, z=sp.SiegelPoint.center(2), W=np.zeros((3, 2, 2)), xi=None)
+    with pytest.raises(DimensionError,
+                       match=r"^expected genus 2, but z has genus 1 and W has genus 3$"):
+        matrixio.require_genus(2, z=sp.SiegelPoint.center(1), W=np.zeros((3, 3)),
+                               mu=sp.MatrixPolynomial.one(2))
+    for W in (np.zeros((2, 3)), np.zeros(2), 1j):
+        with pytest.raises(DimensionError, match=r"^expected genus 2, but W has trailing shape"):
+            matrixio.require_genus(2, W=W)

@@ -1,12 +1,17 @@
-"""The package surface: its export list and the README's library example."""
+"""The package surface: its export list, the README's library example, and the
+genus and integer rules shared by every public entry."""
 
 import ast
 import inspect
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import siegelps
 
@@ -55,3 +60,86 @@ def test_import_loads_no_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
     assert out.strip() == "[]"
+
+
+_ONE, _TWO = siegelps.MatrixPolynomial.one(1), siegelps.MatrixPolynomial.one(2)
+_W = siegelps.Weight(12, 1)
+_G1, _G2 = siegelps.CongruenceGroup(1, 1), siegelps.CongruenceGroup(2, 1)
+_Z1, _Z2 = siegelps.SiegelPoint.center(1), siegelps.SiegelPoint.center(2)
+_E1, _E2 = siegelps.SymplecticMatrix.identity(1), siegelps.SymplecticMatrix.identity(2)
+_U1, _U2 = siegelps.UnitaryMatrix(np.eye(1)), siegelps.UnitaryMatrix(np.eye(2))
+_STACK2 = 1j * np.eye(2)[None]
+
+
+def _ball():
+    return siegelps.enumerate_ball(_G1, 3.0)
+
+
+_MISMATCHES = {   # entry: (call with one input of the wrong genus, that input's name)
+    "MatrixCoefficientSpec": (lambda: siegelps.MatrixCoefficientSpec(_TWO, _W), "mu"),
+    "ThresholdQuery": (lambda: siegelps.ThresholdQuery(_TWO, _W), "mu"),
+    "f_mu_m": (lambda: siegelps.f_mu_m(_TWO, _W, _Z1), "mu"),
+    "f_values": (lambda: siegelps.f_values(_ONE, _W, _STACK2), "Z"),
+    "kernel_values xi": (lambda: siegelps.kernel_values(_W, _Z2, [[[1j]]]), "xi"),
+    "kernel_values Z": (lambda: siegelps.kernel_values(_W, _Z1, _STACK2), "Z"),
+    "f_kernel": (lambda: siegelps.f_kernel(_W, _Z2, _Z1), "xi"),
+    "slash": (lambda: siegelps.slash(lambda z: 1.0, _W, _E2), "g"),
+    "lift_nak": (lambda: siegelps.lift_nak(lambda z: 1.0, _W, siegelps.nak_decompose(_E2)),
+                 "factors"),
+    "matrix_coeff_kak": (lambda: siegelps.matrix_coeff_kak(
+        siegelps.MatrixCoefficientSpec(_ONE, _W), siegelps.kak_decompose(_E2)), "factors"),
+    "varphi_mu": (lambda: siegelps.varphi_mu(_ONE, _W, _U2, [0.5]), "u"),
+    "act": (lambda: siegelps.act(_E1, _Z2), "z"),
+    "j_factor": (lambda: siegelps.j_factor(_E1, _Z2), "z"),
+    "im_transform": (lambda: siegelps.im_transform(_E1, _Z2), "z"),
+    "SymplecticMatrix @": (lambda: _E1 @ _E2, "other"),
+    "MatrixPolynomial +": (lambda: _ONE + _TWO, "other"),
+    "MatrixPolynomial *": (lambda: _ONE * _TWO, "other"),
+    "evaluate_batch": (lambda: _ONE.evaluate_batch(np.zeros((4, 2, 2))), "W"),
+    "NAKFactors": (lambda: siegelps.NAKFactors(np.zeros((2, 2)), np.eye(2), _U1), "u"),
+    "KAKFactors": (lambda: siegelps.KAKFactors(_U2, [1.0, 0.5], _U1), "uprime"),
+    "poincare_f": (lambda: siegelps.poincare_f(_ONE, _W, _G2, _Z1, 3.0), "group"),
+    "poincare_F": (lambda: siegelps.poincare_F(
+        siegelps.MatrixCoefficientSpec(_ONE, _W), _G1, _E2, 3.0), "g"),
+    "kernel_series": (lambda: siegelps.kernel_series(_W, _G1, _Z1, _Z2, 3.0), "z"),
+    "series_evaluator_genus1 mu": (
+        lambda: siegelps.series_evaluator_genus1(_W, _ball(), mu=_TWO), "mu"),
+    "series_evaluator_genus1 xi": (
+        lambda: siegelps.series_evaluator_genus1(_W, _ball(), xi=_Z2), "xi"),
+    "petersson": (lambda: siegelps.petersson(None, None, siegelps.Weight(12, 2)), "weight"),
+}
+
+
+@pytest.mark.parametrize("entry", _MISMATCHES)
+def test_genus_mismatch_names_the_input(entry):
+    # every entry taking several genus-carrying inputs refuses a mismatch by name
+    call, name = _MISMATCHES[entry]
+    with pytest.raises(siegelps.DimensionError, match=rf"^expected genus \d+, but {name} has "):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda value: siegelps.Weight(value, 2), siegelps.DomainError),
+    (lambda value: siegelps.Weight(12, value / 4), siegelps.DimensionError),
+    (lambda value: siegelps.CongruenceGroup(value / 4, 2), siegelps.DomainError),
+    (lambda value: siegelps.CongruenceGroup(1, value), siegelps.DomainError),
+    (lambda value: siegelps.big_m(value, 1), siegelps.DomainError),
+    (lambda value: siegelps.big_m(2, value / 4), siegelps.DimensionError),
+    (lambda value: siegelps.vanishing_case(0, _W, value), siegelps.DomainError),
+    (lambda value: siegelps.MatrixPolynomial(value / 4), siegelps.DimensionError),
+], ids=["Weight m", "Weight n", "CongruenceGroup n", "CongruenceGroup N", "big_m N",
+        "big_m n", "vanishing_case N", "MatrixPolynomial n"])
+@pytest.mark.parametrize("value", [8.9, 8.5, math.nan, math.inf, -math.inf])
+def test_non_integral_genus_level_and_weight_are_refused(call, error, value):
+    # truncating to an integer would silently answer another question
+    with pytest.raises(error, match="must be an integer"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.int32(8), np.float64(8.0)])
+def test_integral_values_of_any_type_are_accepted(value):
+    assert siegelps.Weight(value, 2) == siegelps.Weight(8, 2)
+    assert type(siegelps.Weight(value, 2).m) is int
+    assert siegelps.CongruenceGroup(value // 4, value) == siegelps.CongruenceGroup(2, 8)
+    assert siegelps.big_m(value, value // 8) == siegelps.big_m(8, 1)
+    assert siegelps.vanishing_case(0, siegelps.Weight(13, 1), value / 8)
