@@ -115,15 +115,17 @@ def pole_terms(weight: Weight, g: np.ndarray, cols: np.ndarray,
     P = (A + iC)z + (B + iD) and, for a nonconstant mu, Q = (A - iC)z + (B - iD);
     at cols = [iI; I] it is the lift of f_{mu,m} to g.  The kernel at xi takes
     P = ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Each pair of row blocks
-    [H K] gives its matrices H z + K in one product [H K] @ cols.
+    [H K] gives its matrices H z + K in one product [H K] @ cols.  An empty
+    stack gives shape (0, p).
     """
     n = weight.n
+    points = cols.shape[1] // n
     top, bottom = g[:, :n], g[:, n:]
     if xi is not None:
         rows = [(top - np.conj(xi.z) @ bottom) / 2j]
     else:
         rows = [top + 1j * bottom] + ([top - 1j * bottom] if mu.degree() else [])
-    return pole_values(weight, *[(r.reshape(-1, 2 * n) @ cols).reshape(len(g), n, -1, n)
+    return pole_values(weight, *[(r.reshape(-1, 2 * n) @ cols).reshape(len(g), n, points, n)
                                  .transpose(0, 2, 1, 3) for r in rows], mu=mu)
 
 

@@ -28,10 +28,17 @@ radius whose cap is no larger, and is restricted to it.  Every radius,
 enumerated, loaded, split or fitted, goes through that cap, which refuses
 one that is not positive and finite.  Every ``EnumerationBall`` is checked
 once, when it is made: int64 elements of its group, within its cap, in
-canonical order.  The views from ``restrict`` and ``split`` keep that check,
-so no series or cache hit repeats it.  On Sp(2n, R),
+canonical order, and closed under g -> -g when -I is in the group.  The views
+from ``restrict`` and ``split`` cut by norm, so they keep that check, and no
+series or cache hit repeats it.  On Sp(2n, R),
 |g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
 elements in K are the ball of cap 2n.
+
+The series sum over the group modulo its centre.  At levels N <= 2 the group
+holds -I, and the term of -g is (-1)^{mn} times the term of g, for the
+weight-vector, kernel and group-side series alike.  So each series evaluates
+one element of each pair +-g and doubles the sum, and is exactly 0 when mn is
+odd.  ``TruncatedSeriesResult.terms`` still counts group elements.
 """
 
 from __future__ import annotations
@@ -133,7 +140,10 @@ class EnumerationBall:
 
     Making one checks the elements: an int64 array (k, 2n, 2n) of symplectic
     matrices congruent to I mod N, none past the radius's cap, in canonical
-    order.  ``restrict`` and ``split`` return views that keep the check."""
+    order.  When -I is in the group (N <= 2) the elements are closed under
+    g -> -g, which the series rely on to evaluate one of each pair.
+    ``restrict`` and ``split`` return views that keep the check: they cut
+    between norms, and negation keeps the norm."""
 
     group: CongruenceGroup
     radius: float
@@ -318,7 +328,7 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
     """The ball contract, checked when an ``EnumerationBall`` is made."""
     cap = _norm_cap(radius)
     symplectic = congruent = ordered = True
-    top = 0
+    norms = np.empty(len(arr), dtype=np.int64)
     # blocks of _COSETS rows keep the temporaries small beside the ball; each
     # block starts one row early, so the order check spans the seams
     for k in range(0, len(arr), _COSETS):
@@ -327,7 +337,7 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         symplectic &= is_symplectic
         congruent &= is_congruent
         keys = _order_keys(part)
-        top = max(top, int(np.max(keys[0])))
+        norms[k:k + _COSETS] = keys[0][min(k, 1):]
         # canonical order on adjacent rows: the first key that differs must
         # increase
         tied = np.ones(len(part) - 1, dtype=bool)
@@ -340,10 +350,28 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         raise DomainError("enumerated element fails the exact symplectic relation")
     if not congruent:
         raise DomainError("enumerated element fails the congruence condition")
-    if top > cap:
+    if norms.max(initial=0) > cap:
         raise DomainError("enumerated element exceeds the radius")
     if not ordered:
         raise DomainError("ball elements are not in canonical order")
+    if group.epsilon() == 2 and not _closed_under_negation(arr, norms):
+        raise DomainError("ball is not closed under g -> -g, as the series at "
+                          "levels 1 and 2 need")
+
+
+def _closed_under_negation(arr: np.ndarray, norms: np.ndarray) -> bool:
+    """Whether a canonically ordered ball with these squared norms is closed
+    under g -> -g.  Negation keeps the norm and reverses the order of the
+    entries, so in each shell [s, e) of one norm, element i must be minus
+    element s + e - 1 - i; compared in blocks, without a copy of the ball."""
+    bounds = np.flatnonzero(np.diff(norms)) + 1
+    for s, e in zip([0, *bounds.tolist()], [*bounds.tolist(), len(arr)]):
+        half = (s + e + 1) // 2         # the middle of an odd shell meets itself
+        for a in range(s, half, _COSETS):
+            b = min(a + _COSETS, half)
+            if np.any(arr[a:b] + arr[s + e - b:s + e - a][::-1]):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +429,28 @@ class TruncatedSeriesResult:
 def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
                mu: MatrixPolynomial | None = None, xi: SiegelPoint | None = None):
     """Sums over the ball of ``pole_terms`` at the points' columns ``cols``, in
-    blocks of terms, in ball order, that span about _BLOCK term-points."""
+    blocks of terms, in ball order, that span about _BLOCK term-points.
+
+    The centre rule: when -I is in the group (level N <= 2), the term of -g is
+    (-1)^{mn} times the term of g, and the ball is closed under g -> -g.  So
+    an odd mn gives exactly 0 with nothing evaluated, and an even mn evaluates
+    only the elements whose first nonzero entry (row-major) is positive, one
+    of each pair, and doubles their sum.  A block then holds twice the rows,
+    so the evaluated half still spans about _BLOCK term-points."""
     points = cols.shape[1] // weight.n
     out = np.zeros(points, dtype=np.complex128)
-    step = max(_BLOCK // max(points, 1), 1)
+    eps = ball.group.epsilon()
+    if eps == 2 and weight.m * weight.n % 2:
+        return out
+    step = eps * max(_BLOCK // max(points, 1), 1)
     for k0 in range(0, len(ball), step):
-        out += pole_terms(weight, ball.elements[k0:k0 + step].astype(np.float64),
-                          cols, mu, xi).sum(axis=0)
-    return out
+        block = ball.elements[k0:k0 + step]
+        if eps == 2:
+            first_row = block[:, 0]      # a symplectic matrix has no zero row
+            lead = first_row[np.arange(len(block)), np.argmax(first_row != 0, axis=1)]
+            block = block[lead > 0]
+        out += pole_terms(weight, block.astype(np.float64), cols, mu, xi).sum(axis=0)
+    return eps * out
 
 
 def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: np.ndarray,

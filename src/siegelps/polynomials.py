@@ -56,6 +56,7 @@ class MatrixPolynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "MatrixPolynomial":
+        n = require_integer(n, "genus", DimensionError)
         zero_exp = tuple(tuple(0 for _ in range(n)) for _ in range(n))
         return cls(n, {zero_exp: c})
 
@@ -66,6 +67,7 @@ class MatrixPolynomial:
     @classmethod
     def coordinate(cls, n: int, r: int, s: int) -> "MatrixPolynomial":
         """The entry X_{r,s}, indices 1-based."""
+        n = require_integer(n, "genus", DimensionError)
         if not (1 <= r <= n and 1 <= s <= n):
             raise DomainError(f"coordinate indices must lie in 1..{n}")
         exp = [[0] * n for _ in range(n)]

@@ -20,6 +20,7 @@ from .matrixio import (
     as_matrix,
     readonly,
     require_genus,
+    require_integer,
     require_positive_definite,
     require_symmetric,
 )
@@ -35,6 +36,7 @@ _HAAR_BLOCK = 1 << 11   # matrices per orthonormalization block of haar_unitary
 
 def j_matrix(n: int) -> np.ndarray:
     """The standard skew form [[0, I], [-I, 0]]."""
+    n = require_integer(n, "genus", DimensionError)
     if n < 1:
         raise DimensionError("genus must be a positive integer")
     J = np.zeros((2 * n, 2 * n))
@@ -95,7 +97,7 @@ class SymplecticMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticMatrix":
-        return cls(np.eye(2 * n))
+        return cls(np.eye(2 * require_integer(n, "genus", DimensionError)))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         require_genus(self.n, other=other)
@@ -143,6 +145,7 @@ class SiegelPoint:
     @classmethod
     def center(cls, n: int) -> "SiegelPoint":
         """The distinguished base point iI."""
+        n = require_integer(n, "genus", DimensionError)
         return cls(np.zeros((n, n)), np.eye(n))
 
 
@@ -222,6 +225,7 @@ def haar_unitary(n: int, seed, count: int | None = None):
     All real parts are drawn, then all imaginary parts; the stack is
     orthonormalized in blocks, so the peak stays near twice the output.
     """
+    n = require_integer(n, "genus", DimensionError)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     stack = (1 if count is None else int(count), n, n)
     re, im = rng.standard_normal(stack), rng.standard_normal(stack)
@@ -279,6 +283,7 @@ def hyperbolic(t) -> SymplecticMatrix:
 def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
     """Generic element n_x a_y k_u: x uniform symmetric in [-1, 1],
     y = b b^T + 0.3 I with b standard normal, u Haar (drawn in that order)."""
+    n = require_integer(n, "genus", DimensionError)
     x = rng.uniform(-1.0, 1.0, size=(n, n))
     x = (x + x.T) / 2.0
     b = rng.standard_normal((n, n))

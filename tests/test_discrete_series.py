@@ -125,6 +125,17 @@ def test_pole_terms_at_center_equal_the_slash_lift(n):
             assert value == pytest.approx(sp.lift(f, w, g), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pole_terms_of_an_empty_stack(n):
+    # a block of the centre rule can hold no element to evaluate
+    w = Weight(8, n)
+    cols = np.hstack([np.vstack([1j * np.eye(n), np.eye(n)])] * 3)
+    for kw in ({"mu": MatrixPolynomial.one(n)}, {"mu": MatrixPolynomial.coordinate(n, 1, 1)},
+               {"xi": SiegelPoint.center(n)}):
+        got = pole_terms(w, np.zeros((0, 2 * n, 2 * n)), cols, **kw)
+        assert got.shape == (0, 3) and got.dtype == np.complex128
+
+
 def test_coefficient_conjugate_symmetry():
     # for the constant polynomial the coefficient pairs the same vector
     # with itself, so inverting the argument conjugates the value

@@ -143,3 +143,22 @@ def test_integral_values_of_any_type_are_accepted(value):
     assert siegelps.CongruenceGroup(value // 4, value) == siegelps.CongruenceGroup(2, 8)
     assert siegelps.big_m(value, value // 8) == siegelps.big_m(8, 1)
     assert siegelps.vanishing_case(0, siegelps.Weight(13, 1), value / 8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: siegelps.j_matrix(n).tolist(),
+    lambda n: siegelps.SymplecticMatrix.identity(n).g.tolist(),
+    lambda n: siegelps.SiegelPoint.center(n).z.tolist(),
+    lambda n: siegelps.haar_unitary(n, 0).mat.tolist(),
+    lambda n: siegelps.random_symplectic(n, np.random.default_rng(0)).g.tolist(),
+    siegelps.MatrixPolynomial.one,
+    lambda n: siegelps.MatrixPolynomial.constant(n, 3),
+    lambda n: siegelps.MatrixPolynomial.coordinate(n, 1, 2),
+], ids=["j_matrix", "SymplecticMatrix.identity", "SiegelPoint.center", "haar_unitary",
+        "random_symplectic", "MatrixPolynomial.one", "MatrixPolynomial.constant",
+        "MatrixPolynomial.coordinate"])
+def test_genus_constructors_follow_the_integer_rule(make):
+    # as for Weight(8, 2.0): an integral float is the genus, any other refused
+    assert make(2.0) == make(np.int64(2)) == make(2)
+    with pytest.raises(siegelps.DimensionError, match="genus must be an integer"):
+        make(1.5)

@@ -26,6 +26,9 @@ from siegelps import (
     poincare_F,
     save_ball,
 )
+from siegelps.discrete_series import pole_terms
+
+from conftest import random_point
 
 # ---------------------------------------------------------------------------
 # independent enumeration oracles
@@ -399,14 +402,24 @@ def _changed(arr, index, value):
     (lambda g, r, e: (CongruenceGroup(1, 2), r, e), "congruence"),
     (lambda g, r, e: (g, 9.0, e), "exceeds the radius"),
     (lambda g, r, e: (g, r, e.astype(float)), "int64"),
-], ids=["reversed", "swapped", "repeated", "entry", "level", "radius", "float"])
-def test_ball_checks_itself(broken, message):
+    # one element gone, its negative kept: the halved series would be wrong.
+    # The four elements of norm^2 2 come first, so the others stay paired
+    (lambda g, r, e: (g, r, np.delete(e, 2, axis=0)), "closed under"),
+    (lambda g, r, e: (g, r, np.delete(e, [0, 1], axis=0)), "closed under"),
+], ids=["reversed", "swapped", "repeated", "entry", "level", "radius", "float", "unpaired",
+        "two-unpaired"])
+def test_ball_checks_itself(broken, message, tmp_path):
     # no ball can be made that breaks the contract a series or a split
     # relies on, whichever way it is made
     ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
     group, radius, arr = broken(ball.group, ball.radius, ball.elements)
     with pytest.raises(DomainError, match=message):
         sp.EnumerationBall(group, radius, arr)
+    path = str(tmp_path / "broken.bin")
+    with open(path, "wb") as fh:
+        np.savez(fh, elements=arr, level=group.N, radius=radius)
+    with pytest.raises(DomainError, match=message):
+        load_ball(path)
     again = sp.EnumerationBall(ball.group, ball.radius, ball.elements.copy())
     assert np.array_equal(again.elements, ball.elements)
 
@@ -610,6 +623,86 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
     for key in got:
         want = np.array(oracle[key])
         assert np.max(np.abs(got[key] - want)) <= 1e-13 * np.max(np.abs(want)), key
+
+
+# ---------------------------------------------------------------------------
+# the centre rule: -I is in the group at levels 1 and 2
+# ---------------------------------------------------------------------------
+
+
+def _three_series(w, ball, rng):
+    """Each series over ``ball`` at seeded inputs, with the columns and the
+    keyword that give ``pole_terms`` its terms."""
+    n, group, radius = w.n, ball.group, ball.radius
+    mu = sp.parse_polynomial("1 + X_{1,1}^2" if n == 1 else "det^2 + 3*X_{1,2}", n)
+    z, xi, g = random_point(n, rng), random_point(n, rng), sp.random_symplectic(n, rng)
+    cols = np.vstack([z.z, np.eye(n)])
+    return {
+        "poincare_f": (poincare_f(mu, w, group, z, radius, ball=ball), cols, {"mu": mu}),
+        "kernel_series": (kernel_series(w, group, xi, z, radius, ball=ball), cols, {"xi": xi}),
+        "poincare_F": (poincare_F(MatrixCoefficientSpec(mu, w), group, g, radius, ball=ball),
+                       g.g @ np.vstack([1j * np.eye(n), np.eye(n)]), {"mu": mu}),
+    }
+
+
+def _every_term(w, ball, cols, kw):
+    """The oracle's terms: one per element of the ball, -g as well as g."""
+    return pole_terms(w, ball.elements.astype(np.float64), cols, **kw)[:, 0]
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 20.0), (1, 2, 20.0), (2, 1, 3.5),
+                                          (2, 2, 6.0)], ids=["g1-N1", "g1-N2", "g2-N1", "g2-N2"])
+def test_series_equal_the_full_ball_sum(n, N, radius):
+    # a series evaluates one of each pair +-g and doubles the sum; the oracle
+    # evaluates every element and sums the terms exactly
+    ball = enumerate_ball(CongruenceGroup(n, N), radius)
+    w = Weight(12, n)
+    for name, (res, cols, kw) in _three_series(w, ball, np.random.default_rng(80 + N)).items():
+        terms = _every_term(w, ball, cols, kw)
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert res.terms == len(ball)
+        assert abs(res.value - want) <= 1e-13 * abs(want), name
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_series_of_odd_mn_vanish_exactly(N):
+    # the terms of g and -g cancel when mn is odd: the value is an exact 0,
+    # while every group element is still counted
+    ball = enumerate_ball(CongruenceGroup(1, N), 20.0)
+    w = Weight(13, 1)
+    for name, (res, cols, kw) in _three_series(w, ball, np.random.default_rng(90 + N)).items():
+        terms = _every_term(w, ball, cols, kw)
+        assert res.value == 0 and res.tail_estimate == 0, name
+        assert res.terms == len(ball)
+        assert abs(terms.sum()) <= 1e-13 * np.sum(np.abs(terms)), name
+    evaluate = sp.series_evaluator_genus1(w, ball, mu=MatrixPolynomial.one(1))
+    assert np.array_equal(evaluate(np.array([1j, 0.3 + 0.8j])), np.zeros(2))
+
+
+def _blockwise(w, ball, cols, kw):
+    """Every element's term, in ball order, summed in blocks of _BLOCK
+    term-points: the sum of a group without -I."""
+    step = max(sp.poincare._BLOCK // (cols.shape[1] // w.n), 1)
+    out = np.zeros(cols.shape[1] // w.n, dtype=np.complex128)
+    for k in range(0, len(ball), step):
+        out += pole_terms(w, ball.elements[k:k + step].astype(np.float64), cols, **kw).sum(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("n, radius", [(1, 40.0), (2, 10.0)])
+def test_series_at_level_3_keep_their_bits(n, radius):
+    # -I is not in the level-3 group, so every element is still evaluated, in
+    # the same blocks and order: values equal the plain blockwise sum exactly
+    ball = enumerate_ball(CongruenceGroup(n, 3), radius)
+    w = Weight(12, n)
+    for name, (res, cols, kw) in _three_series(w, ball, np.random.default_rng(95 + n)).items():
+        inner, shell = (_blockwise(w, part, cols, kw)[0] for part in ball.split(radius / 2))
+        assert res.value == complex(inner + shell), name
+    if n == 1:        # many points, so the ball spans several blocks
+        zs = 0.2 * np.arange(-600, 600) / 600 + 1.1j
+        kw = {"mu": sp.parse_polynomial("1 + X_{1,1}^2", 1)}
+        got = sp.series_evaluator_genus1(w, ball, **kw)(zs)
+        assert np.array_equal(got, _blockwise(w, ball, np.vstack([zs, np.ones(len(zs))]), kw))
 
 
 # ---------------------------------------------------------------------------
