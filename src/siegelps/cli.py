@@ -62,7 +62,7 @@ from .poincare import (
     poincare_f,
     save_ball,
 )
-from .polynomials import MatrixPolynomial, parse_polynomial
+from .polynomials import parse_polynomial
 from .symplectic import SiegelPoint, SymplecticMatrix, hyperbolic, kak_decompose
 
 
@@ -286,8 +286,9 @@ def cmd_poincare(args) -> int:
     radius = _default_radius(args)
     ball = _get_ball(args, group, radius)
     res = poincare_f(mu, w, group, z, radius, ball=ball)
+    # the sum over the group's elements in K of mu's translates, mu', is 0
     notes = (["note: this weight vanishes identically at this level"]
-             if vanishing_case(0, w, args.N) and mu == MatrixPolynomial.one(args.n) else [])
+             if mu.orbit_sum(group.k_units(), w.m).is_zero() else [])
     return _emit_series(args, "poincare", res, notes, mu=args.mu)
 
 

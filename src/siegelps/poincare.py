@@ -28,27 +28,40 @@ radius whose cap is no larger, and is restricted to it.  Every radius,
 enumerated, loaded, split or fitted, goes through that cap, which refuses
 one that is not positive and finite.  Every ``EnumerationBall`` is checked
 once, when it is made: int64 elements of its group, within its cap, in
-canonical order, and closed under g -> -g when -I is in the group.  The views
-from ``restrict`` and ``split`` cut by norm, so they keep that check, and no
-series or cache hit repeats it.  On Sp(2n, R),
+canonical order, and closed under left multiplication by the group's
+elements in K.  The views from ``restrict`` and ``split`` cut by norm, so
+they keep that check, and no series or cache hit repeats it.  On Sp(2n, R),
 |g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
 elements in K are the ball of cap 2n.
 
-The series sum over the group modulo its centre.  At levels N <= 2 the group
-holds -I, and the term of -g is (-1)^{mn} times the term of g, for the
-weight-vector, kernel and group-side series alike.  So each series evaluates
-one element of each pair +-g and doubles the sum, and is exactly 0 when mn is
-odd.  ``TruncatedSeriesResult.terms`` still counts group elements.
+The series sum over orbits of the group's elements in K.  Each such k is
+(X Y; -Y X) with u = X + iY unitary: a monomial matrix with entries in
+{+-1, +-i} at level N = 1 (order 4 at genus 1, 32 at genus 2), a diagonal
+sign matrix at N = 2 (orders 2 and 4) and I from N = 3 on.  As |kg| = |g|,
+a checked ball is a union of left orbits, each with one element per k.  In
+the complex rows rho = (A + iC | B + iD) of g = (A B; C D), the pole rows of
+its terms, k acts as rho -> conj(u) rho, so the weight-vector term of kg is
+det(u)^m mu(u W u^T) times the term's other factors, W = Q P^{-1}.  The
+weight-vector and group-side series therefore evaluate one element per
+orbit with mu' = sum_k det(u)^m mu(u W u^T) in place of mu
+(``MatrixPolynomial.orbit_sum``), and are exactly 0 when mu' is.  The
+kernel term of kg is the kernel at k^{-1} xi, not a multiple of the kernel
+at xi, so the kernel series keeps only the centre: at N <= 2 the term of -g
+is (-1)^{mn} times the term of g, so it evaluates one of each pair +-g,
+doubles the sum and is exactly 0 when mn is odd.
+``TruncatedSeriesResult.terms`` still counts group elements.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,6 +114,44 @@ class CongruenceGroup:
         the ball of squared norm 2n, canonically ordered."""
         return enumerate_ball(self, math.sqrt(2 * self.n)).elements
 
+    def k_units(self) -> np.ndarray:
+        """The same elements k = (X Y; -Y X) as the unitary u = X + iY,
+        stacked (k, n, n), without enumerating: every monomial matrix with
+        entries in {+-1, +-i} at N = 1, the diagonal sign matrices at N = 2,
+        and I alone from N = 3 on.  Read-only."""
+        return _k_units(self.n, self.N)
+
+
+@functools.lru_cache(maxsize=None)
+def _k_units(n: int, N: int) -> np.ndarray:
+    units = {1: (1, 1j, -1, -1j), 2: (1, -1)}.get(N, (1,))
+    perms = itertools.permutations(range(n)) if N == 1 else [range(n)]
+    out = np.array([np.eye(n)[list(perm)] * np.array(c)[:, None]
+                    for perm in perms for c in itertools.product(units, repeat=n)],
+                   dtype=np.complex128)
+    out.setflags(write=False)
+    return out
+
+
+def _k_matrix(u: np.ndarray) -> np.ndarray:
+    """The integer k = (X Y; -Y X) of a unitary u = X + iY."""
+    X, Y = np.real(u).astype(np.int64), np.imag(u).astype(np.int64)
+    return np.block([[X, Y], [-Y, X]])
+
+
+def _k_generators(group: "CongruenceGroup") -> list[np.ndarray]:
+    """Integer matrices that generate the group's elements in K: at N = 1
+    u = diag(i, 1, ..., 1) and the swaps of adjacent rows, at N = 2 the sign
+    changes of one row each, and none from N = 3 on."""
+    n, N = group.n, group.N
+    if N > 2:
+        return []
+    eye = np.eye(n)
+    if N == 2:
+        return [_k_matrix(eye - 2 * np.diag(row)) for row in eye]
+    return [_k_matrix(eye + (1j - 1) * np.diag(eye[0]))] + [
+        _k_matrix(eye[[*range(r), r + 1, r, *range(r + 2, n)]]) for r in range(n - 1)]
+
 
 def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
     """For an integer stack (k, 2n, 2n): whether every matrix is symplectic,
@@ -140,14 +191,21 @@ class EnumerationBall:
 
     Making one checks the elements: an int64 array (k, 2n, 2n) of symplectic
     matrices congruent to I mod N, none past the radius's cap, in canonical
-    order.  When -I is in the group (N <= 2) the elements are closed under
-    g -> -g, which the series rely on to evaluate one of each pair.
-    ``restrict`` and ``split`` return views that keep the check: they cut
-    between norms, and negation keeps the norm."""
+    order, and closed under g -> kg for the group's elements k in K (at
+    N <= 2; from N = 3 on only I is in K).  The series rely on that closure to
+    evaluate one element of each orbit {kg}.  ``representatives`` marks those
+    elements, computed once here (None from N = 3 on, where every element
+    is one): at N = 1 each complex row of rho = (A + iC | B + iD) has its
+    first nonzero entry in {re > 0, im >= 0} and the rows increase
+    (lexicographically in re, im of each entry); at N = 2 each row's first
+    nonzero entry has re > 0, or re = 0 and im > 0.  ``restrict`` and
+    ``split`` return views that keep the check and slice the marks: they cut
+    between norms, and k keeps the norm."""
 
     group: CongruenceGroup
     radius: float
     elements: np.ndarray
+    representatives: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.elements).view()   # no copy; the caller's flag stays
@@ -159,12 +217,16 @@ class EnumerationBall:
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
         object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "representatives", _representatives(self.group.N, arr))
 
-    def _view(self, radius: float, elements: np.ndarray) -> "EnumerationBall":
+    def _view(self, radius: float, cut: slice) -> "EnumerationBall":
         """A ball of a prefix or suffix of these elements.  It keeps the
         contract this ball was checked for, so the check does not run again."""
         view = object.__new__(EnumerationBall)
-        view.__dict__.update(group=self.group, radius=float(radius), elements=elements)
+        keep = self.representatives
+        view.__dict__.update(group=self.group, radius=float(radius),
+                             elements=self.elements[cut],
+                             representatives=None if keep is None else keep[cut])
         return view
 
     def __len__(self) -> int:
@@ -181,13 +243,13 @@ class EnumerationBall:
             raise DomainError(f"a ball of radius {self.radius} does not reach "
                               f"radius {radius}")
         k = bisect.bisect_right(self.elements, cap, key=lambda g: int(np.sum(g * g)))
-        return self._view(radius, self.elements[:k])
+        return self._view(radius, slice(k))
 
     def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
         """Views of the ball of ``radius`` and of the shell of the other
         elements, which keeps this radius; this ball's sum is theirs."""
         inner = self.restrict(radius)
-        return inner, self._view(self.radius, self.elements[len(inner):])
+        return inner, self._view(self.radius, slice(len(inner), None))
 
 
 # Candidate pairs per block of the bottom-half sweep, and cosets per block of
@@ -354,24 +416,82 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         raise DomainError("enumerated element exceeds the radius")
     if not ordered:
         raise DomainError("ball elements are not in canonical order")
-    if group.epsilon() == 2 and not _closed_under_negation(arr, norms):
-        raise DomainError("ball is not closed under g -> -g, as the series at "
-                          "levels 1 and 2 need")
+    if not _closed_under_k(group, arr, norms):
+        raise DomainError("ball is not closed under g -> kg for the group's elements k "
+                          "in K, as the series at levels 1 and 2 need")
 
 
-def _closed_under_negation(arr: np.ndarray, norms: np.ndarray) -> bool:
+def _closed_under_k(group: CongruenceGroup, arr: np.ndarray, norms: np.ndarray) -> bool:
     """Whether a canonically ordered ball with these squared norms is closed
-    under g -> -g.  Negation keeps the norm and reverses the order of the
-    entries, so in each shell [s, e) of one norm, element i must be minus
-    element s + e - 1 - i; compared in blocks, without a copy of the ball."""
-    bounds = np.flatnonzero(np.diff(norms)) + 1
-    for s, e in zip([0, *bounds.tolist()], [*bounds.tolist(), len(arr)]):
-        half = (s + e + 1) // 2         # the middle of an odd shell meets itself
-        for a in range(s, half, _COSETS):
-            b = min(a + _COSETS, half)
-            if np.any(arr[a:b] + arr[s + e - b:s + e - a][::-1]):
-                return False
+    under g -> kg for each generator k of the group's elements in K.
+
+    Each element gets injective integer keys, a balanced mixed-radix reading
+    of its entries split so that no key overflows; the key of kg is a linear
+    form in the entries of g too.  k keeps the norm, so over a run of whole
+    shells the sorted keys of the images must equal the sorted keys.  Runs
+    hold at least _COSETS rows, so only keys are held, never a copy of the
+    ball."""
+    gens = _k_generators(group)
+    if not gens or not len(arr):
+        return True
+    shape, size = arr.shape[1:], arr[0].size
+    # no row is zero, so an entry's square is at most the norm less 2n - 1
+    base = 2 * math.isqrt(int(norms.max()) - shape[0] + 1) + 1
+    per = 1                     # digits per key: |key| <= (base^per - 1) / 2
+    while per < size and (base ** (per + 1) - 1) // 2 < 2 ** 63:
+        per += 1
+    digit = np.arange(size)
+    forms = np.zeros((-(-size // per), size), np.int64)     # key c = forms[c] . g
+    forms[digit // per, digit] = base ** (per - 1 - digit % per)
+    # the keys of kg are forms in g too: forms[c] . (k g) = (k^T forms[c]) . g
+    forms = forms.reshape(-1, *shape)
+    forms = np.concatenate([forms, *(k.T @ forms for k in gens)]).reshape(-1, size).T
+    starts = np.flatnonzero(np.diff(norms)) + 1
+    s = 0
+    while s < len(arr):
+        i = np.searchsorted(starts, s + _COSETS)
+        e = int(starts[i]) if i < len(starts) else len(arr)
+        keys = np.split(arr[s:e].reshape(e - s, -1) @ forms, len(gens) + 1, axis=1)
+        want = _sorted_rows(keys[0])
+        if not all(np.array_equal(_sorted_rows(k), want) for k in keys[1:]):
+            return False
+        s = e
     return True
+
+
+def _sorted_rows(keys: np.ndarray) -> np.ndarray:
+    """The rows of an integer array (k, c) in lexicographic order."""
+    if keys.shape[1] == 1:
+        return np.sort(keys[:, 0])
+    return keys[np.lexsort(keys.T[::-1])]
+
+
+def _representatives(N: int, arr: np.ndarray) -> np.ndarray | None:
+    """The mask of the elements that represent their orbits {kg} (see
+    ``EnumerationBall``), computed in blocks of _COSETS rows; None from
+    N = 3 on."""
+    if N > 2:
+        return None
+    n = arr.shape[1] // 2
+    keep = np.empty(len(arr), dtype=bool)
+    for k in range(0, len(arr), _COSETS):
+        part = arr[k:k + _COSETS]
+        # the rows of rho = (A + iC | B + iD), re and im of each entry side by side
+        rows = part.reshape(len(part), 2, n, 2 * n).transpose(0, 2, 3, 1).reshape(
+            len(part), n, 4 * n)
+        at, lead = _leading(rows)
+        ok = lead > 0                               # N = 2: re > 0, or re = 0 < im
+        if N == 1:                                  # re > 0 <= im, rows increasing
+            ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] + 1, 2)[..., 0] >= 0)
+            ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] > 0
+        keep[k:k + _COSETS] = ok.all(axis=1)
+    return keep
+
+
+def _leading(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index and the value of the first nonzero entry along the last axis."""
+    at = np.argmax(x != 0, axis=-1)
+    return at, np.take_along_axis(x, at[..., None], -1)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +551,50 @@ def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
     """Sums over the ball of ``pole_terms`` at the points' columns ``cols``, in
     blocks of terms, in ball order, that span about _BLOCK term-points.
 
-    The centre rule: when -I is in the group (level N <= 2), the term of -g is
-    (-1)^{mn} times the term of g, and the ball is closed under g -> -g.  So
-    an odd mn gives exactly 0 with nothing evaluated, and an even mn evaluates
-    only the elements whose first nonzero entry (row-major) is positive, one
-    of each pair, and doubles their sum.  A block then holds twice the rows,
-    so the evaluated half still spans about _BLOCK term-points."""
+    The orbit rule, for the weight-vector terms (``mu``): the ball is a union
+    of orbits {kg} over the group's elements k in K, of order 4, 2, 1 at
+    genus 1 and 32, 4, 1 at genus 2 for levels N = 1, 2, >= 3, and the orbit
+    of g sums to the term of g with mu' = sum_k det(u)^m mu(u W u^T).  So
+    only ``ball.representatives`` are evaluated, with mu', and a mu' of 0
+    gives exactly 0 with nothing evaluated; an odd mn is one such case.
+
+    The centre rule, for the kernel terms (``xi``): the kernel term of kg is
+    the kernel at k^{-1} xi, so only the centre {+-I} (N <= 2) folds.  The
+    term of -g is (-1)^{mn} times the term of g, so an odd mn gives exactly 0
+    and an even mn evaluates the elements whose first nonzero entry
+    (row-major) is positive, one of each pair, and doubles their sum.
+
+    A block holds as many times the rows as the order folded, so the
+    evaluated part still spans about _BLOCK term-points."""
     points = cols.shape[1] // weight.n
     out = np.zeros(points, dtype=np.complex128)
-    eps = ball.group.epsilon()
-    if eps == 2 and weight.m * weight.n % 2:
-        return out
-    step = eps * max(_BLOCK // max(points, 1), 1)
+    if xi is None:
+        mu = _orbit_weight(mu, ball.group, weight.m)
+        if mu.is_zero():
+            return out
+        order, scale, marks = len(ball.group.k_units()), 1, ball.representatives
+    else:
+        order = scale = ball.group.epsilon()
+        if order == 2 and weight.m * weight.n % 2:
+            return out
+        marks = None
+    step = order * max(_BLOCK // max(points, 1), 1)
     for k0 in range(0, len(ball), step):
         block = ball.elements[k0:k0 + step]
-        if eps == 2:
-            first_row = block[:, 0]      # a symplectic matrix has no zero row
-            lead = first_row[np.arange(len(block)), np.argmax(first_row != 0, axis=1)]
-            block = block[lead > 0]
+        if marks is not None:
+            block = block[marks[k0:k0 + step]]
+        elif scale == 2:
+            block = block[_leading(block[:, 0])[1] > 0]   # no row of g is zero
         out += pole_terms(weight, block.astype(np.float64), cols, mu, xi).sum(axis=0)
-    return eps * out
+    return scale * out
+
+
+@functools.lru_cache(maxsize=64)
+def _orbit_weight(mu: MatrixPolynomial, group: CongruenceGroup, m: int) -> MatrixPolynomial:
+    """mu' = sum over the group's elements in K of det(u)^m mu(u W u^T); mu
+    itself when only I is in K, so those sums keep their bits."""
+    units = group.k_units()
+    return mu if len(units) == 1 else mu.orbit_sum(units, m)
 
 
 def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: np.ndarray,

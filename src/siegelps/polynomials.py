@@ -18,6 +18,8 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .matrixio import require_genus, require_integer
 
+_UNIT_POWER = {1: 0, 1j: 1, -1: 2, -1j: 3}     # c -> t with c = i^t
+
 
 def _canonical_terms(n, terms):
     canon = {}
@@ -144,6 +146,44 @@ class MatrixPolynomial:
         return MatrixPolynomial(self.n, prod)
 
     __rmul__ = __mul__
+
+    def orbit_sum(self, units, m: int) -> "MatrixPolynomial":
+        """The polynomial sum over u in ``units`` of det(u)^m p(u X u^T), as a
+        function of a symmetric X, with every X_{s,r} (s > r) read as X_{r,s}.
+
+        Each u is a monomial n x n matrix whose nonzero entries are powers of
+        i, so X_{r,s} -> c_r c_s X_{p(r),p(s)} where u[r, p(r)] = c_r: each
+        term is relabelled, and its unit factors are counted as Gaussian
+        integers before they meet the coefficient.  Terms that cancel are
+        therefore exactly 0."""
+        m = require_integer(m, "weight")
+        units = np.asarray(units, dtype=np.complex128)
+        require_genus(self.n, units=units)
+        nonzero = units != 0
+        perms = np.argmax(nonzero, axis=2)
+        if not (np.all(nonzero.sum(axis=2) == 1)
+                and np.all(np.sort(perms, axis=1) == np.arange(self.n))
+                and np.isin(units[nonzero], list(_UNIT_POWER)).all()):
+            raise DomainError("each u must be a monomial matrix with entries in {+-1, +-i}")
+        counts: dict = {}         # (target, source) -> counts of i^0, i^1, i^2, i^3
+        for u, perm in zip(units, perms.tolist()):
+            power = [_UNIT_POWER[complex(u[r, p])] for r, p in enumerate(perm)]
+            # det(u) = sign(perm) prod c_r, and sign(perm) = i^(2 * inversions)
+            det = sum(power) + 2 * sum(a > b for a, b in itertools.combinations(perm, 2))
+            for exps in self._terms:
+                target, t = [[0] * self.n for _ in range(self.n)], m * det
+                for r, row in enumerate(exps):
+                    for s, e in enumerate(row):
+                        if e:
+                            a, b = sorted((perm[r], perm[s]))
+                            target[a][b] += e
+                            t += e * (power[r] + power[s])
+                key = (tuple(map(tuple, target)), exps)
+                counts.setdefault(key, [0, 0, 0, 0])[t % 4] += 1
+        out: dict = {}
+        for (target, exps), (c0, c1, c2, c3) in counts.items():
+            out[target] = out.get(target, 0j) + self._terms[exps] * complex(c0 - c2, c1 - c3)
+        return MatrixPolynomial(self.n, out)
 
     def __pow__(self, k: int):
         if k < 0:

@@ -283,6 +283,21 @@ def test_poincare_vanishing_note(capsys):
     assert "vanishes identically" in out
 
 
+@pytest.mark.parametrize("args, vanishes", [
+    (("--m", "14"), True), (("--m", "12", "--mu", "X_{1,1}"), True),
+    (("--m", "12", "--mu", "X_{1,1}^2"), False), (("--m", "12"), False),
+    (("--m", "12", "--mu", "X_{1,1}", "--N", "3"), False)])
+def test_poincare_vanishing_note_follows_mu_prime(capsys, args, vanishes):
+    # the note is printed exactly when mu' = 0, for any weight, with the value 0
+    level = () if "--N" in args else ("--N", "1")
+    code, out, _ = run(capsys, "poincare", "--n", "1", *level, *args, "--z", "i",
+                       "--radius", "6")
+    assert code == 0
+    assert ("vanishes identically" in out) == vanishes
+    if vanishes:
+        assert out.startswith("value = +0.000000000000e+00 +0.000000000000e+00i")
+
+
 def test_poincare_bad_point(capsys):
     code, _, err = run(capsys, "poincare", "--n", "1", "--N", "1", "--m", "12",
                        "--z", "abc")

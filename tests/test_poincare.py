@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import math
 from pathlib import Path
 
@@ -246,6 +247,10 @@ def test_restrict_and_split_are_views(ball40, n, N, radius):
     keep = ball.norms_squared() <= math.floor(radius * radius / 4)
     assert np.array_equal(inner.elements, ball.elements[keep])
     assert np.array_equal(shell.elements, ball.elements[~keep])
+    # the orbit marks are computed once, by the parent, and sliced
+    for part, cut in ((inner, keep), (shell, ~keep)):
+        assert np.shares_memory(part.representatives, ball.representatives)
+        assert np.array_equal(part.representatives, ball.representatives[cut])
 
 
 def test_ball_leaves_the_callers_array_writeable():
@@ -422,6 +427,53 @@ def test_ball_checks_itself(broken, message, tmp_path):
         load_ball(path)
     again = sp.EnumerationBall(ball.group, ball.radius, ball.elements.copy())
     assert np.array_equal(again.elements, ball.elements)
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 2, 6.0)])
+def test_ball_missing_a_k_image_is_refused(n, N, radius, tmp_path):
+    # negative control: a ball closed under g -> -g that lacks the pair +-kg
+    # for one k in K, so a check of negation alone would pass it, and the
+    # orbit sums would count a missing orbit member
+    ball = enumerate_ball(CongruenceGroup(n, N), radius)
+    k = _as_k(ball.group.k_units()[1])           # u = i at genus 1, diag(1, -1) at 2
+    g = ball.elements[-1]
+    index = {e.tobytes(): i for i, e in enumerate(ball.elements)}
+    gone = [index[(k @ g).tobytes()], index[(-(k @ g)).tobytes()]]
+    arr = np.delete(ball.elements, gone, axis=0)
+    assert {e.tobytes() for e in -arr} == {e.tobytes() for e in arr}   # closed under -g
+    with pytest.raises(DomainError, match="closed under"):
+        sp.EnumerationBall(ball.group, radius, arr)
+    path = str(tmp_path / "unclosed.bin")
+    with open(path, "wb") as fh:
+        np.savez(fh, elements=arr, level=N, radius=radius)
+    with pytest.raises(DomainError, match="closed under"):
+        load_ball(path)
+    save_ball(path, ball)                                   # the whole ball passes
+    assert np.array_equal(load_ball(path).elements, ball.elements)
+
+
+def test_closure_check_with_entries_past_one_key():
+    # entries of 40000 need two keys per element at genus 1; a ball need not
+    # hold every group element within its radius, only whole orbits
+    group = CongruenceGroup(1, 1)
+    ks = group.k_intersection()
+    g = np.array([[1, 40000], [0, 1]], dtype=np.int64)
+    whole = sp.poincare._canonical_order(np.concatenate([ks, ks @ g, ks @ g.T]))
+    radius = math.sqrt(1 + 40000 ** 2 + 1)
+    ball = sp.EnumerationBall(group, radius, whole)
+    assert ball.representatives.sum() == 3
+    index = {e.tobytes(): i for i, e in enumerate(whole)}
+    J = ks[1]
+    for h in (g, g.T):
+        gone = [index[(J @ h).tobytes()], index[(-(J @ h)).tobytes()]]
+        with pytest.raises(DomainError, match="closed under"):
+            sp.EnumerationBall(group, radius, np.delete(whole, gone, axis=0))
+
+
+def _as_k(u):
+    """The integer k = (X Y; -Y X) of u = X + iY."""
+    X, Y = np.real(u).astype(np.int64), np.imag(u).astype(np.int64)
+    return np.block([[X, Y], [-Y, X]])
 
 
 def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
@@ -626,15 +678,54 @@ def test_vectorized_evaluator_matches_mpmath(ball40):
 
 
 # ---------------------------------------------------------------------------
-# the centre rule: -I is in the group at levels 1 and 2
+# the orbit rule (weight vectors) and the centre rule (kernels)
 # ---------------------------------------------------------------------------
 
 
-def _three_series(w, ball, rng):
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_the_rule_group_is_the_enumerated_one(n, N):
+    group = CongruenceGroup(n, N)
+    units = group.k_units()
+    assert len(units) == {1: 4 ** n * math.factorial(n), 2: 2 ** n}.get(N, 1)
+    assert {_as_k(u).tobytes() for u in units} == {k.tobytes() for k in group.k_intersection()}
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (1, 2, 10.0), (1, 3, 10.0),
+                                          (2, 1, 3.0), (2, 2, 3.0), (2, 2, 6.0)])
+def test_representatives_pick_one_element_per_orbit(n, N, radius):
+    # brute force: group the elements by the set of their images k g
+    group = CongruenceGroup(n, N)
+    ball = enumerate_ball(group, radius)
+    ks = group.k_intersection()
+    marks = (np.ones(len(ball), dtype=bool) if ball.representatives is None
+             else ball.representatives)
+    orbits: dict = {}
+    for g, mark in zip(ball.elements, marks):
+        orbit = frozenset(img.tobytes() for img in ks @ g)
+        orbits.setdefault(orbit, []).append(mark)
+    assert all(len(members) == len(ks) and sum(members) == 1
+               for members in orbits.values())
+    assert sum(map(len, orbits.values())) == len(ball)
+
+
+def test_mu_prime_vanishes_exactly_on_the_vanishing_cases():
+    # det^l: mu' = 0 exactly where vanishing_case says the average is 0
+    seen = set()
+    for n, N, l in itertools.product((1, 2), (1, 2, 3), range(13)):
+        for w in map(Weight, range(2 * n + 1, 2 * n + 9), itertools.repeat(n)):
+            mu = MatrixPolynomial.det_power(n, l)
+            zero = mu.orbit_sum(CongruenceGroup(n, N).k_units(), w.m).is_zero()
+            assert zero == sp.vanishing_case(l, w, N), (l, w, N)
+            seen.add(zero)
+    assert seen == {True, False}
+
+
+def _three_series(w, ball, rng, mu_text=None):
     """Each series over ``ball`` at seeded inputs, with the columns and the
     keyword that give ``pole_terms`` its terms."""
     n, group, radius = w.n, ball.group, ball.radius
-    mu = sp.parse_polynomial("1 + X_{1,1}^2" if n == 1 else "det^2 + 3*X_{1,2}", n)
+    mu = sp.parse_polynomial(mu_text or ("1 + X_{1,1}^2" if n == 1 else "det^2 + 3*X_{1,2}"), n)
     z, xi, g = random_point(n, rng), random_point(n, rng), sp.random_symplectic(n, rng)
     cols = np.vstack([z.z, np.eye(n)])
     return {
@@ -646,22 +737,50 @@ def _three_series(w, ball, rng):
 
 
 def _every_term(w, ball, cols, kw):
-    """The oracle's terms: one per element of the ball, -g as well as g."""
+    """The oracle's terms: one per element of the ball, every k g as well as g."""
     return pole_terms(w, ball.elements.astype(np.float64), cols, **kw)[:, 0]
 
 
-@pytest.mark.parametrize("n, N, radius", [(1, 1, 20.0), (1, 2, 20.0), (2, 1, 3.5),
-                                          (2, 2, 6.0)], ids=["g1-N1", "g1-N2", "g2-N1", "g2-N2"])
-def test_series_equal_the_full_ball_sum(n, N, radius):
-    # a series evaluates one of each pair +-g and doubles the sum; the oracle
-    # evaluates every element and sums the terms exactly
+_FULL_BALL_CASES = [   # (n, radius at N = 1, 2, 3, m, mu); None is the default mu
+    (1, (20.0, 20.0, 20.0), 12, None),
+    (1, (20.0, 20.0, 20.0), 12, "X_{1,1} + X_{1,1}^2"),   # at N = 1, mu' = 4 X_{1,1}^2
+    (2, (3.5, 6.0, 8.0), 12, None),
+    (2, (3.5, 6.0, 8.0), 8, "det^2 + 3*X_{1,2}"),        # the X_{1,2} part cancels
+]
+
+
+@pytest.mark.parametrize("n, N, radius, m, mu_text", [
+    pytest.param(n, N, radii[N - 1], m, mu_text,
+                 id=f"g{n}{'' if mu_text is None else f'-m{m}-mu'}-N{N}")
+    for n, radii, m, mu_text in _FULL_BALL_CASES for N in (1, 2, 3)])
+def test_series_equal_the_full_ball_sum(n, N, radius, m, mu_text):
+    # a weight-vector series evaluates one element per orbit with mu', and a
+    # kernel series one of each pair +-g; the oracle evaluates every element
+    # with mu and sums the terms exactly.  Each term is rounded to about m
+    # ulps (its power is formed by m-fold products), so where the terms of an
+    # orbit cancel, the oracle is no closer than that to the true sum: at
+    # g1-m12-mu-N1 both it and the series are 1.3-1.6e-13 from a 40-digit sum
     ball = enumerate_ball(CongruenceGroup(n, N), radius)
-    w = Weight(12, n)
-    for name, (res, cols, kw) in _three_series(w, ball, np.random.default_rng(80 + N)).items():
+    w = Weight(m, n)
+    rng = np.random.default_rng(80 + N)
+    for name, (res, cols, kw) in _three_series(w, ball, rng, mu_text).items():
         terms = _every_term(w, ball, cols, kw)
         want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        rounding = w.m * np.finfo(float).eps * np.sum(np.abs(terms))
         assert res.terms == len(ball)
-        assert abs(res.value - want) <= 1e-13 * abs(want), name
+        assert abs(res.value - want) <= 1e-13 * abs(want) + rounding, name
+
+
+def test_mu_prime_drops_the_cancelling_part():
+    # the two examples of the full-ball test above, as polynomials
+    g1 = sp.parse_polynomial("X_{1,1} + X_{1,1}^2", 1)
+    assert g1.orbit_sum(CongruenceGroup(1, 1).k_units(), 12) == 4 * sp.parse_polynomial(
+        "X_{1,1}^2", 1)
+    g2 = sp.parse_polynomial("det^2 + 3*X_{1,2}", 2)
+    symmetric = np.eye(2)[None]          # the identity alone: X_{2,1} read as X_{1,2}
+    det2 = MatrixPolynomial.det_power(2, 2).orbit_sum(symmetric, 0)
+    for N, order in ((1, 32), (2, 4)):
+        assert g2.orbit_sum(CongruenceGroup(2, N).k_units(), 8) == order * det2
 
 
 @pytest.mark.parametrize("N", [1, 2])
@@ -679,19 +798,41 @@ def test_series_of_odd_mn_vanish_exactly(N):
     assert np.array_equal(evaluate(np.array([1j, 0.3 + 0.8j])), np.zeros(2))
 
 
-def _blockwise(w, ball, cols, kw):
-    """Every element's term, in ball order, summed in blocks of _BLOCK
-    term-points: the sum of a group without -I."""
-    step = max(sp.poincare._BLOCK // (cols.shape[1] // w.n), 1)
+def test_series_of_a_vanishing_mu_prime_are_exactly_zero(monkeypatch):
+    # mu' = 0 with mn even at level 1: X_{1,1} at m = 12, and 1 + X_{1,1}^2
+    # at m = 14; nothing is evaluated, while the terms over the ball only
+    # nearly cancel
+    ball = enumerate_ball(CongruenceGroup(1, 1), 20.0)
+    z = SiegelPoint.from_complex(np.array([[0.3 + 1.1j]]))
+    for mu, w in ((MatrixPolynomial.coordinate(1, 1, 1), Weight(12, 1)),
+                  (sp.parse_polynomial("1 + X_{1,1}^2", 1), Weight(14, 1))):
+        cols = np.vstack([z.z, np.eye(1)])
+        terms = _every_term(w, ball, cols, {"mu": mu})
+        assert 0 < abs(terms.sum()) <= 1e-13 * np.sum(np.abs(terms))
+        with monkeypatch.context() as patch:
+            patch.setattr(sp.poincare, "pole_terms", None)      # any call would fail
+            res = poincare_f(mu, w, ball.group, z, 20.0, ball=ball)
+        assert res.value == 0 and res.tail_estimate == 0 and res.terms == len(ball)
+
+
+def _blockwise(w, ball, cols, kw, fold=1):
+    """Every element's term, in ball order, summed in blocks of ``fold``
+    times _BLOCK term-points; with fold 2, the centre rule: only the elements
+    whose first nonzero entry is positive, their sum doubled."""
+    step = fold * max(sp.poincare._BLOCK // (cols.shape[1] // w.n), 1)
     out = np.zeros(cols.shape[1] // w.n, dtype=np.complex128)
     for k in range(0, len(ball), step):
-        out += pole_terms(w, ball.elements[k:k + step].astype(np.float64), cols, **kw).sum(axis=0)
-    return out
+        block = ball.elements[k:k + step]
+        if fold == 2:
+            first = block[:, 0]
+            block = block[first[np.arange(len(block)), np.argmax(first != 0, axis=1)] > 0]
+        out += pole_terms(w, block.astype(np.float64), cols, **kw).sum(axis=0)
+    return fold * out
 
 
 @pytest.mark.parametrize("n, radius", [(1, 40.0), (2, 10.0)])
 def test_series_at_level_3_keep_their_bits(n, radius):
-    # -I is not in the level-3 group, so every element is still evaluated, in
+    # only I is in K at level 3, so every element is still evaluated, in
     # the same blocks and order: values equal the plain blockwise sum exactly
     ball = enumerate_ball(CongruenceGroup(n, 3), radius)
     w = Weight(12, n)
@@ -703,6 +844,26 @@ def test_series_at_level_3_keep_their_bits(n, radius):
         kw = {"mu": sp.parse_polynomial("1 + X_{1,1}^2", 1)}
         got = sp.series_evaluator_genus1(w, ball, **kw)(zs)
         assert np.array_equal(got, _blockwise(w, ball, np.vstack([zs, np.ones(len(zs))]), kw))
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 40.0), (1, 2, 40.0), (2, 1, 4.0),
+                                          (2, 2, 6.0)])
+def test_kernel_series_keep_their_bits(n, N, radius):
+    # the kernel keeps the centre rule alone, in the same blocks and order
+    ball = enumerate_ball(CongruenceGroup(n, N), radius)
+    w = Weight(12, n)
+    rng = np.random.default_rng(97 + N)
+    z, xi = random_point(n, rng), random_point(n, rng)
+    res = kernel_series(w, ball.group, xi, z, radius, ball=ball)
+    cols, kw = np.vstack([z.z, np.eye(n)]), {"xi": xi}
+    inner, shell = (_blockwise(w, part, cols, kw, fold=2)[0]
+                    for part in ball.split(radius / 2))
+    assert res.value == complex(inner + shell)
+    if n == 1:
+        zs = 0.2 * np.arange(-600, 600) / 600 + 1.1j
+        got = sp.series_evaluator_genus1(w, ball, **kw)(zs)
+        want = _blockwise(w, ball, np.vstack([zs, np.ones(len(zs))]), kw, fold=2)
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,31 @@ def test_str_is_text_the_grammar_reads_back(text, n):
     mu = parse_polynomial(text, n)
     assert parse_polynomial(str(mu), n) == mu
     assert str(MatrixPolynomial.one(n)) == "1" and str(MatrixPolynomial.zero(n)) == "0"
+
+
+@pytest.mark.parametrize("m", range(3, 15))
+def test_orbit_sum_of_one_over_the_fourth_roots(m):
+    units = np.array([[[1]], [[1j]], [[-1]], [[-1j]]])
+    want = MatrixPolynomial.constant(1, 4) if m % 4 == 0 else MatrixPolynomial.zero(1)
+    assert MatrixPolynomial.one(1).orbit_sum(units, m) == want
+
+
+def test_orbit_sum_is_the_substitution_on_symmetric_matrices():
+    # det(u)^m mu(u W u^T) summed over the given u, against direct evaluation
+    rng = np.random.default_rng(13)
+    mu = parse_polynomial("det^2 + 3*X_{1,2} - X_{2,1}*X_{1,1}^2 + 2", 2)
+    units = np.array([[[0, 1j], [1, 0]], [[-1, 0], [0, 1j]], [[1, 0], [0, 1]]])
+    for m in (5, 8):
+        got = mu.orbit_sum(units, m)
+        w = random_sym(2, rng)
+        want = sum(np.linalg.det(u) ** m * mu.evaluate(u @ w @ u.T) for u in units)
+        assert got.evaluate(w) == pytest.approx(want, rel=1e-13)
+        # X_{2,1} is read as X_{1,2}: no term is below the diagonal
+        assert all(row[0] == 0 for exps in got._terms for row in exps[1:])
+
+
+@pytest.mark.parametrize("units", [np.array([[[1, 1], [0, 1]]]), np.array([[[2, 0], [0, 1]]]),
+                                   np.array([[[1, 0], [1, 0]]]), np.eye(3)[None]])
+def test_orbit_sum_refuses_other_matrices(units):
+    with pytest.raises((DomainError, sp.DimensionError)):
+        MatrixPolynomial.det_power(2, 1).orbit_sum(units, 4)
