@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import os
 import tempfile
@@ -115,22 +114,12 @@ class CongruenceGroup:
         return enumerate_ball(self, math.sqrt(2 * self.n)).elements
 
     def k_units(self) -> np.ndarray:
-        """The same elements k = (X Y; -Y X) as the unitary u = X + iY,
-        stacked (k, n, n), without enumerating: every monomial matrix with
+        """The same elements k = (X Y; -Y X), in the same order, as the
+        unitary u = X + iY, stacked (k, n, n): every monomial matrix with
         entries in {+-1, +-i} at N = 1, the diagonal sign matrices at N = 2,
-        and I alone from N = 3 on.  Read-only."""
-        return _k_units(self.n, self.N)
-
-
-@functools.lru_cache(maxsize=None)
-def _k_units(n: int, N: int) -> np.ndarray:
-    units = {1: (1, 1j, -1, -1j), 2: (1, -1)}.get(N, (1,))
-    perms = itertools.permutations(range(n)) if N == 1 else [range(n)]
-    out = np.array([np.eye(n)[list(perm)] * np.array(c)[:, None]
-                    for perm in perms for c in itertools.product(units, repeat=n)],
-                   dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+        and I alone from N = 3 on.  They are generated from the generators
+        the closure check uses, without enumerating.  Read-only."""
+        return _k_units(self)
 
 
 def _k_matrix(u: np.ndarray) -> np.ndarray:
@@ -151,6 +140,19 @@ def _k_generators(group: "CongruenceGroup") -> list[np.ndarray]:
         return [_k_matrix(eye - 2 * np.diag(row)) for row in eye]
     return [_k_matrix(eye + (1j - 1) * np.diag(eye[0]))] + [
         _k_matrix(eye[[*range(r), r + 1, r, *range(r + 2, n)]]) for r in range(n - 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _k_units(group: CongruenceGroup) -> np.ndarray:
+    n = group.n
+    k, size = np.eye(2 * n, dtype=np.int64)[None], 0
+    while len(k) > size:
+        size = len(k)
+        k = np.unique(np.concatenate([k, *(g @ k for g in _k_generators(group))]), axis=0)
+    k = _canonical_order(k)
+    out = k[:, :n, :n] + 1j * k[:, :n, n:]
+    out.setflags(write=False)
+    return out
 
 
 def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
@@ -551,11 +553,12 @@ def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
     """Sums over the ball of ``pole_terms`` at the points' columns ``cols``, in
     blocks of terms, in ball order, that span about _BLOCK term-points.
 
-    The orbit rule, for the weight-vector terms (``mu``): the ball is a union
-    of orbits {kg} over the group's elements k in K, of order 4, 2, 1 at
-    genus 1 and 32, 4, 1 at genus 2 for levels N = 1, 2, >= 3, and the orbit
-    of g sums to the term of g with mu' = sum_k det(u)^m mu(u W u^T).  So
-    only ``ball.representatives`` are evaluated, with mu', and a mu' of 0
+    The orbit rule, for the weight-vector terms: the ball is a union of
+    orbits {kg} over the group's elements k in K, of order 4, 2, 1 at genus 1
+    and 32, 4, 1 at genus 2 for levels N = 1, 2, >= 3, and the orbit of g
+    sums to the term of g with mu' = sum_k det(u)^m mu(u W u^T).  The caller
+    passes that mu' as ``mu`` (``_orbit_weight``), made once per series;
+    only ``ball.representatives`` are evaluated with it, and a mu' of 0
     gives exactly 0 with nothing evaluated; an odd mn is one such case.
 
     The centre rule, for the kernel terms (``xi``): the kernel term of kg is
@@ -569,7 +572,6 @@ def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
     points = cols.shape[1] // weight.n
     out = np.zeros(points, dtype=np.complex128)
     if xi is None:
-        mu = _orbit_weight(mu, ball.group, weight.m)
         if mu.is_zero():
             return out
         order, scale, marks = len(ball.group.k_units()), 1, ball.representatives
@@ -589,12 +591,13 @@ def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
     return scale * out
 
 
-@functools.lru_cache(maxsize=64)
-def _orbit_weight(mu: MatrixPolynomial, group: CongruenceGroup, m: int) -> MatrixPolynomial:
-    """mu' = sum over the group's elements in K of det(u)^m mu(u W u^T); mu
-    itself when only I is in K, so those sums keep their bits."""
+def _orbit_weight(mu: MatrixPolynomial | None, group: CongruenceGroup,
+                  m: int) -> MatrixPolynomial | None:
+    """mu' = sum over the group's elements in K of det(u)^m mu(u W u^T), for
+    ``_pole_sums``; mu itself when only I is in K, so those sums keep their
+    bits, and None for a kernel series."""
     units = group.k_units()
-    return mu if len(units) == 1 else mu.orbit_sum(units, m)
+    return mu if mu is None or len(units) == 1 else mu.orbit_sum(units, m)
 
 
 def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: np.ndarray,
@@ -603,6 +606,7 @@ def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: n
     """The series at the point with columns ``cols``; the tail is the shell
     outside half the radius."""
     ball = _ball_for(group, radius, ball)
+    mu = _orbit_weight(mu, group, weight.m)
     inner, shell = (_pole_sums(weight, part, cols, mu, xi).reshape(())
                     for part in ball.split(ball.radius / 2.0))
     return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),
@@ -651,6 +655,7 @@ def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
         raise DomainError("give exactly one of mu and xi")
     require_genus(1, weight=weight, ball=ball.group, mu=mu, xi=xi)
     weight.require_integrable()
+    mu = _orbit_weight(mu, ball.group, weight.m)
     return lambda z: _pole_sums(weight, ball, np.vstack([np.ravel(z), np.ones(np.size(z))]),
                                 mu, xi).reshape(np.shape(z))
 
