@@ -20,7 +20,8 @@ Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
 ``enumerate_ball`` caps the size of stage 1, estimated before any work; the
 series take none, so to bound one, enumerate its ball and pass it.
 Elements are stored in a canonical order (norm, then entries) so that sums
-are reproducible.
+are reproducible; the order, its check and the closure check below read one
+integer key per element, ``_entry_forms``.
 
 A ball holds the elements of squared norm at most its cap floor(r^2), so
 radii with the same cap have the same elements: a supplied ball fits any
@@ -71,6 +72,7 @@ from .polynomials import MatrixPolynomial
 from .symplectic import (
     SiegelPoint,
     SymplecticMatrix,
+    _embed,
     embed_unitary,
     haar_unitary,
     hyperbolic,
@@ -124,8 +126,7 @@ class CongruenceGroup:
 
 def _k_matrix(u: np.ndarray) -> np.ndarray:
     """The integer k = (X Y; -Y X) of a unitary u = X + iY."""
-    X, Y = np.real(u).astype(np.int64), np.imag(u).astype(np.int64)
-    return np.block([[X, Y], [-Y, X]])
+    return _embed(u).astype(np.int64)
 
 
 def _k_generators(group: "CongruenceGroup") -> list[np.ndarray]:
@@ -164,11 +165,28 @@ def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
             bool(np.all((stack - np.eye(2 * n, dtype=np.int64)) % N == 0)))
 
 
+def _entry_forms(shape: tuple, max_norm: int) -> np.ndarray:
+    """The int64 forms (c, size) whose products with a flattened element of
+    squared norm at most ``max_norm`` are its c keys: its entries, row-major,
+    as mixed-radix digits, most significant first, split so that no key
+    overflows.  No row of a symplectic matrix is zero, so an entry's square
+    is at most the norm less 2n - 1; the digits are balanced, within
+    (base - 1) / 2, so the keys compare as the entries do, in turn."""
+    size = math.prod(shape)
+    base = 2 * math.isqrt(max(max_norm - shape[0] + 1, 0)) + 1
+    per = max(p for p in range(1, size + 1) if base ** p // 2 < 2 ** 63)   # digits per key
+    digit = np.arange(size)
+    forms = np.zeros((-(-size // per), size), np.int64)
+    forms[digit // per, digit] = base ** (per - 1 - digit % per)
+    return forms
+
+
 def _order_keys(arr: np.ndarray) -> list[np.ndarray]:
     """The keys of the canonical order, most significant first: the squared
-    norm, then the entries."""
+    norm, then the entry keys of ``_entry_forms``."""
     flat = arr.reshape(arr.shape[0], -1)
-    return [np.sum(flat * flat, axis=1), *flat.T]
+    norms = np.sum(flat * flat, axis=1)
+    return [norms, *(flat @ _entry_forms(arr.shape[1:], int(norms.max(initial=0))).T).T]
 
 
 def _canonical_order(arr: np.ndarray) -> np.ndarray:
@@ -425,28 +443,17 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
 
 def _closed_under_k(group: CongruenceGroup, arr: np.ndarray, norms: np.ndarray) -> bool:
     """Whether a canonically ordered ball with these squared norms is closed
-    under g -> kg for each generator k of the group's elements in K.
-
-    Each element gets injective integer keys, a balanced mixed-radix reading
-    of its entries split so that no key overflows; the key of kg is a linear
-    form in the entries of g too.  k keeps the norm, so over a run of whole
-    shells the sorted keys of the images must equal the sorted keys.  Runs
-    hold at least _COSETS rows, so only keys are held, never a copy of the
-    ball."""
+    under g -> kg for each generator k of the group's elements in K.  It
+    reads the keys of the canonical order, ``_entry_forms``: k keeps the
+    norm, so over each run of whole shells, at least _COSETS rows, the
+    sorted keys of the images must equal the sorted keys.  Only keys are
+    held, never a copy of the ball."""
     gens = _k_generators(group)
     if not gens or not len(arr):
         return True
     shape, size = arr.shape[1:], arr[0].size
-    # no row is zero, so an entry's square is at most the norm less 2n - 1
-    base = 2 * math.isqrt(int(norms.max()) - shape[0] + 1) + 1
-    per = 1                     # digits per key: |key| <= (base^per - 1) / 2
-    while per < size and (base ** (per + 1) - 1) // 2 < 2 ** 63:
-        per += 1
-    digit = np.arange(size)
-    forms = np.zeros((-(-size // per), size), np.int64)     # key c = forms[c] . g
-    forms[digit // per, digit] = base ** (per - 1 - digit % per)
-    # the keys of kg are forms in g too: forms[c] . (k g) = (k^T forms[c]) . g
-    forms = forms.reshape(-1, *shape)
+    forms = _entry_forms(shape, int(norms.max())).reshape(-1, *shape)
+    # forms[c] . (k g) = (k^T forms[c]) . g
     forms = np.concatenate([forms, *(k.T @ forms for k in gens)]).reshape(-1, size).T
     starts = np.flatnonzero(np.diff(norms)) + 1
     s = 0

@@ -470,6 +470,62 @@ def test_closure_check_with_entries_past_one_key():
             sp.EnumerationBall(group, radius, np.delete(whole, gone, axis=0))
 
 
+def _entry_order(arr):
+    """The canonical order by its reference rule: a lexsort by the squared
+    norm, then by every entry."""
+    flat = arr.reshape(len(arr), -1)
+    return np.lexsort([np.sum(flat * flat, axis=1), *flat.T][::-1])
+
+
+@pytest.mark.parametrize("n, N, radius, columns", [
+    (1, 1, 40.0, 1), (1, 3, 40.0, 1), (2, 1, 4.0, 1), (2, 2, 8.0, 1), (2, 3, 10.0, 2),
+], ids=["g1-N1-r40", "g1-N3-r40", "g2-N1-r4", "g2-N2-r8", "g2-N3-r10"])
+def test_keyed_order_equals_entry_order(n, N, radius, columns):
+    # the golden balls, shuffled, sort back to themselves under both rules;
+    # the sort reads the norm and `columns` entry keys, not every entry
+    ball = enumerate_ball(CongruenceGroup(n, N), radius).elements
+    assert len(sp.poincare._order_keys(ball)) == 1 + columns
+    shuffled = ball[np.random.default_rng(10 * n + N).permutation(len(ball))]
+    assert np.array_equal(shuffled[_entry_order(shuffled)], ball)
+    assert np.array_equal(sp.poincare._canonical_order(shuffled), ball)
+
+
+def _k_orbits(n, tops):
+    """The orbits {k g} over K at level 1 of g = [[I, S], [0, I]] and of g^T,
+    for each symmetric S in ``tops``."""
+    ks, eye = CongruenceGroup(n, 1).k_intersection(), np.eye(n, dtype=np.int64)
+    gs = [np.block([[eye, S], [0 * eye, eye]]) for S in np.asarray(tops, dtype=np.int64)]
+    return np.concatenate([ks @ h for g in gs for h in (g, g.T)])
+
+
+def _bound_stack(b):
+    # S holds +-b beside entries of at most 1, so |S|^2 <= b^2 + 3 and every
+    # entry is within isqrt(norm - 3) = b: the digits reach the keys' bound
+    return _k_orbits(2, [S for big, small, off in itertools.product((b, -b), (-1, 0, 1),
+                                                                     (-1, 0, 1))
+                         for S in ([[big, off], [off, small]], [[small, off], [off, big]])])
+
+
+@pytest.mark.parametrize("make, columns", [
+    (lambda: _k_orbits(1, [[[40000]]]), 2), (lambda: _bound_stack(3), 1),
+    (lambda: _bound_stack(40000), 6),
+], ids=["g1-40000", "g2-bound-3", "g2-bound-40000"])
+def test_keyed_order_at_the_digit_bound(make, columns):
+    arr = make()
+    norms = np.sum(arr * arr, axis=(1, 2))
+    n2 = arr.shape[1]
+    assert np.abs(arr).max() == math.isqrt(int(norms.max()) - n2 + 1)
+    assert len(sp.poincare._order_keys(arr)) == 1 + columns
+    shuffled = arr[np.random.default_rng(1).permutation(len(arr))]
+    ordered = sp.poincare._canonical_order(shuffled)
+    assert np.array_equal(ordered, shuffled[_entry_order(shuffled)])
+    # closed under K, so a ball; its check reads the same keys
+    ball = sp.EnumerationBall(CongruenceGroup(n2 // 2, 1), math.sqrt(norms.max() + 0.5), ordered)
+    swapped = _changed(ordered, [-2, -1], ordered[[-1, -2]])
+    with pytest.raises(DomainError, match="canonical order"):
+        sp.EnumerationBall(ball.group, ball.radius, swapped)
+
+
 def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
     check, radii = sp.poincare._validate_ball, []
 
