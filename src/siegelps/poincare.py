@@ -20,18 +20,20 @@ Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
 ``enumerate_ball`` caps the size of stage 1, estimated before any work; the
 series take none, so to bound one, enumerate its ball and pass it.
 Elements are stored in a canonical order (norm, then entries) so that sums
-are reproducible; the order, its check and the closure check below read one
-integer key per element, ``_entry_forms``.
+are reproducible; the order and the ball check read one integer key per
+element, ``_entry_forms``.
 
 A ball holds the elements of squared norm at most its cap floor(r^2), so
 radii with the same cap have the same elements: a supplied ball fits any
 radius whose cap is no larger, and is restricted to it.  Every radius,
 enumerated, loaded, split or fitted, goes through that cap, which refuses
 one that is not positive and finite.  Every ``EnumerationBall`` is checked
-once, when it is made: int64 elements of its group, within its cap, in
-canonical order, and closed under left multiplication by the group's
-elements in K.  The views from ``restrict`` and ``split`` cut by norm, so
-they keep that check, and no series or cache hit repeats it.  On Sp(2n, R),
+once, when it is made, in one pass that also marks one element of each
+orbit under left multiplication by the group's elements in K: int64
+elements of its group, within its cap and in canonical order, and each run
+of whole shells rebuilt exactly by the orbits of its marked elements.  The
+views from ``restrict`` and ``split`` cut by norm, so they keep that check
+and its marks, and no series or cache hit repeats it.  On Sp(2n, R),
 |g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
 elements in K are the ball of cap 2n.
 
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import os
 import tempfile
@@ -101,14 +104,15 @@ class CongruenceGroup:
         return 2 if self.N <= 2 else 1
 
     def contains(self, mat) -> bool:
+        """Whether one matrix is in the group, in exact integer arithmetic
+        (Python ints), so entries of any size are decided correctly."""
         arr = np.asarray(mat)
         if arr.shape != (2 * self.n, 2 * self.n):
             return False
         if not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == np.round(arr)):
+            if not np.all(np.isfinite(arr) & (arr == np.round(arr))):
                 return False
-            arr = np.round(arr).astype(np.int64)
-        return all(_membership(arr[None], self.N))
+        return all(_membership(np.frompyfunc(int, 1, 1)(arr)[None], self.N))
 
     def k_intersection(self) -> np.ndarray:
         """All elements lying in the compact subgroup, as integer matrices:
@@ -119,46 +123,35 @@ class CongruenceGroup:
         """The same elements k = (X Y; -Y X), in the same order, as the
         unitary u = X + iY, stacked (k, n, n): every monomial matrix with
         entries in {+-1, +-i} at N = 1, the diagonal sign matrices at N = 2,
-        and I alone from N = 3 on.  They are generated from the generators
-        the closure check uses, without enumerating.  Read-only."""
+        and I alone from N = 3 on.  They are built from that set, without
+        enumerating; the ball check rebuilds each run from the orbits of its
+        marked elements under them.  Read-only."""
         return _k_units(self)
 
 
 def _k_matrix(u: np.ndarray) -> np.ndarray:
-    """The integer k = (X Y; -Y X) of a unitary u = X + iY."""
+    """The integer k = (X Y; -Y X) of a unitary u = X + iY, or of a stack."""
     return _embed(u).astype(np.int64)
-
-
-def _k_generators(group: "CongruenceGroup") -> list[np.ndarray]:
-    """Integer matrices that generate the group's elements in K: at N = 1
-    u = diag(i, 1, ..., 1) and the swaps of adjacent rows, at N = 2 the sign
-    changes of one row each, and none from N = 3 on."""
-    n, N = group.n, group.N
-    if N > 2:
-        return []
-    eye = np.eye(n)
-    if N == 2:
-        return [_k_matrix(eye - 2 * np.diag(row)) for row in eye]
-    return [_k_matrix(eye + (1j - 1) * np.diag(eye[0]))] + [
-        _k_matrix(eye[[*range(r), r + 1, r, *range(r + 2, n)]]) for r in range(n - 1)]
 
 
 @functools.lru_cache(maxsize=None)
 def _k_units(group: CongruenceGroup) -> np.ndarray:
-    n = group.n
-    k, size = np.eye(2 * n, dtype=np.int64)[None], 0
-    while len(k) > size:
-        size = len(k)
-        k = np.unique(np.concatenate([k, *(g @ k for g in _k_generators(group))]), axis=0)
-    k = _canonical_order(k)
+    n, N = group.n, group.N
+    eye = np.eye(n)
+    rows = itertools.permutations(eye) if N == 1 else [eye]
+    signs = {1: (1, 1j, -1, -1j), 2: (1, -1)}.get(N, (1,))
+    u = np.array([np.array(sign)[:, None] * np.array(p)
+                  for p in rows for sign in itertools.product(signs, repeat=n)])
+    k = _canonical_order(_k_matrix(u))
     out = k[:, :n, :n] + 1j * k[:, :n, n:]
     out.setflags(write=False)
     return out
 
 
 def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
-    """For an integer stack (k, 2n, 2n): whether every matrix is symplectic,
-    g^T J g = J, and whether every one is congruent to I mod N."""
+    """For an integer stack (k, 2n, 2n), int64 or of Python ints: whether
+    every matrix is symplectic, g^T J g = J, and whether every one is
+    congruent to I mod N."""
     n = stack.shape[-1] // 2
     J = j_matrix(n).astype(np.int64)
     return (bool(np.all(np.swapaxes(stack, 1, 2) @ (J @ stack) == J)),
@@ -209,18 +202,19 @@ class EnumerationBall:
     """All group elements with Frobenius norm at most ``radius``, in canonical
     order; a shell from ``split`` holds only those outside its inner radius.
 
-    Making one checks the elements: an int64 array (k, 2n, 2n) of symplectic
+    Making one checks the elements, an int64 array (k, 2n, 2n) of symplectic
     matrices congruent to I mod N, none past the radius's cap, in canonical
-    order, and closed under g -> kg for the group's elements k in K (at
-    N <= 2; from N = 3 on only I is in K).  The series rely on that closure to
-    evaluate one element of each orbit {kg}.  ``representatives`` marks those
-    elements, computed once here (None from N = 3 on, where every element
-    is one): at N = 1 each complex row of rho = (A + iC | B + iD) has its
-    first nonzero entry in {re > 0, im >= 0} and the rows increase
-    (lexicographically in re, im of each entry); at N = 2 each row's first
-    nonzero entry has re > 0, or re = 0 and im > 0.  ``restrict`` and
-    ``split`` return views that keep the check and slice the marks: they cut
-    between norms, and k keeps the norm."""
+    order, and marks one element of each orbit {kg} over the group's
+    elements k in K, in one pass (``_validate_ball``) that proves the marks:
+    the orbits of the marked elements must rebuild each run of whole shells
+    exactly.  The weight-vector series evaluate only the marked elements,
+    ``representatives`` (None from N = 3 on, where only I is in K): at N = 1
+    each complex row of rho = (A + iC | B + iD) has its first nonzero entry
+    in {re > 0, im >= 0} and the rows increase (lexicographically in re, im
+    of each entry); at N = 2 each row's first nonzero entry has re > 0, or
+    re = 0 and im > 0.  ``restrict`` and ``split`` return views that keep the
+    check and slice the marks: they cut between norms, and k keeps the
+    norm."""
 
     group: CongruenceGroup
     radius: float
@@ -233,11 +227,11 @@ class EnumerationBall:
         if arr.dtype != np.int64 or arr.shape[1:] != (n2, n2):
             raise DomainError(f"ball elements must be an int64 array of shape "
                               f"(k, {n2}, {n2}), got {arr.dtype} {arr.shape}")
-        _validate_ball(self.group, self.radius, arr)
+        marks = _validate_ball(self.group, self.radius, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "elements", arr)
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "representatives", _representatives(self.group.N, arr))
+        object.__setattr__(self, "representatives", marks)
 
     def _view(self, radius: float, cut: slice) -> "EnumerationBall":
         """A ball of a prefix or suffix of these elements.  It keeps the
@@ -273,7 +267,8 @@ class EnumerationBall:
 
 
 # Candidate pairs per block of the bottom-half sweep, and cosets per block of
-# the completion and the S search.
+# the completion and the S search; the ball check takes _COSETS rows at a time
+# too.
 _PAIRS = 1 << 20
 _COSETS = 1 << 14
 
@@ -406,66 +401,73 @@ def _ball_for(group: CongruenceGroup, radius: float,
     return ball.restrict(radius)
 
 
-def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
-    """The ball contract, checked when an ``EnumerationBall`` is made."""
+def _validate_ball(group: CongruenceGroup, radius: float,
+                   arr: np.ndarray) -> np.ndarray | None:
+    """The ball contract, checked when an ``EnumerationBall`` is made, in one
+    pass that also returns the marks of ``_representatives`` (None from
+    N = 3 on).  The pass walks runs of whole shells, at least _COSETS rows
+    each: membership over slices of at most _COSETS rows, then each
+    element's keys of ``_entry_forms`` once, which serve the order check
+    between rows of equal norm; at N <= 2 the sorted keys of {kg : g marked,
+    k in K} must then equal the run's sorted keys.  The run holds no
+    element twice (the order is strict) and k keeps the norm, so as the
+    action is free that holds exactly when the run is a union of whole
+    orbits with one mark in each.  Only keys are held, never a copy of the
+    ball.  No product is formed before the entries are known to keep every
+    sum of the checks within int64."""
     cap = _norm_cap(radius)
-    symplectic = congruent = ordered = True
-    norms = np.empty(len(arr), dtype=np.int64)
-    # blocks of _COSETS rows keep the temporaries small beside the ball; each
-    # block starts one row early, so the order check spans the seams
-    for k in range(0, len(arr), _COSETS):
-        part = arr[max(k - 1, 0):k + _COSETS]
-        is_symplectic, is_congruent = _membership(part, group.N)
-        symplectic &= is_symplectic
-        congruent &= is_congruent
-        keys = _order_keys(part)
-        norms[k:k + _COSETS] = keys[0][min(k, 1):]
-        # canonical order on adjacent rows: the first key that differs must
-        # increase
-        tied = np.ones(len(part) - 1, dtype=bool)
-        for key in keys:
-            step = np.diff(key)
-            ordered &= not np.any(tied & (step < 0))
-            tied &= step == 0
-        ordered &= not tied.any()
-    if not symplectic:
-        raise DomainError("enumerated element fails the exact symplectic relation")
-    if not congruent:
-        raise DomainError("enumerated element fails the congruence condition")
-    if norms.max(initial=0) > cap:
-        raise DomainError("enumerated element exceeds the radius")
-    if not ordered:
-        raise DomainError("ball elements are not in canonical order")
-    if not _closed_under_k(group, arr, norms):
-        raise DomainError("ball is not closed under g -> kg for the group's elements k "
-                          "in K, as the series at levels 1 and 2 need")
-
-
-def _closed_under_k(group: CongruenceGroup, arr: np.ndarray, norms: np.ndarray) -> bool:
-    """Whether a canonically ordered ball with these squared norms is closed
-    under g -> kg for each generator k of the group's elements in K.  It
-    reads the keys of the canonical order, ``_entry_forms``: k keeps the
-    norm, so over each run of whole shells, at least _COSETS rows, the
-    sorted keys of the images must equal the sorted keys.  Only keys are
-    held, never a copy of the ball."""
-    gens = _k_generators(group)
-    if not gens or not len(arr):
-        return True
-    shape, size = arr.shape[1:], arr[0].size
-    forms = _entry_forms(shape, int(norms.max())).reshape(-1, *shape)
-    # forms[c] . (k g) = (k^T forms[c]) . g
-    forms = np.concatenate([forms, *(k.T @ forms for k in gens)]).reshape(-1, size).T
+    n2 = arr.shape[1]
+    big = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
+    if (n2 * big) ** 2 >= 2 ** 63:
+        raise DomainError("ball element entries are too large for exact int64 arithmetic")
+    flat = arr.reshape(len(arr), n2 * n2)
+    norms = np.einsum("ij,ij->i", flat, flat)
+    top = int(norms.max(initial=0))
+    forms = _entry_forms(arr.shape[1:], top)
+    ks = _k_matrix(group.k_units()) if group.N <= 2 else None
+    if ks is not None:   # forms[c] . (k g) = (k^T forms[c]) . g
+        k_forms = (np.swapaxes(ks, 1, 2)[:, None] @ forms.reshape(-1, n2, n2)).reshape(
+            -1, n2 * n2).T
+    marks = None if ks is None else np.empty(len(arr), dtype=bool)
+    congruent = closed = True
+    ordered = bool(np.all(np.diff(norms) >= 0))
     starts = np.flatnonzero(np.diff(norms)) + 1
     s = 0
     while s < len(arr):
         i = np.searchsorted(starts, s + _COSETS)
         e = int(starts[i]) if i < len(starts) else len(arr)
-        keys = np.split(arr[s:e].reshape(e - s, -1) @ forms, len(gens) + 1, axis=1)
-        want = _sorted_rows(keys[0])
-        if not all(np.array_equal(_sorted_rows(k), want) for k in keys[1:]):
-            return False
+        for k in range(s, e, _COSETS):
+            part = arr[k:min(k + _COSETS, e)]
+            is_symplectic, is_congruent = _membership(part, group.N)
+            if not is_symplectic:   # reported first whatever follows; marks need it
+                raise DomainError("enumerated element fails the exact symplectic relation")
+            congruent &= is_congruent
+            if ks is not None:
+                marks[k:k + len(part)] = _representatives(group.N, part)
+        keys = flat[s:e] @ forms.T
+        # canonical order among rows of equal norm: the first key that
+        # differs must increase
+        tied = np.diff(norms[s:e]) == 0
+        for key in keys.T:
+            step = np.diff(key)
+            ordered &= not np.any(tied & (step < 0))
+            tied &= step == 0
+        ordered &= not tied.any()
+        if ks is not None:
+            marked = flat[s:e][marks[s:e]]
+            closed &= len(marked) * len(ks) == e - s and np.array_equal(
+                _sorted_rows((marked @ k_forms).reshape(e - s, -1)), _sorted_rows(keys))
         s = e
-    return True
+    if not congruent:
+        raise DomainError("enumerated element fails the congruence condition")
+    if top > cap:
+        raise DomainError("enumerated element exceeds the radius")
+    if not ordered:
+        raise DomainError("ball elements are not in canonical order")
+    if not closed:
+        raise DomainError("ball is not closed under g -> kg for the group's elements k "
+                          "in K, as the series at levels 1 and 2 need")
+    return marks
 
 
 def _sorted_rows(keys: np.ndarray) -> np.ndarray:
@@ -475,26 +477,18 @@ def _sorted_rows(keys: np.ndarray) -> np.ndarray:
     return keys[np.lexsort(keys.T[::-1])]
 
 
-def _representatives(N: int, arr: np.ndarray) -> np.ndarray | None:
-    """The mask of the elements that represent their orbits {kg} (see
-    ``EnumerationBall``), computed in blocks of _COSETS rows; None from
-    N = 3 on."""
-    if N > 2:
-        return None
+def _representatives(N: int, arr: np.ndarray) -> np.ndarray:
+    """The mask of the elements of a stack at N <= 2 that represent their
+    orbits {kg} (see ``EnumerationBall``)."""
     n = arr.shape[1] // 2
-    keep = np.empty(len(arr), dtype=bool)
-    for k in range(0, len(arr), _COSETS):
-        part = arr[k:k + _COSETS]
-        # the rows of rho = (A + iC | B + iD), re and im of each entry side by side
-        rows = part.reshape(len(part), 2, n, 2 * n).transpose(0, 2, 3, 1).reshape(
-            len(part), n, 4 * n)
-        at, lead = _leading(rows)
-        ok = lead > 0                               # N = 2: re > 0, or re = 0 < im
-        if N == 1:                                  # re > 0 <= im, rows increasing
-            ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] + 1, 2)[..., 0] >= 0)
-            ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] > 0
-        keep[k:k + _COSETS] = ok.all(axis=1)
-    return keep
+    # the rows of rho = (A + iC | B + iD), re and im of each entry side by side
+    rows = arr.reshape(len(arr), 2, n, 2 * n).transpose(0, 2, 3, 1).reshape(len(arr), n, 4 * n)
+    at, lead = _leading(rows)
+    ok = lead > 0                               # N = 2: re > 0, or re = 0 < im
+    if N == 1:                                  # re > 0 <= im, rows increasing
+        ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] + 1, 2)[..., 0] >= 0)
+        ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] > 0
+    return ok.all(axis=1)
 
 
 def _leading(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,6 +129,9 @@ def test_group_contains():
     assert g2.contains([[1, 2], [2, 5]])
     assert not g2.contains([[1, 1], [0, 1]])                # wrong congruence
     assert not g2.contains(np.eye(4))                       # wrong shape
+    # exact at any size: int64 arithmetic would wrap det = 1 - 2^64 to 1
+    assert not g1.contains(np.diag([1 + 2 ** 32, 1 - 2 ** 32]))
+    assert g1.contains([[1, 2 ** 40], [0, 1]])
 
 
 def test_k_intersection_counts():
@@ -399,6 +402,14 @@ def _changed(arr, index, value):
     return arr
 
 
+def _wrapping_ball(group):
+    """K and K g for g = diag(1 + 2^32, 1 - 2^32), not in SL2(Z): in int64
+    its determinant and squared norms wrap to 1 and 2."""
+    ks = group.k_intersection()
+    g = np.diag(np.array([1 + 2 ** 32, 1 - 2 ** 32], dtype=np.int64))
+    return sp.poincare._canonical_order(np.concatenate([ks, ks @ g]))
+
+
 @pytest.mark.parametrize("broken, message", [
     (lambda g, r, e: (g, r, e[::-1]), "canonical order"),
     (lambda g, r, e: (g, r, _changed(e, [5, 6], e[[6, 5]])), "canonical order"),
@@ -411,8 +422,9 @@ def _changed(arr, index, value):
     # The four elements of norm^2 2 come first, so the others stay paired
     (lambda g, r, e: (g, r, np.delete(e, 2, axis=0)), "closed under"),
     (lambda g, r, e: (g, r, np.delete(e, [0, 1], axis=0)), "closed under"),
+    (lambda g, r, e: (g, 1.5, _wrapping_ball(g)), "too large for exact int64"),
 ], ids=["reversed", "swapped", "repeated", "entry", "level", "radius", "float", "unpaired",
-        "two-unpaired"])
+        "two-unpaired", "wrapping"])
 def test_ball_checks_itself(broken, message, tmp_path):
     # no ball can be made that breaks the contract a series or a split
     # relies on, whichever way it is made
@@ -429,13 +441,14 @@ def test_ball_checks_itself(broken, message, tmp_path):
     assert np.array_equal(again.elements, ball.elements)
 
 
-@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 2, 6.0)])
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 2, 6.0), (2, 1, 4.0)])
 def test_ball_missing_a_k_image_is_refused(n, N, radius, tmp_path):
     # negative control: a ball closed under g -> -g that lacks the pair +-kg
     # for one k in K, so a check of negation alone would pass it, and the
-    # orbit sums would count a missing orbit member
+    # orbit sums would count a missing orbit member.  The ball at (2, 1, 4.0)
+    # spans more than one run of the check, and the pair is in its last
     ball = enumerate_ball(CongruenceGroup(n, N), radius)
-    k = ball.group.k_intersection()[1]           # u = -i at genus 1, diag(-1, 1) at 2
+    k = ball.group.k_intersection()[1]           # u = -i, diag(-1, 1), diag(-1, -i)
     g = ball.elements[-1]
     index = {e.tobytes(): i for i, e in enumerate(ball.elements)}
     gone = [index[(k @ g).tobytes()], index[(-(k @ g)).tobytes()]]
@@ -531,7 +544,7 @@ def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
 
     def counted(group, radius, arr):
         radii.append(radius)
-        check(group, radius, arr)
+        return check(group, radius, arr)
 
     monkeypatch.setattr(sp.poincare, "_validate_ball", counted)
     group = CongruenceGroup(1, 1)
@@ -738,8 +751,9 @@ def test_the_rule_group_is_the_enumerated_one(n, N):
     group = CongruenceGroup(n, N)
     units = group.k_units()
     assert len(units) == {1: 4 ** n * math.factorial(n), 2: 2 ** n}.get(N, 1)
-    # the u's are generated from the closure check's generators, so this
-    # also shows that those generate every element in K
+    # the u's are built from the set k_units() states, without enumerating;
+    # the ball check rebuilds each run from the orbits under them, so they
+    # must be every element in K
     as_k = np.array([sp.poincare._k_matrix(u) for u in units])
     assert np.array_equal(as_k, group.k_intersection())
 
