@@ -114,15 +114,16 @@ def pole_terms(weight: Weight, g: np.ndarray, cols: np.ndarray,
     side by side.  By the cocycle, j(g, z)^{-m} f_{mu,m}(g.z) takes
     P = (A + iC)z + (B + iD) and, for a nonconstant mu, Q = (A - iC)z + (B - iD);
     at cols = [iI; I] it is the lift of f_{mu,m} to g.  The kernel at xi takes
-    P = ((A - conj(xi) C)z + (B - conj(xi) D))/2i.  Each pair of row blocks
-    [H K] gives its matrices H z + K in one product [H K] @ cols.  An empty
-    stack gives shape (0, p).
+    P = ((A - conj(xi) C)z + (B - conj(xi) D))/2i, conj(xi) [C D] one 2-D
+    product over the stack.  Each pair of row blocks [H K] gives its matrices
+    H z + K in one product [H K] @ cols.  An empty stack gives shape (0, p).
     """
     n = weight.n
     points = cols.shape[1] // n
     top, bottom = g[:, :n], g[:, n:]
     if xi is not None:
-        rows = [(top - np.conj(xi.z) @ bottom) / 2j]
+        xc = np.conj(xi.z) @ bottom.transpose(1, 0, 2).reshape(n, -1)
+        rows = [(top - xc.reshape(n, len(g), 2 * n).transpose(1, 0, 2)) / 2j]
     else:
         rows = [top + 1j * bottom] + ([top - 1j * bottom] if mu.degree() else [])
     return pole_values(weight, *[(r.reshape(-1, 2 * n) @ cols).reshape(len(g), n, points, n)

@@ -31,11 +31,13 @@ one that is not positive and finite.  Every ``EnumerationBall`` is checked
 once, when it is made, in one pass that also marks one element of each
 orbit under left multiplication by the group's elements in K: int64
 elements of its group, within its cap and in canonical order, and each run
-of whole shells rebuilt exactly by the orbits of its marked elements.  The
-views from ``restrict`` and ``split`` cut by norm, so they keep that check
-and its marks, and no series or cache hit repeats it.  On Sp(2n, R),
-|g|^2 >= 2n with equality exactly on the compact subgroup K, so the group's
-elements in K are the ball of cap 2n.
+of whole shells rebuilt exactly by the orbits of its marked elements.
+Membership tests g^T J g = J on column pairs, as numpy's batched small
+products have no BLAS path, and N = 1 has no congruence test, which every
+integer matrix passes.  The views from ``restrict`` and ``split`` cut by
+norm, so they keep that check and its marks, and no series or cache hit
+repeats it.  On Sp(2n, R), |g|^2 >= 2n with equality exactly on the compact
+subgroup K, so the group's elements in K are the ball of cap 2n.
 
 The series sum over orbits of the group's elements in K.  Each such k is
 (X Y; -Y X) with u = X + iY unitary: a monomial matrix with entries in
@@ -151,11 +153,15 @@ def _k_units(group: CongruenceGroup) -> np.ndarray:
 def _membership(stack: np.ndarray, N: int) -> tuple[bool, bool]:
     """For an integer stack (k, 2n, 2n), int64 or of Python ints: whether
     every matrix is symplectic, g^T J g = J, and whether every one is
-    congruent to I mod N."""
+    congruent to I mod N.  As g^T J g is antisymmetric, only its entries
+    i < j are tested, sum_{r<n} c_i[r] c_j[n+r] - c_i[n+r] c_j[r] on columns
+    c of a (column, row, element) copy; mod 1 every integer matrix passes."""
     n = stack.shape[-1] // 2
-    J = j_matrix(n).astype(np.int64)
-    return (bool(np.all(np.swapaxes(stack, 1, 2) @ (J @ stack) == J)),
-            bool(np.all((stack - np.eye(2 * n, dtype=np.int64)) % N == 0)))
+    c = np.ascontiguousarray(stack.transpose(2, 1, 0))
+    symplectic = all(np.all(sum(c[i, r] * c[j, n + r] - c[i, n + r] * c[j, r]
+                                for r in range(n)) == (j == i + n))
+                     for i, j in itertools.combinations(range(2 * n), 2))
+    return symplectic, N == 1 or bool(np.all((stack - np.eye(2 * n, dtype=np.int64)) % N == 0))
 
 
 def _entry_forms(shape: tuple, max_norm: int) -> np.ndarray:
@@ -174,11 +180,18 @@ def _entry_forms(shape: tuple, max_norm: int) -> np.ndarray:
     return forms
 
 
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """The squared norms of an integer stack's elements, as row dot products
+    of the flattened stack; the explicit width keeps an empty stack's shape."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def _order_keys(arr: np.ndarray) -> list[np.ndarray]:
     """The keys of the canonical order, most significant first: the squared
     norm, then the entry keys of ``_entry_forms``."""
-    flat = arr.reshape(arr.shape[0], -1)
-    norms = np.sum(flat * flat, axis=1)
+    flat = arr.reshape(len(arr), math.prod(arr.shape[1:]))
+    norms = _squared_norms(arr)
     return [norms, *(flat @ _entry_forms(arr.shape[1:], int(norms.max(initial=0))).T).T]
 
 
@@ -247,7 +260,7 @@ class EnumerationBall:
         return self.elements.shape[0]
 
     def norms_squared(self) -> np.ndarray:
-        return np.sum(self.elements * self.elements, axis=(1, 2))
+        return _squared_norms(self.elements)
 
     def restrict(self, radius: float) -> "EnumerationBall":
         """The ball of ``radius``: a view of the prefix within its cap, found
@@ -285,14 +298,14 @@ def _bottom_halves(n: int, N: int, r2: int) -> np.ndarray:
         axes = [np.arange(-((lim + e) // N), (lim - e) // N + 1) * N + e
                 for e in np.eye(2 * n, dtype=np.int64)[n + i]]
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2 * n)
-        norms = np.sum(grid * grid, axis=1)
+        norms = _squared_norms(grid)
         keep = np.flatnonzero((norms >= 1) & (norms <= row_cap))
         keep = keep[np.argsort(norms[keep], kind="stable")]
         table, tnorms = grid[keep], norms[keep]
         rows, step = [], max(_PAIRS // max(len(table), 1), 1)
         for b0 in range(0, len(M), step):
             part = M[b0:b0 + step]
-            u = np.sum(part * part, axis=(1, 2))
+            u = _squared_norms(part)
             k = int(np.searchsorted(tnorms, row_cap - u.min(), side="right"))
             ok = u[:, None] + tnorms[None, :k] <= row_cap
             ok &= np.all((part @ J) @ table[:k].T == 0, axis=1)
@@ -343,7 +356,7 @@ def _coset_elements(M: np.ndarray, N: int, r2: int) -> np.ndarray:
     closest = t + np.einsum("zk,zkf->zf", center, b)
     # rounding slack: the intervals may only widen, the exact filter below
     # drops what they let through
-    rho = r2 - np.sum(M * M, axis=(1, 2)) - np.sum(closest * closest, axis=1) + 1e-6 * r2
+    rho = r2 - _squared_norms(M) - np.sum(closest * closest, axis=1) + 1e-6 * r2
     z, s = np.arange(len(M)), np.zeros((len(M), len(E)), np.int64)
     for i in range(len(E) - 1, -1, -1):
         rii = R[z, i, i]
@@ -358,7 +371,7 @@ def _coset_elements(M: np.ndarray, N: int, r2: int) -> np.ndarray:
         rho = rho - (rii[node] * (s[:, i] - mid)) ** 2
     S = (s @ E.reshape(len(E), -1)).reshape(-1, n, n)
     out = np.concatenate([T[z] + N * (S @ M[z]), M[z]], axis=1)
-    return out[np.sum(out * out, axis=(1, 2)) <= r2]
+    return out[_squared_norms(out) <= r2]
 
 
 def enumerate_ball(group: CongruenceGroup, radius: float,
@@ -421,7 +434,7 @@ def _validate_ball(group: CongruenceGroup, radius: float,
     if (n2 * big) ** 2 >= 2 ** 63:
         raise DomainError("ball element entries are too large for exact int64 arithmetic")
     flat = arr.reshape(len(arr), n2 * n2)
-    norms = np.einsum("ij,ij->i", flat, flat)
+    norms = _squared_norms(arr)
     top = int(norms.max(initial=0))
     forms = _entry_forms(arr.shape[1:], top)
     ks = _k_matrix(group.k_units()) if group.N <= 2 else None
@@ -503,11 +516,14 @@ def _leading(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def save_ball(path: str, ball: EnumerationBall) -> None:
     """Write the ball as a numpy .npz archive (elements, level, radius),
-    atomically: to a temporary file that then replaces ``path``."""
+    atomically: to a temporary file, given the mode ``open()`` gives (0o666
+    less the umask, not mkstemp's 0o600), that then replaces ``path``."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             np.savez(fh, elements=ball.elements, level=ball.group.N, radius=ball.radius)
+        os.umask(umask := os.umask(0o077))   # read by setting it, to a stricter one
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

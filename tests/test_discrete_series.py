@@ -13,7 +13,7 @@ from siegelps import (
     SiegelPoint,
     Weight,
 )
-from siegelps.discrete_series import pole_terms
+from siegelps.discrete_series import pole_terms, pole_values
 from conftest import random_point
 
 # value of the radial coefficient at genus 1, weight 4, t = 1 for the
@@ -123,6 +123,28 @@ def test_pole_terms_at_center_equal_the_slash_lift(n):
         f = functools.partial(sp.f_mu_m, mu, w)
         for g, value in zip(gs, got[:, 0]):
             assert value == pytest.approx(sp.lift(f, w, g), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_pole_terms_match_each_element(n):
+    # pole_terms forms conj(xi) [C D] of the whole stack in one product; each
+    # term must be the kernel of its own P, up to rounding (BLAS may use FMA):
+    # det(P)^-m moves by m cond(P) times a relative change of P
+    rng = np.random.default_rng(80 + n)
+    w = Weight(8, n)
+    G = np.stack([sp.random_symplectic(n, rng).g for _ in range(20)])
+    zs, xi = [random_point(n, rng) for _ in range(3)], random_point(n, rng)
+    cols = np.hstack([np.vstack([z.z, np.eye(n)]) for z in zs])
+    got = pole_terms(w, G, cols, xi=xi)
+    assert got.shape == (len(G), len(zs))
+    xc = np.conj(xi.z)
+    for g, row in zip(G, got):
+        A, B, C, D = g[:n, :n], g[:n, n:], g[n:, :n], g[n:, n:]
+        for z, value in zip(zs, row):
+            P = ((A - xc @ C) @ z.z + (B - xc @ D)) / 2j
+            tol = w.m * np.linalg.cond(P) * 1e-15
+            assert value == pytest.approx(pole_values(w, P[None])[0], rel=tol, abs=0)
+    assert pole_terms(w, G[:0], cols, xi=xi).shape == (0, len(zs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,6 +4,8 @@ import functools
 import hashlib
 import itertools
 import math
+import os
+import stat
 from pathlib import Path
 
 import mpmath
@@ -132,6 +134,41 @@ def test_group_contains():
     # exact at any size: int64 arithmetic would wrap det = 1 - 2^64 to 1
     assert not g1.contains(np.diag([1 + 2 ** 32, 1 - 2 ** 32]))
     assert g1.contains([[1, 2 ** 40], [0, 1]])
+
+
+def _reference_membership(g, N):
+    """g^T J g == J and (g - I) % N == 0 for one matrix, by whole products."""
+    n = len(g) // 2
+    J = sp.j_matrix(n).astype(np.int64)
+    return (bool(np.all(g.T @ J @ g == J)),
+            bool(np.all((g - np.eye(2 * n, dtype=np.int64)) % N == 0)))
+
+
+@pytest.mark.parametrize("n, radius", [(1, 5.0), (2, 3.0)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_membership_column_pairs_match_the_whole_products(n, N, radius):
+    # elements of the full group and of level N, each unchanged and with one
+    # entry changed at every position, as int64 and as Python ints
+    rng = np.random.default_rng(40 + 10 * n + N)
+    base = [ball.elements[rng.choice(len(ball), min(len(ball), 8), replace=False)]
+            for ball in (enumerate_ball(CongruenceGroup(n, level), radius) for level in (1, N))]
+    stack = []
+    for g in np.concatenate(base):
+        stack.append(g)
+        for a, b in itertools.product(range(2 * n), repeat=2):
+            h = g.copy()
+            h[a, b] += rng.choice([-2, -1, 1, 2, N])
+            stack.append(h)
+    stack = np.stack(stack)
+    want = [_reference_membership(g, N) for g in stack]
+    # every outcome occurs; congruence mod 1 always holds
+    assert set(want) == {(True, True), (False, True)} | (
+        {(True, False), (False, False)} if N > 1 else set())
+    as_ints = np.frompyfunc(int, 1, 1)
+    for g, expected in zip(stack, want):
+        assert sp.poincare._membership(g[None], N) == expected
+        assert sp.poincare._membership(as_ints(g)[None], N) == expected
+    assert sp.poincare._membership(stack, N) == tuple(map(all, zip(*want)))
 
 
 def test_k_intersection_counts():
@@ -317,6 +354,20 @@ def test_save_load_round_trip(tmp_path):
     assert back.group == ball.group
     assert back.radius == ball.radius
     assert np.array_equal(back.elements, ball.elements)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_save_ball_gives_the_mode_open_gives(tmp_path, umask):
+    # a shared cache directory must not hold files only their writer can read
+    ball = enumerate_ball(CongruenceGroup(1, 1), 3.0)
+    old = os.umask(umask)
+    try:
+        save_ball(str(tmp_path / "ball.bin"), ball)
+        open(tmp_path / "plain", "wb").close()
+    finally:
+        assert os.umask(old) == umask                       # save_ball restored it
+    mode = stat.S_IMODE(os.stat(tmp_path / "ball.bin").st_mode)
+    assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
 
 
 def test_load_rejects_corruption(tmp_path):
