@@ -62,25 +62,26 @@ def _phase(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     return np.divide(z, size, out=np.ones_like(z), where=size > 0)
 
 
+def _first_column(a00, a01, a10, a11) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first column (q00, q10) of the phase-fixed QR factor of a 2x2 stack, and
+    d = q00 a11 - q10 a01 = r11 e^{i arg}: the second column is (-conj q10, conj q00)
+    turned by the phase of d, so no near-parallel columns are subtracted."""
+    size = np.sqrt(a00.real ** 2 + a00.imag ** 2 + (a10.real ** 2 + a10.imag ** 2))
+    q00 = _phase(a00, size)                     # a zero column gives e_0
+    q10 = np.divide(a10, size, out=np.zeros_like(q00), where=size > 0)
+    return q00, q10, q00 * a11 - q10 * a01
+
+
 def gram_schmidt(a: np.ndarray) -> np.ndarray:
     """The phase-fixed QR factor of a stack of square complex matrices:
-    diag(r) > 0, a zero diagonal keeping phase 1.
-
-    At n = 2 the second column is the unit vector (-conj q10, conj q00)
-    orthogonal to the first, turned by the phase of d = q00 a11 - q10 a01,
-    which is r11 e^{i arg}; no subtraction of near-parallel columns occurs.
-    """
+    diag(r) > 0, a zero diagonal keeping phase 1; closed forms at n <= 2."""
     if a.shape[-1] == 1:
         return _phase(a, np.abs(a))
     if a.shape[-1] > 2:
         q, r = np.linalg.qr(a)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         return q * _phase(d, np.abs(d))[..., None, :]
-    a0, a1 = a[..., :, 0], a[..., :, 1]
-    size = np.sqrt((a0.real ** 2 + a0.imag ** 2).sum(axis=-1))
-    q00 = _phase(a0[..., 0], size)              # a zero column gives e_0
-    q10 = np.divide(a0[..., 1], size, out=np.zeros_like(q00), where=size > 0)
-    d = q00 * a1[..., 1] - q10 * a1[..., 0]
+    q00, q10, d = _first_column(a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1])
     phase = _phase(d, np.abs(d))
     q = np.empty_like(a)
     q[..., 0, 0] = q00
@@ -107,31 +108,57 @@ def congruence_diag(u: np.ndarray, s: np.ndarray) -> np.ndarray:
     return w
 
 
-def contraction_det(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For symmetric w given by its upper-triangle entries (count, n(n+1)/2),
-    row by row: whether I - conj(w) w is positive definite, and its
-    determinant, from the eigenvalues above genus 2.
+def haar_congruence(re: np.ndarray, im: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """u diag(s) u^T, exactly symmetric, over stacks of parts re, im (count, n, n)
+    and planes s (n, count), for u the phase-fixed QR factor of (re + i im)/sqrt 2.
+    At n = 2, u = (q, p conj v) for v = (-q10, q00) and p the phase of d
+    (_first_column), so W = s0 q q^T + s1 p^2 conj(v v^T) needs no second column."""
+    if re.shape[-1] != 2:                      # the phase at n = 1, LAPACK above 2
+        return congruence_diag(gram_schmidt((re + 1j * im) / np.sqrt(2.0)), s.T)
+    a = np.empty((4, len(re)), dtype=np.complex128)   # planes a00, a01, a10, a11
+    np.multiply(re.reshape(-1, 4).T, 1.0 / np.sqrt(2.0), out=a.real)   # as z / sqrt(2)
+    np.multiply(im.reshape(-1, 4).T, 1.0 / np.sqrt(2.0), out=a.imag)
+    q00, q10, d = _first_column(*a)
+    t = _phase(d, np.abs(d)) ** 2 * s[1]
+    x2, y2, xy, s0 = q00 * q00, q10 * q10, q00 * q10, s[0]
+    w01 = s0 * xy - t * np.conj(xy)
+    return np.stack([s0 * x2 + t * np.conj(y2), w01,
+                     w01, s0 * y2 + t * np.conj(x2)], axis=-1).reshape(re.shape)
+
+
+def descending(x: np.ndarray) -> np.ndarray:
+    """The rows of x (count, n) in descending order as planes (n, count): at n = 2 max, min."""
+    if x.shape[-1] != 2:
+        return np.sort(x, axis=-1)[:, ::-1].T
+    return np.stack([np.maximum(*x.T), np.minimum(*x.T)])
+
+
+def contraction_det(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For symmetric w = re + i im, given by the parts of its upper-triangle
+    entries (count, n(n+1)/2), row by row: whether I - conj(w) w is positive
+    definite, and its determinant, from the eigenvalues above genus 2.
 
     At genus 2, M = I - conj(w) w has M00 = 1 - |a|^2 - |b|^2,
     M11 = 1 - |b|^2 - |c|^2 and M01 = -(conj(a) b + conj(b) c) for
     (a, b, c) = (w00, w01, w11); the Hermitian M is positive definite
     exactly when M00 > 0 and det M > 0.
     """
-    n = int(np.sqrt(2 * w.shape[-1]))      # n < sqrt(n(n+1)) < n + 1
+    n = int(np.sqrt(2 * re.shape[-1]))      # n < sqrt(n(n+1)) < n + 1
     if n > 2:
         iu, ju = np.triu_indices(n)
-        W = np.zeros((len(w), n, n), dtype=w.dtype)
-        W[:, iu, ju] = w
-        W[:, ju, iu] = w
+        W = np.zeros((len(re), n, n), dtype=np.complex128)
+        W.real[:, iu, ju] = W.real[:, ju, iu] = re
+        W.imag[:, iu, ju] = W.imag[:, ju, iu] = im
         evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
         return evs[:, 0] > 0.0, np.prod(evs, axis=1)
-    sq = w.real ** 2 + w.imag ** 2
+    sq = re ** 2 + im ** 2
     if n == 1:
         dets = 1.0 - sq[:, 0]
         return dets > 0.0, dets
-    a, b, c = w[:, 0], w[:, 1], w[:, 2]
+    (ar, br, cr), (ai, bi, ci) = re.T, im.T
     m00 = 1.0 - sq[:, 0] - sq[:, 1]
     m11 = 1.0 - sq[:, 1] - sq[:, 2]
-    m01 = np.conj(a) * b + np.conj(b) * c
-    dets = m00 * m11 - (m01.real ** 2 + m01.imag ** 2)
+    m01r = ar * br + ai * bi + (br * cr + bi * ci)
+    m01i = ar * bi - ai * br + (br * ci - bi * cr)
+    dets = m00 * m11 - (m01r ** 2 + m01i ** 2)
     return (m00 > 0.0) & (dets > 0.0), dets

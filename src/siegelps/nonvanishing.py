@@ -19,6 +19,7 @@ unitary group).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
 from .discrete_series import Weight
 from .matrixio import readonly, require_genus, require_integer
 from .polynomials import MatrixPolynomial
-from .symplectic import UnitaryMatrix, haar_unitary
+from .symplectic import UnitaryMatrix, _ginibre
 
 METHOD_CLOSED = "closed_form_beta"
 METHOD_QUAD = "adaptive_quadrature"
@@ -44,6 +45,7 @@ METHOD_MC = "monte_carlo"
 
 THRESHOLD_TOL = 1e-10     # integral tolerance of every det^l threshold decision
 MC_BUDGET = 4_000_000     # sample count past which n0_general stops escalating
+_MC_BLOCK = 1 << 13       # samples per block of n0_general and mc_cmn
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,8 @@ def _validate_ordered(x, n: int) -> np.ndarray:
 
 
 def _vandermonde(x: np.ndarray) -> np.ndarray:
-    """prod_{r<s} (x_r - x_s) along the last axis."""
-    n = x.shape[-1]
-    out = np.ones(x.shape[:-1])
-    for r in range(n):
-        for s in range(r + 1, n):
-            out = out * (x[..., r] - x[..., s])
-    return out
+    """prod_{r<s} (x_r - x_s) along the first axis."""
+    return math.prod(x[r] - x[s] for r, s in itertools.combinations(range(len(x)), 2))
 
 
 def phi_lm(l: int, weight: Weight, x) -> float:
@@ -117,21 +114,20 @@ def phi_lm(l: int, weight: Weight, x) -> float:
     return float(val * _vandermonde(arr))
 
 
-def _density(mu: MatrixPolynomial, weight: Weight, u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """|mu(u diag(sqrt x) u^T)| prod (1-x)^{m/2-n-1} |Vandermonde(x)| over
-    stacks u (..., n, n) and x (..., n): the integrand of the general threshold."""
-    # symmetric in exact arithmetic; made exactly so, so that weights
-    # which vanish identically on symmetric matrices evaluate to zero
-    W = _small.congruence_diag(u, np.sqrt(x))
+def _density(mu: MatrixPolynomial, weight: Weight, W: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """|mu(W)| prod (1-x)^{m/2-n-1} |Vandermonde(x)| over planes x (n, ...) and a
+    stack W = u diag(sqrt x) u^T (..., n, n), made exactly symmetric so that weights
+    vanishing on symmetric matrices give zero: the general threshold's integrand."""
     return (np.abs(mu.evaluate_batch(W))
-            * np.prod((1.0 - x) ** (weight.m / 2.0 - weight.n - 1), axis=-1)
+            * np.prod((1.0 - x) ** (weight.m / 2.0 - weight.n - 1), axis=0)
             * np.abs(_vandermonde(x)))
 
 
 def varphi_mu(mu: MatrixPolynomial, weight: Weight, u: UnitaryMatrix, x) -> float:
     """|mu(u diag(sqrt x) u^T)| (1-x)-density and Vandermonde: the general weight."""
     require_genus(weight.n, mu=mu, u=u)
-    return float(_density(mu, weight, u.mat, _validate_ordered(x, weight.n)))
+    x = _validate_ordered(x, weight.n)
+    return float(_density(mu, weight, _small.congruence_diag(u.mat, np.sqrt(x)), x))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +336,10 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     otherwise the sample count escalates fourfold up to ``budget``, after
     which AmbiguousThresholdError reports the margins at those two levels.
     ``confidence`` must lie in (1/2, 1): at 1/2 or less both tests hold by
-    construction.
+    construction.  The densities fill one array in blocks of _MC_BLOCK samples,
+    W = u diag(sqrt x) u^T coming from the Ginibre parts by _small.haar_congruence
+    (closed forms at n <= 2).  A sample's margin d = wts 1[x_1 < M(N)] - wts/2 is
+    +-wts/2, so E[d^2] = E[(wts/2)^2] holds at every level: a level costs one masked sum.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -354,16 +353,22 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
 
     while True:
         rng_x, rng_u = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-        x = np.sort(rng_x.uniform(0.0, 1.0, size=(count, n)), axis=1)[:, ::-1]
-        wts = _density(mu, weight, haar_unitary(n, rng_u, count), x)
-        if float(np.max(wts)) == 0.0:
+        x = _small.descending(rng_x.uniform(0.0, 1.0, size=(count, n)))
+        re, im = _ginibre(rng_u, (count, n, n))
+        wts = np.empty(count)
+        for k in range(0, count, _MC_BLOCK):
+            part = slice(k, k + _MC_BLOCK)
+            W = _small.haar_congruence(re[part], im[part], np.sqrt(x[:, part]))
+            wts[part] = _density(mu, weight, W, x[:, part])
+        top, total = x[0], float(np.sum(wts))
+        if total == 0.0:                                    # every weight is >= 0
             raise ZeroPolynomialError(
                 "weight polynomial vanishes on the sampled symmetric matrices")
-        half = wts / 2.0
+        square = float(np.sum(wts * wts)) / (4.0 * count)   # E[d^2] at every level
 
         def stats(N: int) -> tuple[float, float]:
-            d = wts * (x[:, 0] < big_m(N, n)) - half
-            return float(np.mean(d)) * root, float(np.std(d) / math.sqrt(count)) * root
+            mean = (float(np.sum(wts[top < big_m(N, n)])) - total / 2.0) / count
+            return mean * root, math.sqrt(max(square - mean * mean, 0.0) / count) * root
 
         try:
             n0, rows = _threshold(stats, zq, f"genus {n}, weight {mu}, m = {weight.m}, "

@@ -218,17 +218,22 @@ def chi(r: int, u: UnitaryMatrix) -> complex:
     return complex(np.linalg.det(u.mat) ** int(r))
 
 
+def _ginibre(rng: np.random.Generator, stack: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of a Ginibre stack: all real parts, then all imaginary ones."""
+    return rng.standard_normal(stack), rng.standard_normal(stack)
+
+
 def haar_unitary(n: int, seed, count: int | None = None):
     """Haar-distributed element of U(n) (Ginibre then QR, phases fixed), or
     with ``count`` a (count, n, n) array of independent draws.
 
-    All real parts are drawn, then all imaginary parts; the stack is
-    orthonormalized in blocks, so the peak stays near twice the output.
+    The parts are drawn by _ginibre; the stack is orthonormalized in blocks,
+    so the peak stays near twice the output.
     """
     n = require_integer(n, "genus", DimensionError)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     stack = (1 if count is None else int(count), n, n)
-    re, im = rng.standard_normal(stack), rng.standard_normal(stack)
+    re, im = _ginibre(rng, stack)
     q = np.empty(stack, dtype=np.complex128)
     for k in range(0, stack[0], _HAAR_BLOCK):
         part = slice(k, k + _HAAR_BLOCK)

@@ -417,13 +417,43 @@ def test_search_integral_calls(monkeypatch, n, l, m, n0, calls):
 # ---------------------------------------------------------------------------
 
 
+# n0_general(det^l, Weight(m, n), samples=200_000, seed=0) as (genus, l, m) ->
+# rows of (N, margin, standard error), computed with a sort of the uniforms
+# and np.mean / np.std over each level's margins, before the density blocks
+N0_GENERAL_CLOSED_FORM_ROWS = {
+    (1, 0, 6): (
+        (1, -0.1956357867719601, 0.0004744141197167056),
+        (2, -0.09322529826686496, 0.0006107215250269686),
+        (3, -0.005343359800942781, 0.0006452075672573783),
+        (4, 0.05843753778277411, 0.0006319500242941922),
+    ),
+    (1, 1, 4): (
+        (1, -0.3245735040429631, 0.0003136166134994687),
+        (2, -0.286046990716005, 0.0004647373165650686),
+        (4, -0.1762897118967202, 0.0006853501771309094),
+        (8, -0.015363282653282226, 0.0007898829189361477),
+        (9, 0.011429661610252217, 0.000790216421035331),
+        (10, 0.03495874610434057, 0.00078675574878775),
+        (12, 0.0732767183616251, 0.0007734647959844504),
+        (16, 0.125701432090847, 0.000738979653135364),
+    ),
+    (2, 0, 6): (
+        (1, -0.08337684975837856, 0.00013180471514931603),
+        (2, -0.08320799863736404, 0.00013233715701786334),
+        (4, -0.08026235042959436, 0.00014114090063242993),
+        (8, -0.06239163471319196, 0.00018074124571559915),
+        (16, -0.025381526964620753, 0.00022115575678347067),
+        (24, -0.001065319766636985, 0.00022830966642418485),
+        (25, 0.001360556002354194, 0.00022830182380036035),
+        (26, 0.003603579567787852, 0.0002281798619187101),
+        (28, 0.0077285977108436325, 0.0002276671302600975),
+        (32, 0.014921302600881203, 0.00022587109588704168),
+    ),
+}
+
+
 def test_n0_general_matches_closed_form():
-    cases = [
-        (1, 0, 6),   # genus, l, m
-        (1, 1, 4),
-        (2, 0, 6),
-    ]
-    for n, l, m in cases:
+    for (n, l, m), want in N0_GENERAL_CLOSED_FORM_ROWS.items():
         query = ThresholdQuery(MatrixPolynomial.det_power(n, l), Weight(m, n))
         res = n0_general(query, samples=200_000, seed=0)
         assert res.n0 == sp.REFERENCE_N0[n][(l, m)]
@@ -434,6 +464,10 @@ def test_n0_general_matches_closed_form():
         assert rows[res.n0][0] > 0
         if res.n0 > 1:
             assert rows[res.n0 - 1][0] < 0
+        # and keep their values: genus 1 is pinned nowhere else
+        assert [N for N, _, _ in res.rows] == [N for N, _, _ in want]
+        for got, row in zip(res.rows, want):
+            assert got[1:] == pytest.approx(row[1:], rel=1e-12)
 
 
 # n0_general at its defaults for five genus-2 weights, computed with batched

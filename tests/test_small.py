@@ -10,7 +10,8 @@ import pytest
 import siegelps as sp
 from siegelps import _small
 from siegelps.discrete_series import pole_values
-from siegelps.symplectic import _HAAR_BLOCK
+from siegelps.nonvanishing import _MC_BLOCK
+from siegelps.symplectic import _HAAR_BLOCK, _ginibre
 
 
 def ginibre(rng, shape):
@@ -74,7 +75,7 @@ def test_kernels_are_lapack_above_two(n):
     W[:, iu, ju] = entries
     W[:, ju, iu] = entries
     evs = np.linalg.eigvalsh(np.eye(n)[None] - np.conj(W) @ W)
-    inside, dets = _small.contraction_det(entries)
+    inside, dets = _small.contraction_det(entries.real, entries.imag)
     assert 0 < inside.sum() < len(inside)
     assert np.array_equal(inside, evs[:, 0] > 0.0)
     assert np.array_equal(dets, np.prod(evs, axis=1))
@@ -129,7 +130,7 @@ def _eigvalsh_decision(a, b, c):
 def test_contraction_det_matches_eigvalsh():
     rng = np.random.default_rng(11)
     w = rng.uniform(-1, 1, (100_000, 3)) + 1j * rng.uniform(-1, 1, (100_000, 3))
-    inside, dets = _small.contraction_det(w)
+    inside, dets = _small.contraction_det(w.real, w.imag)
     ref_inside, ref_dets = _eigvalsh_decision(*w.T)
     assert 1_000 < inside.sum() < 99_000
     assert np.array_equal(inside, ref_inside)
@@ -140,14 +141,14 @@ def test_contraction_det_matches_eigvalsh():
     delta = rng.uniform(1e-13, 1e-12, 2000) * rng.choice([-1.0, 1.0], 2000)
     W *= ((1 + delta) / np.linalg.norm(W, ord=2, axis=(1, 2)))[:, None, None]
     edge = np.stack([W[:, 0, 0], W[:, 0, 1], W[:, 1, 1]], axis=1)
-    inside, dets = _small.contraction_det(edge)
+    inside, dets = _small.contraction_det(edge.real, edge.imag)
     ref_inside, ref_dets = _eigvalsh_decision(*edge.T)
     assert np.array_equal(inside, delta < 0)
     assert np.array_equal(ref_inside, delta < 0)
     assert np.max(np.abs(dets - ref_dets)) < 1e-14
     # genus 1: the disc |w| < 1
     w1 = w[:, :1]
-    inside, dets = _small.contraction_det(w1)
+    inside, dets = _small.contraction_det(w1.real, w1.imag)
     assert np.array_equal(inside, np.abs(w1[:, 0]) < 1)
     assert np.max(np.abs(dets - (1 - np.abs(w1[:, 0]) ** 2))) < 1e-15
 
@@ -210,3 +211,37 @@ def test_haar_unitary_peak_memory(n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * q.nbytes
+
+
+def test_n0_general_peak_memory():
+    # det + X_{1,1} at m = 9 escalates once, to 400,000 genus-2 samples; the
+    # density runs in blocks, so the peak is the draws plus a block's work
+    query = sp.ThresholdQuery(sp.parse_polynomial("det + X_{1,1}", 2), sp.Weight(9, 2))
+    tracemalloc.start()
+    try:
+        res = sp.n0_general(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.samples == 400_000
+    assert peak < 64e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_haar_congruence_matches_gram_schmidt(n):
+    count = 2 * _MC_BLOCK + 7                # the last block is ragged
+    rng = np.random.default_rng(41 + n)
+    re, im = _ginibre(rng, (count, n, n))
+    x = rng.uniform(0, 1, (count, n))
+    planes = _small.descending(x)
+    assert np.array_equal(planes, np.sort(x, axis=1)[:, ::-1].T)
+    s = np.sqrt(planes)
+    ref = _small.congruence_diag(_small.gram_schmidt((re + 1j * im) / np.sqrt(2.0)), s.T)
+    w = np.concatenate([_small.haar_congruence(re[k:k + _MC_BLOCK], im[k:k + _MC_BLOCK],
+                                               s[:, k:k + _MC_BLOCK])
+                        for k in range(0, count, _MC_BLOCK)])
+    if n == 3:                                # gram_schmidt and congruence_diag themselves
+        assert np.array_equal(w, ref)
+    else:
+        assert np.max(np.abs(w - ref)) < 1e-14
+    assert np.array_equal(w, np.swapaxes(w, -1, -2))
