@@ -2,19 +2,26 @@
 
 Enumeration is exact and the same at every genus.  The translations
 [[I, N S], [0, I]] (S symmetric) act on the left of the group, and each coset
-is fixed by its bottom half M = [C D], so a ball is enumerated in three
-stages:
+is fixed by its bottom half M = [C D].  The group's elements k in K (below)
+act on the right: the elements with bottom half M k are the h k with bottom
+half M, of the same norms.  So a ball is enumerated in four stages:
 
 1. sweep the bottom halves: M = [0 I] (mod N) with pairwise J-orthogonal
-   rows and |M|^2 <= r^2 - n, built row by row from norm-sorted tables;
+   rows and |M|^2 <= r^2 - n, built row by row from norm-sorted tables, and
+   keep one of each orbit {M k}: C + iD -> (C + iD) u permutes the columns
+   and multiplies each by a unit, freely where M has full rank, as then
+   C + iD is invertible; an M of lower rank is imprimitive, so stage 2
+   drops it whether kept or not;
 2. complete each coset once: integer Euclid on J M^T gives T with
    T J M^T = I exactly when M is primitive, then T += triu(T J T^T, 1) M makes
    [T; M] symplectic and a symmetric shift makes T = [I 0] (mod N);
 3. enumerate the symmetric S with |T + N S M|^2 <= r^2 - |M|^2 by
-   Fincke-Pohst over the n(n+1)/2 entries of S, then filter norms exactly.
+   Fincke-Pohst over the n(n+1)/2 entries of S, then filter norms exactly;
+4. expand: the keys of every h k come from one integer product, as k is a
+   signed permutation, and the products are made in sorted order.
 
-No step branches on the genus; genus 3 and above are refused until an
-independent oracle can check them.
+No step branches on the genus or the level; genus 3 and above are refused
+until an independent oracle can check them.
 
 Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
 ``enumerate_ball`` caps the size of stage 1, estimated before any work; the
@@ -187,17 +194,30 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _order_keys(arr: np.ndarray) -> list[np.ndarray]:
-    """The keys of the canonical order, most significant first: the squared
-    norm, then the entry keys of ``_entry_forms``."""
-    flat = arr.reshape(len(arr), math.prod(arr.shape[1:]))
+def _order_keys(arr: np.ndarray, ks: np.ndarray | None = None) -> list[np.ndarray]:
+    """The keys of the canonical order, most significant first, of the
+    products g k over the elements g and the signed permutations k of ``ks``
+    (I alone by default), g k at g * len(ks) + k: the squared norm, which k
+    keeps, then the entry keys of ``_entry_forms``, as (forms k^T) . g."""
+    n2 = arr.shape[-1]
+    ks = np.eye(n2, dtype=np.int64)[None] if ks is None else ks
     norms = _squared_norms(arr)
-    return [norms, *(flat @ _entry_forms(arr.shape[1:], int(norms.max(initial=0))).T).T]
+    forms = _entry_forms(arr.shape[1:], int(norms.max(initial=0))).reshape(-1, n2, n2)
+    turned = (forms @ np.swapaxes(ks, 1, 2)[:, None]).reshape(-1, n2 * n2)
+    keys = (arr.reshape(len(arr), n2 * n2) @ turned.T).reshape(len(arr) * len(ks), -1)
+    return [np.repeat(norms, len(ks)), *keys.T]
 
 
-def _canonical_order(arr: np.ndarray) -> np.ndarray:
-    """Sort by norm then entries; the summation order contract."""
-    return np.ascontiguousarray(arr[np.lexsort(_order_keys(arr)[::-1])])
+def _canonical_order(arr: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
+    """The products of ``_order_keys`` sorted by norm then entries, the
+    summation order contract, made _COSETS at a time in that order."""
+    ks = np.eye(arr.shape[-1], dtype=np.int64)[None] if ks is None else ks
+    order = np.lexsort(_order_keys(arr, ks)[::-1])
+    out = np.empty((len(order), *arr.shape[1:]), arr.dtype)
+    for a in range(0, len(order), _COSETS):
+        g, k = np.divmod(order[a:a + _COSETS], len(ks))
+        np.matmul(arr[g], ks[k], out=out[a:a + len(g)])
+    return out
 
 
 def _norm_cap(radius: float) -> int:
@@ -398,8 +418,11 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
                 f"candidates, over the budget {budget}",
                 feasible_radius=math.sqrt(n + int(fit * (1 - 1e-12))))
         M = _bottom_halves(n, N, r2)
+        # one M of each orbit {M k}, marked by the columns of C + iD
+        M = M[_representatives(N, M.reshape(len(M), n, 2, n).transpose(0, 2, 3, 1))]
         arr = _canonical_order(np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
-                                               for k in range(0, len(M), _COSETS)]))
+                                               for k in range(0, len(M), _COSETS)]),
+                               _k_matrix(group.k_units()))
     return EnumerationBall(group, radius, arr)
 
 
@@ -455,8 +478,9 @@ def _validate_ball(group: CongruenceGroup, radius: float,
             if not is_symplectic:   # reported first whatever follows; marks need it
                 raise DomainError("enumerated element fails the exact symplectic relation")
             congruent &= is_congruent
-            if ks is not None:
-                marks[k:k + len(part)] = _representatives(group.N, part)
+            if ks is not None:   # by the rows of rho = (A + iC | B + iD)
+                rho = part.reshape(len(part), 2, n2 // 2, n2)
+                marks[k:k + len(part)] = _representatives(group.N, rho)
         keys = flat[s:e] @ forms.T
         # canonical order among rows of equal norm: the first key that
         # differs must increase
@@ -490,16 +514,17 @@ def _sorted_rows(keys: np.ndarray) -> np.ndarray:
     return keys[np.lexsort(keys.T[::-1])]
 
 
-def _representatives(N: int, arr: np.ndarray) -> np.ndarray:
-    """The mask of the elements of a stack at N <= 2 that represent their
-    orbits {kg} (see ``EnumerationBall``)."""
-    n = arr.shape[1] // 2
-    # the rows of rho = (A + iC | B + iD), re and im of each entry side by side
-    rows = arr.reshape(len(arr), 2, n, 2 * n).transpose(0, 2, 3, 1).reshape(len(arr), n, 4 * n)
+def _representatives(N: int, parts: np.ndarray) -> np.ndarray:
+    """The mask of the complex matrices, given as their real and imaginary
+    parts (k, 2, rows, width), that represent their orbits under the group's
+    elements in K, which permute the rows and multiply each by a unit (see
+    ``EnumerationBall``); from N = 3 on, where only I is in K, every one."""
+    # the rows, re and im of each entry side by side
+    rows = parts.transpose(0, 2, 3, 1).reshape(len(parts), parts.shape[2], -1)
     at, lead = _leading(rows)
-    ok = lead > 0                               # N = 2: re > 0, or re = 0 < im
+    ok = (lead > 0) | (N >= 3)                  # N = 2: re > 0, or re = 0 < im
     if N == 1:                                  # re > 0 <= im, rows increasing
-        ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] + 1, 2)[..., 0] >= 0)
+        ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] | 1, 2)[..., 0] >= 0)
         ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] > 0
     return ok.all(axis=1)
 

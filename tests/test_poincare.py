@@ -232,7 +232,10 @@ def test_genus2_level2_matches_brute_force():
     (2, 1, 4.0, 112800, "ca26872e751786a73bb7e16a723d48127b8593f8d5e2ec27c257944c883f1b6e"),
     (2, 2, 8.0, 16772, "107ffd6ec9bcc38b5d77858449365d469502316a74aa3a59c75967531b6aff3c"),
     (2, 3, 10.0, 1113, "40c64f23a121359db06add5f1f2171e8a3088e610f7d304112809f9eb515602a"),
-], ids=["g1-N1-r40", "g1-N3-r40", "g2-N1-r4", "g2-N2-r8", "g2-N3-r10"])
+    (2, 1, 5.0, 521120, "f0630179d02447d40eb8a7661ec170c7a51bef3a96b01b33a68d27777bee4b55"),
+    (2, 2, 10.0, 64212, "42667f4b9e32642497b4dd0b7cd1ffc714353b3c757f1adf0cab458f41213bd1"),
+], ids=["g1-N1-r40", "g1-N3-r40", "g2-N1-r4", "g2-N2-r8", "g2-N3-r10", "g2-N1-r5",
+        "g2-N2-r10"])
 def test_enumeration_golden_digests(n, N, radius, count, digest):
     """Canonical arrays pinned by count and SHA-256 of their little-endian bytes."""
     ball = enumerate_ball(CongruenceGroup(n, N), radius)
@@ -241,12 +244,15 @@ def test_enumeration_golden_digests(n, N, radius, count, digest):
 
 
 def test_higher_level_is_congruence_filter():
-    base = enumerate_ball(CongruenceGroup(1, 1), 8.0)
-    for N in (2, 3):
-        sub = enumerate_ball(CongruenceGroup(1, N), 8.0)
-        eye = np.eye(2, dtype=np.int64)
-        keep = np.all((base.elements - eye) % N == 0, axis=(1, 2))
-        assert np.array_equal(sub.elements, base.elements[keep])
+    # the levels expand through different groups in K: 4, 2 and 1 units at
+    # genus 1, 32, 4 and 1 at genus 2
+    for n, radius in ((1, 8.0), (2, 4.0)):
+        base = enumerate_ball(CongruenceGroup(n, 1), radius)
+        for N in (2, 3):
+            sub = enumerate_ball(CongruenceGroup(n, N), radius)
+            eye = np.eye(2 * n, dtype=np.int64)
+            keep = np.all((base.elements - eye) % N == 0, axis=(1, 2))
+            assert np.array_equal(sub.elements, base.elements[keep])
 
 
 def test_canonical_order_and_center(ball40):
@@ -622,6 +628,33 @@ def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
 def test_coset_block_of_imprimitive_bottom_halves_is_empty():
     M = np.array([[[0, 0, 2, 0], [0, 0, 0, 1]]], dtype=np.int64)
     assert sp.poincare._coset_elements(M, 1, 10).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (1, 2, 10.0), (2, 1, 3.0),
+                                          (2, 2, 6.0)])
+def test_one_bottom_half_is_completed_per_orbit(monkeypatch, n, N, radius):
+    # brute force: group the full-rank bottom halves by the set of their
+    # images M k; the enumerator completes one of each orbit and makes the
+    # rest of the ball as the products h k of its rows h
+    group = CongruenceGroup(n, N)
+    ks = group.k_intersection()
+    complete, seen, rows = sp.poincare._coset_elements, set(), []
+
+    def counted(M, N, r2):
+        seen.update(m.tobytes() for m in M)
+        rows.append(len(out := complete(M, N, r2)))
+        return out
+
+    monkeypatch.setattr(sp.poincare, "_coset_elements", counted)
+    ball = enumerate_ball(group, radius)
+    assert sum(rows) * len(ks) == len(ball)
+    orbits: dict = {}
+    for M in sp.poincare._bottom_halves(n, N, sp.poincare._norm_cap(radius)):
+        if np.linalg.matrix_rank(M) == n:
+            orbit = frozenset(img.tobytes() for img in M @ ks)
+            orbits.setdefault(orbit, []).append(M.tobytes() in seen)
+    assert all(len(members) == len(ks) and sum(members) == 1
+               for members in orbits.values())
 
 
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 1, math.sqrt(7)),
