@@ -17,50 +17,39 @@ half M, of the same norms.  So a ball is enumerated in four stages:
    [T; M] symplectic and a symmetric shift makes T = [I 0] (mod N);
 3. enumerate the symmetric S with |T + N S M|^2 <= r^2 - |M|^2 by
    Fincke-Pohst over the n(n+1)/2 entries of S, then filter norms exactly;
-4. expand: the keys of every h k come from one integer product, as k is a
-   signed permutation, and the products are made in sorted order.
+4. invert: these h hold one element of each orbit {h k}, so the -J h^T J
+   hold one of each orbit {k g}; each is turned to its orbit's marked
+   element (``EnumerationBall``) and they are sorted.
 
 No step branches on the genus or the level; genus 3 and above are refused
-until an independent oracle can check them.
-
-Stages 2 and 3 run over blocks of cosets.  The ``budget`` of
-``enumerate_ball`` caps the size of stage 1, estimated before any work; the
-series take none, so to bound one, enumerate its ball and pass it.
-Elements are stored in a canonical order (norm, then entries) so that sums
-are reproducible; the order and the ball check read one integer key per
-element, ``_entry_forms``.
+until an independent oracle can check them.  The ``budget`` of
+``enumerate_ball`` caps stage 1, estimated before any work; to bound a
+series, enumerate its ball and pass it.  Elements are kept in a canonical
+order (norm, then entries, read as the integer keys of ``_entry_forms``) so
+that sums are reproducible.
 
 A ball holds the elements of squared norm at most its cap floor(r^2), so
 radii with the same cap have the same elements: a supplied ball fits any
 radius whose cap is no larger, and is restricted to it.  Every radius,
 enumerated, loaded, split or fitted, goes through that cap, which refuses
-one that is not positive and finite.  Every ``EnumerationBall`` is checked
-once, when it is made, in one pass that also marks one element of each
-orbit under left multiplication by the group's elements in K: int64
-elements of its group, within its cap and in canonical order, and each run
-of whole shells rebuilt exactly by the orbits of its marked elements.
-Membership tests g^T J g = J on column pairs, as numpy's batched small
-products have no BLAS path, and N = 1 has no congruence test, which every
-integer matrix passes.  The views from ``restrict`` and ``split`` cut by
-norm, so they keep that check and its marks, and no series or cache hit
-repeats it.  On Sp(2n, R), |g|^2 >= 2n with equality exactly on the compact
-subgroup K, so the group's elements in K are the ball of cap 2n.
+one that is not positive and finite.  A ball stores the marked element of
+each orbit under left multiplication by the group's elements in K, checked
+once, when made; ``restrict`` and ``split`` cut by norm, which k keeps, so
+no series or cache hit checks again.  On Sp(2n, R), |g|^2 >= 2n with
+equality exactly on the compact subgroup K, so the group's elements in K
+are the ball of cap 2n.
 
-The series sum over orbits of the group's elements in K.  Each such k is
-(X Y; -Y X) with u = X + iY unitary: a monomial matrix with entries in
-{+-1, +-i} at level N = 1 (order 4 at genus 1, 32 at genus 2), a diagonal
-sign matrix at N = 2 (orders 2 and 4) and I from N = 3 on.  As |kg| = |g|,
-a checked ball is a union of left orbits, each with one element per k.  In
-the complex rows rho = (A + iC | B + iD) of g = (A B; C D), the pole rows of
-its terms, k acts as rho -> conj(u) rho, so the weight-vector term of kg is
-det(u)^m mu(u W u^T) times the term's other factors, W = Q P^{-1}.  The
-weight-vector and group-side series therefore evaluate one element per
-orbit with mu' = sum_k det(u)^m mu(u W u^T) in place of mu
-(``MatrixPolynomial.orbit_sum``), and are exactly 0 when mu' is.  The
-kernel term of kg is the kernel at k^{-1} xi, not a multiple of the kernel
-at xi, so the kernel series keeps only the centre: at N <= 2 the term of -g
-is (-1)^{mn} times the term of g, so it evaluates one of each pair +-g,
-doubles the sum and is exactly 0 when mn is odd.
+Each such k is (X Y; -Y X) with u = X + iY unitary: a monomial matrix with
+entries in {+-1, +-i} at level N = 1 (order 4 at genus 1, 32 at genus 2), a
+diagonal sign matrix at N = 2 (orders 2 and 4) and I from N = 3 on.  Every
+series sums over the orbits of the stored elements g (``_orbit_rule``).  In
+the complex rows rho = (A + iC | B + iD) of g, its terms' pole rows, k acts
+as rho -> conj(u) rho, so the weight-vector and group-side series evaluate g
+with mu' = sum_k det(u)^m mu(u W u^T) (``MatrixPolynomial.orbit_sum``),
+W = Q P^{-1}, and are exactly 0 when mu' is.  The kernel term of kg at xi is
+c_k = det(X + conj(xi) Y)^{-m} times the term of g at eta_k = k^{-1} xi: the
+kernel series sums over the g once per distinct eta_k, k modulo +-I, the
+c_k of equal eta_k added, so at a xi fixed by K, such as iI, once.
 ``TruncatedSeriesResult.terms`` still counts group elements.
 """
 
@@ -73,10 +62,11 @@ import math
 import os
 import tempfile
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import _small
 from .discrete_series import MatrixCoefficientSpec, Weight, pole_terms
 from .errors import BudgetError, DimensionError, DomainError
 from .matrixio import require_genus, require_integer
@@ -132,9 +122,7 @@ class CongruenceGroup:
         """The same elements k = (X Y; -Y X), in the same order, as the
         unitary u = X + iY, stacked (k, n, n): every monomial matrix with
         entries in {+-1, +-i} at N = 1, the diagonal sign matrices at N = 2,
-        and I alone from N = 3 on.  They are built from that set, without
-        enumerating; the ball check rebuilds each run from the orbits of its
-        marked elements under them.  Read-only."""
+        and I alone from N = 3 on, built without enumerating.  Read-only."""
         return _k_units(self)
 
 
@@ -196,27 +184,43 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
 
 def _order_keys(arr: np.ndarray, ks: np.ndarray | None = None) -> list[np.ndarray]:
     """The keys of the canonical order, most significant first, of the
-    products g k over the elements g and the signed permutations k of ``ks``
-    (I alone by default), g k at g * len(ks) + k: the squared norm, which k
-    keeps, then the entry keys of ``_entry_forms``, as (forms k^T) . g."""
+    products k g over the elements g and the signed permutations k of ``ks``
+    (I alone by default), k g at g * len(ks) + k: the squared norm, which k
+    keeps, then the entry keys of ``_entry_forms``, as (k^T forms) . g."""
     n2 = arr.shape[-1]
     ks = np.eye(n2, dtype=np.int64)[None] if ks is None else ks
     norms = _squared_norms(arr)
     forms = _entry_forms(arr.shape[1:], int(norms.max(initial=0))).reshape(-1, n2, n2)
-    turned = (forms @ np.swapaxes(ks, 1, 2)[:, None]).reshape(-1, n2 * n2)
-    keys = (arr.reshape(len(arr), n2 * n2) @ turned.T).reshape(len(arr) * len(ks), -1)
+    turned = (np.swapaxes(ks, 1, 2)[:, None] @ forms).reshape(-1, n2 * n2)
+    keys = (arr.reshape(len(arr), n2 * n2) @ turned.T).reshape(-1, len(forms))
     return [np.repeat(norms, len(ks)), *keys.T]
 
 
 def _canonical_order(arr: np.ndarray, ks: np.ndarray | None = None) -> np.ndarray:
     """The products of ``_order_keys`` sorted by norm then entries, the
-    summation order contract, made _COSETS at a time in that order."""
-    ks = np.eye(arr.shape[-1], dtype=np.int64)[None] if ks is None else ks
-    order = np.lexsort(_order_keys(arr, ks)[::-1])
-    out = np.empty((len(order), *arr.shape[1:]), arr.dtype)
+    summation order contract, gathered _COSETS at a time from the rows of
+    the g and -g, as each k is a signed permutation.  The entry keys are
+    unique, so one unstable argsort (a lexsort for two keys or more) sorts
+    each run of equal norm."""
+    n2 = arr.shape[-1]
+    ks = np.eye(n2, dtype=np.int64)[None] if ks is None else ks
+    norms, *keys = _order_keys(arr, ks)
+    order = np.argsort(norms, kind="stable")
+    cuts = [0, *np.flatnonzero(np.diff(norms[order])) + 1, len(order)]
+    for s, e in zip(cuts[:-1], cuts[1:]):
+        run = order[s:e]
+        order[s:e] = run[np.argsort(keys[0][run]) if len(keys) == 1
+                         else np.lexsort([key[run] for key in keys[::-1]])]
+    rows = np.concatenate([arr, -arr]).reshape(-1, n2)
+    at = np.argmax(ks != 0, axis=2)            # row i of k g is +-(row at[k, i] of g)
+    at += (np.take_along_axis(ks, at[..., None], 2)[..., 0] < 0) * (len(arr) * n2)
+    out = np.empty((len(order), n2, n2), arr.dtype)
     for a in range(0, len(order), _COSETS):
         g, k = np.divmod(order[a:a + _COSETS], len(ks))
-        np.matmul(arr[g], ks[k], out=out[a:a + len(g)])
+        index = np.take(at, k, axis=0)
+        index += (g * n2)[:, None]
+        # every index is in range; "clip" only spares the buffered copy of out
+        np.take(rows, index, axis=0, out=out[a:a + len(g)], mode="clip")
     return out
 
 
@@ -232,71 +236,70 @@ def _norm_cap(radius: float) -> int:
 
 @dataclass(frozen=True)
 class EnumerationBall:
-    """All group elements with Frobenius norm at most ``radius``, in canonical
-    order; a shell from ``split`` holds only those outside its inner radius.
-
-    Making one checks the elements, an int64 array (k, 2n, 2n) of symplectic
-    matrices congruent to I mod N, none past the radius's cap, in canonical
-    order, and marks one element of each orbit {kg} over the group's
-    elements k in K, in one pass (``_validate_ball``) that proves the marks:
-    the orbits of the marked elements must rebuild each run of whole shells
-    exactly.  The weight-vector series evaluate only the marked elements,
-    ``representatives`` (None from N = 3 on, where only I is in K): at N = 1
+    """All group elements with Frobenius norm at most ``radius``, stored as
+    the marked element of each orbit {kg} over the group's elements k in K,
+    in canonical order: ``representatives``, an int64 array (k, 2n, 2n),
+    checked when the ball is made (``_validate_ball``).  The mark: at N = 1
     each complex row of rho = (A + iC | B + iD) has its first nonzero entry
     in {re > 0, im >= 0} and the rows increase (lexicographically in re, im
     of each entry); at N = 2 each row's first nonzero entry has re > 0, or
-    re = 0 and im > 0.  ``restrict`` and ``split`` return views that keep the
-    check and slice the marks: they cut between norms, and k keeps the
-    norm."""
+    re = 0 and im > 0; from N = 3 on every element is marked.  An orbit has
+    one marked element, so ``len`` is |K| times the rows, and ``elements``,
+    the whole ball in canonical order, is made when first read; no series
+    reads it.  ``restrict`` and ``split`` (whose shell holds the elements
+    outside its inner radius) return views that keep the check."""
 
     group: CongruenceGroup
     radius: float
-    elements: np.ndarray
-    representatives: np.ndarray | None = field(init=False, repr=False, compare=False)
+    representatives: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.elements).view()   # no copy; the caller's flag stays
+        arr = np.ascontiguousarray(self.representatives).view()   # the caller's flag stays
         n2 = 2 * self.group.n
         if arr.dtype != np.int64 or arr.shape[1:] != (n2, n2):
             raise DomainError(f"ball elements must be an int64 array of shape "
                               f"(k, {n2}, {n2}), got {arr.dtype} {arr.shape}")
-        marks = _validate_ball(self.group, self.radius, arr)
+        _validate_ball(self.group, self.radius, arr)
         arr.setflags(write=False)
-        object.__setattr__(self, "elements", arr)
+        object.__setattr__(self, "representatives", arr)
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "representatives", marks)
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        """Every k g over the group's elements k in K, sorted.  Read-only."""
+        out = _canonical_order(self.representatives, _k_matrix(self.group.k_units()))
+        out.setflags(write=False)
+        return out
 
     def _view(self, radius: float, cut: slice) -> "EnumerationBall":
-        """A ball of a prefix or suffix of these elements.  It keeps the
-        contract this ball was checked for, so the check does not run again."""
+        """The ball of a prefix or suffix of the representatives, unchecked."""
         view = object.__new__(EnumerationBall)
-        keep = self.representatives
         view.__dict__.update(group=self.group, radius=float(radius),
-                             elements=self.elements[cut],
-                             representatives=None if keep is None else keep[cut])
+                             representatives=self.representatives[cut])
         return view
 
     def __len__(self) -> int:
-        return self.elements.shape[0]
+        return len(self.representatives) * len(self.group.k_units())
 
     def norms_squared(self) -> np.ndarray:
-        return _squared_norms(self.elements)
+        """The squared norms of ``elements``, in order, without making them."""
+        return np.repeat(_squared_norms(self.representatives), len(self.group.k_units()))
 
     def restrict(self, radius: float) -> "EnumerationBall":
         """The ball of ``radius``: a view of the prefix within its cap, found
-        by binary search over the elements sorted by norm."""
+        by binary search over the representatives sorted by norm."""
         cap = _norm_cap(radius)
         if cap > _norm_cap(self.radius):
             raise DomainError(f"a ball of radius {self.radius} does not reach "
                               f"radius {radius}")
-        k = bisect.bisect_right(self.elements, cap, key=lambda g: int(np.sum(g * g)))
+        k = bisect.bisect_right(self.representatives, cap, key=lambda g: int(np.sum(g * g)))
         return self._view(radius, slice(k))
 
     def split(self, radius: float) -> tuple["EnumerationBall", "EnumerationBall"]:
         """Views of the ball of ``radius`` and of the shell of the other
         elements, which keeps this radius; this ball's sum is theirs."""
         inner = self.restrict(radius)
-        return inner, self._view(self.radius, slice(len(inner), None))
+        return inner, self._view(self.radius, slice(len(inner.representatives), None))
 
 
 # Candidate pairs per block of the bottom-half sweep, and cosets per block of
@@ -420,9 +423,11 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
         M = _bottom_halves(n, N, r2)
         # one M of each orbit {M k}, marked by the columns of C + iD
         M = M[_representatives(N, M.reshape(len(M), n, 2, n).transpose(0, 2, 3, 1))]
-        arr = _canonical_order(np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
-                                               for k in range(0, len(M), _COSETS)]),
-                               _k_matrix(group.k_units()))
+        h = np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
+                            for k in range(0, len(M), _COSETS)])
+        J = j_matrix(n).astype(np.int64)
+        g = -(J @ np.swapaxes(h, 1, 2) @ J)          # h^{-1}: one of each orbit {k g}
+        arr = _canonical_order(_marked(N, g.reshape(len(g), 2, n, 2 * n)).reshape(g.shape))
     return EnumerationBall(group, radius, arr)
 
 
@@ -437,90 +442,72 @@ def _ball_for(group: CongruenceGroup, radius: float,
     return ball.restrict(radius)
 
 
-def _validate_ball(group: CongruenceGroup, radius: float,
-                   arr: np.ndarray) -> np.ndarray | None:
-    """The ball contract, checked when an ``EnumerationBall`` is made, in one
-    pass that also returns the marks of ``_representatives`` (None from
-    N = 3 on).  The pass walks runs of whole shells, at least _COSETS rows
-    each: membership over slices of at most _COSETS rows, then each
-    element's keys of ``_entry_forms`` once, which serve the order check
-    between rows of equal norm; at N <= 2 the sorted keys of {kg : g marked,
-    k in K} must then equal the run's sorted keys.  The run holds no
-    element twice (the order is strict) and k keeps the norm, so as the
-    action is free that holds exactly when the run is a union of whole
-    orbits with one mark in each.  Only keys are held, never a copy of the
-    ball.  No product is formed before the entries are known to keep every
-    sum of the checks within int64."""
+def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
+    """The contract of an ``EnumerationBall``'s representatives: membership
+    over slices of at most _COSETS rows, the marks, and the strict order by
+    each element's keys of ``_entry_forms``.  The orbits of distinct marked
+    elements are disjoint, so the ball they make needs no check of its own.
+    No product is formed before the entries are known to fit int64."""
     cap = _norm_cap(radius)
     n2 = arr.shape[1]
     big = max(int(arr.max(initial=0)), -int(arr.min(initial=0)))
     if (n2 * big) ** 2 >= 2 ** 63:
         raise DomainError("ball element entries are too large for exact int64 arithmetic")
-    flat = arr.reshape(len(arr), n2 * n2)
+    congruent = True
+    for k in range(0, len(arr), _COSETS):
+        is_symplectic, is_congruent = _membership(arr[k:k + _COSETS], group.N)
+        if not is_symplectic:   # reported first whatever follows
+            raise DomainError("enumerated element fails the exact symplectic relation")
+        congruent &= is_congruent
+    # by the rows of rho = (A + iC | B + iD)
+    marked = np.all(_representatives(group.N, arr.reshape(len(arr), 2, n2 // 2, n2)))
     norms = _squared_norms(arr)
     top = int(norms.max(initial=0))
-    forms = _entry_forms(arr.shape[1:], top)
-    ks = _k_matrix(group.k_units()) if group.N <= 2 else None
-    if ks is not None:   # forms[c] . (k g) = (k^T forms[c]) . g
-        k_forms = (np.swapaxes(ks, 1, 2)[:, None] @ forms.reshape(-1, n2, n2)).reshape(
-            -1, n2 * n2).T
-    marks = None if ks is None else np.empty(len(arr), dtype=bool)
-    congruent = closed = True
+    keys = arr.reshape(len(arr), n2 * n2) @ _entry_forms(arr.shape[1:], top).T
+    # among rows of equal norm the first key that differs must increase
     ordered = bool(np.all(np.diff(norms) >= 0))
-    starts = np.flatnonzero(np.diff(norms)) + 1
-    s = 0
-    while s < len(arr):
-        i = np.searchsorted(starts, s + _COSETS)
-        e = int(starts[i]) if i < len(starts) else len(arr)
-        for k in range(s, e, _COSETS):
-            part = arr[k:min(k + _COSETS, e)]
-            is_symplectic, is_congruent = _membership(part, group.N)
-            if not is_symplectic:   # reported first whatever follows; marks need it
-                raise DomainError("enumerated element fails the exact symplectic relation")
-            congruent &= is_congruent
-            if ks is not None:   # by the rows of rho = (A + iC | B + iD)
-                rho = part.reshape(len(part), 2, n2 // 2, n2)
-                marks[k:k + len(part)] = _representatives(group.N, rho)
-        keys = flat[s:e] @ forms.T
-        # canonical order among rows of equal norm: the first key that
-        # differs must increase
-        tied = np.diff(norms[s:e]) == 0
-        for key in keys.T:
-            step = np.diff(key)
-            ordered &= not np.any(tied & (step < 0))
-            tied &= step == 0
-        ordered &= not tied.any()
-        if ks is not None:
-            marked = flat[s:e][marks[s:e]]
-            closed &= len(marked) * len(ks) == e - s and np.array_equal(
-                _sorted_rows((marked @ k_forms).reshape(e - s, -1)), _sorted_rows(keys))
-        s = e
+    tied = np.diff(norms) == 0
+    for key in keys.T:
+        step = np.diff(key)
+        ordered &= not np.any(tied & (step < 0))
+        tied &= step == 0
+    ordered &= not tied.any()
     if not congruent:
         raise DomainError("enumerated element fails the congruence condition")
     if top > cap:
         raise DomainError("enumerated element exceeds the radius")
+    if not marked:
+        raise DomainError("ball holds an element that is not the marked one of its orbit "
+                          "{kg} over the group's elements k in K")
     if not ordered:
         raise DomainError("ball elements are not in canonical order")
-    if not closed:
-        raise DomainError("ball is not closed under g -> kg for the group's elements k "
-                          "in K, as the series at levels 1 and 2 need")
-    return marks
 
 
-def _sorted_rows(keys: np.ndarray) -> np.ndarray:
-    """The rows of an integer array (k, c) in lexicographic order."""
-    if keys.shape[1] == 1:
-        return np.sort(keys[:, 0])
-    return keys[np.lexsort(keys.T[::-1])]
+def _marked(N: int, parts: np.ndarray) -> np.ndarray:
+    """The marked member of each complex matrix's orbit, given as its real
+    and imaginary parts (k, 2, rows, width) (see ``EnumerationBall``): each
+    row times the unit (at N = 2, the sign) that puts its first nonzero
+    entry in {re > 0, im >= 0}, then at N = 1 the rows sorted."""
+    count, _, height, width = parts.shape
+    rows = parts.transpose(0, 2, 3, 1).copy()    # the rows, re and im of each entry side by side
+    flat = rows.reshape(count, height, 2 * width)
+    if N <= 2:
+        at, lead = _leading(flat)
+        rows[lead < 0] *= -1
+    if N == 1:
+        im = np.take_along_axis(flat, at[..., None] | 1, 2)[..., 0]
+        for turn, unit in ((at % 2 == 1, (1, -1)), ((at % 2 == 0) & (im < 0), (-1, 1))):
+            rows[turn] = rows[turn][..., ::-1] * unit          # times -i, times i
+        for _, j in itertools.product(range(height - 1), repeat=2):   # sort the rows
+            swap = _leading(flat[:, j + 1] - flat[:, j])[1] < 0
+            rows[swap, j:j + 2] = rows[swap][:, [j + 1, j]]
+    return rows.transpose(0, 3, 1, 2)
 
 
 def _representatives(N: int, parts: np.ndarray) -> np.ndarray:
-    """The mask of the complex matrices, given as their real and imaginary
-    parts (k, 2, rows, width), that represent their orbits under the group's
-    elements in K, which permute the rows and multiply each by a unit (see
-    ``EnumerationBall``); from N = 3 on, where only I is in K, every one."""
-    # the rows, re and im of each entry side by side
-    rows = parts.transpose(0, 2, 3, 1).reshape(len(parts), parts.shape[2], -1)
+    """The mask of the complex matrices, given as ``_marked`` takes them,
+    that are the marked members of their orbits (every one from N = 3 on)."""
+    rows = parts.transpose(0, 2, 3, 1).reshape(len(parts), parts.shape[2], 2 * parts.shape[3])
     at, lead = _leading(rows)
     ok = (lead > 0) | (N >= 3)                  # N = 2: re > 0, or re = 0 < im
     if N == 1:                                  # re > 0 <= im, rows increasing
@@ -539,14 +526,18 @@ def _leading(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ball cache
 # ---------------------------------------------------------------------------
 
+_CACHE_FORMAT = "representatives"   # the archives before it held every element
+
+
 def save_ball(path: str, ball: EnumerationBall) -> None:
-    """Write the ball as a numpy .npz archive (elements, level, radius),
-    atomically: to a temporary file, given the mode ``open()`` gives (0o666
-    less the umask, not mkstemp's 0o600), that then replaces ``path``."""
+    """Write the ball as a numpy .npz archive (format, representatives, level,
+    radius), atomically: to a temporary file, given the mode ``open()`` gives
+    (0o666 less the umask, not mkstemp's 0o600), that replaces ``path``."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, elements=ball.elements, level=ball.group.N, radius=ball.radius)
+            np.savez(fh, format=_CACHE_FORMAT, representatives=ball.representatives,
+                     level=ball.group.N, radius=ball.radius)
         os.umask(umask := os.umask(0o077))   # read by setting it, to a stricter one
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
@@ -557,17 +548,27 @@ def save_ball(path: str, ball: EnumerationBall) -> None:
 
 def load_ball(path: str) -> EnumerationBall:
     """Read a ball written by ``save_ball``.  Each archive member's CRC-32
-    catches a changed or cut payload, and the ball checks itself; any other
-    file, the older raw format included, raises DomainError."""
+    catches a changed or cut payload, and the ball checks itself.  Another
+    format raises DomainError naming it (format "elements", of every element,
+    where there is no format member), and so does any other file."""
     with open(path, "rb") as fh:        # np.load(path) leaks the handle on error
         try:
             with np.load(fh, allow_pickle=False) as data:
-                arr, N, radius = data["elements"], int(data["level"]), float(data["radius"])
-            n = arr.shape[1] // 2
+                # the archives before the format member held "elements"
+                form = str(data["format"] if "format" in data or "elements" not in data
+                           else "elements")
+                if form == _CACHE_FORMAT:
+                    arr = data["representatives"]
+                    N, radius = int(data["level"]), float(data["radius"])
+                    n = arr.shape[1] // 2
         # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError)
         except (ValueError, KeyError, IndexError, EOFError, OSError, TypeError,
                 zipfile.BadZipFile) as exc:
             raise DomainError(f"{path}: not a valid ball cache ({exc})") from None
+    if form != _CACHE_FORMAT:
+        raise DomainError(f"{path}: a ball cache of format {form!r}, which is not read; "
+                          f"this version writes and reads format {_CACHE_FORMAT!r}, one "
+                          f"element per orbit.  Remove the file to enumerate the ball again")
     return EnumerationBall(CongruenceGroup(n, N), radius, arr)
 
 
@@ -590,56 +591,53 @@ class TruncatedSeriesResult:
     tail_estimate: float
 
 
-def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray,
-               mu: MatrixPolynomial | None = None, xi: SiegelPoint | None = None):
-    """Sums over the ball of ``pole_terms`` at the points' columns ``cols``, in
-    blocks of terms, in ball order, that span about _BLOCK term-points.
-
-    The orbit rule, for the weight-vector terms: the ball is a union of
-    orbits {kg} over the group's elements k in K, of order 4, 2, 1 at genus 1
-    and 32, 4, 1 at genus 2 for levels N = 1, 2, >= 3, and the orbit of g
-    sums to the term of g with mu' = sum_k det(u)^m mu(u W u^T).  The caller
-    passes that mu' as ``mu`` (``_orbit_weight``), made once per series;
-    only ``ball.representatives`` are evaluated with it, and a mu' of 0
-    gives exactly 0 with nothing evaluated; an odd mn is one such case.
-
-    The centre rule, for the kernel terms (``xi``): the kernel term of kg is
-    the kernel at k^{-1} xi, so only the centre {+-I} (N <= 2) folds.  The
-    term of -g is (-1)^{mn} times the term of g, so an odd mn gives exactly 0
-    and an even mn evaluates the elements whose first nonzero entry
-    (row-major) is positive, one of each pair, and doubles their sum.
-
-    A block holds as many times the rows as the order folded, so the
-    evaluated part still spans about _BLOCK term-points."""
+def _pole_sums(weight: Weight, ball: EnumerationBall, cols: np.ndarray, rule: tuple):
+    """Sums over the ball of ``pole_terms`` at the points' columns ``cols`` by
+    the rule (mu, xi, turns) of ``_orbit_rule``, in blocks of about _BLOCK
+    term-points of ``ball.representatives`` in ball order."""
+    mu, xi, turns = rule
     points = cols.shape[1] // weight.n
-    out = np.zeros(points, dtype=np.complex128)
-    if xi is None:
-        if mu.is_zero():
-            return out
-        order, scale, marks = len(ball.group.k_units()), 1, ball.representatives
-    else:
-        order = scale = ball.group.epsilon()
-        if order == 2 and weight.m * weight.n % 2:
-            return out
-        marks = None
-    step = order * max(_BLOCK // max(points, 1), 1)
-    for k0 in range(0, len(ball), step):
-        block = ball.elements[k0:k0 + step]
-        if marks is not None:
-            block = block[marks[k0:k0 + step]]
-        elif scale == 2:
-            block = block[_leading(block[:, 0])[1] > 0]   # no row of g is zero
-        out += pole_terms(weight, block.astype(np.float64), cols, mu, xi).sum(axis=0)
-    return scale * out
+    # glibc maps a block's temporaries afresh, and faults them in, on every
+    # call until a larger freed array raises its mmap threshold: free one
+    np.empty(2 * _BLOCK * weight.n ** 2, dtype=np.complex128)
+    sums = np.zeros((len(turns), points), dtype=np.complex128)
+    step = max(_BLOCK // max(points, 1), 1)
+    for k0 in range(0, len(ball.representatives) if turns else 0, step):
+        block = ball.representatives[k0:k0 + step].astype(np.float64)
+        for total, (k, _) in zip(sums, turns):
+            total += pole_terms(weight, block if k is None else k @ block, cols, mu, xi).sum(0)
+    return sum((factor * total for total, (_, factor) in zip(sums, turns)),
+               np.zeros(points, dtype=np.complex128))
 
 
-def _orbit_weight(mu: MatrixPolynomial | None, group: CongruenceGroup,
-                  m: int) -> MatrixPolynomial | None:
-    """mu' = sum over the group's elements in K of det(u)^m mu(u W u^T), for
-    ``_pole_sums``; mu itself when only I is in K, so those sums keep their
-    bits, and None for a kernel series."""
+def _orbit_rule(group: CongruenceGroup, m: int, mu: MatrixPolynomial | None = None,
+                xi: SiegelPoint | None = None) -> tuple:
+    """(mu, xi, turns): the series over the ball is the sum over (k, factor)
+    in ``turns`` of factor times the terms of k g (g when k is None) over
+    the representatives g.  A weight-vector series has the turn (None, 1)
+    with mu' (mu itself when only I is in K, so its sums keep their bits),
+    none when mu' is 0.  A kernel series has one turn per distinct eta_k
+    over k modulo +-I, whose factor adds c_k' / c_k over the k' of equal
+    eta_k, doubled for -k when -I is in the group, none when mn is odd
+    there.  The term of g at eta_k is evaluated as c_k^{-1} times the term of
+    k g at xi, whose pole rows are exact, not at a rounded eta_k."""
     units = group.k_units()
-    return mu if mu is None or len(units) == 1 else mu.orbit_sum(units, m)
+    if xi is None:
+        mu = mu if len(units) == 1 else mu.orbit_sum(units, m)
+        return mu, None, [] if mu.is_zero() else [(None, 1)]
+    sign = group.epsilon()
+    if sign == 2 and m * group.n % 2:
+        return None, xi, []
+    lead = _leading(units[:, 0])[1]            # one of each pair +-u: lead 1 or i
+    units = units[lead.real + lead.imag > 0]
+    xt, yt, xb = np.swapaxes(units.real, 1, 2), np.swapaxes(units.imag, 1, 2), np.conj(xi.z)
+    # 1/det P and Q P^{-1}, P = (X + conj(xi) Y)^T, Q = (conj(xi) X - Y)^T
+    inv, conj_eta = _small.inverse_det(xt + yt @ xb, xt @ xb - yt)
+    same: dict = {}
+    for k, eta, c in zip(_k_matrix(units).astype(np.float64), conj_eta + 0.0, inv):
+        same.setdefault(eta.tobytes(), []).append((k, c))   # + 0.0 makes -0.0 equal 0.0
+    return None, xi, [(k, sign * (1 + sum((c / c0) ** m for _, c in rest)))
+                      for (k, c0), *rest in same.values()]
 
 
 def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: np.ndarray,
@@ -648,8 +646,8 @@ def _series(weight: Weight, group: CongruenceGroup, radius: float, ball, cols: n
     """The series at the point with columns ``cols``; the tail is the shell
     outside half the radius."""
     ball = _ball_for(group, radius, ball)
-    mu = _orbit_weight(mu, group, weight.m)
-    inner, shell = (_pole_sums(weight, part, cols, mu, xi).reshape(())
+    rule = _orbit_rule(group, weight.m, mu, xi)
+    inner, shell = (_pole_sums(weight, part, cols, rule).reshape(())
                     for part in ball.split(ball.radius / 2.0))
     return TruncatedSeriesResult(value=complex(inner + shell), terms=len(ball),
                                  radius=ball.radius, tail_estimate=abs(shell))
@@ -697,9 +695,9 @@ def series_evaluator_genus1(weight: Weight, ball: EnumerationBall,
         raise DomainError("give exactly one of mu and xi")
     require_genus(1, weight=weight, ball=ball.group, mu=mu, xi=xi)
     weight.require_integrable()
-    mu = _orbit_weight(mu, ball.group, weight.m)
+    rule = _orbit_rule(ball.group, weight.m, mu, xi)
     return lambda z: _pole_sums(weight, ball, np.vstack([np.ravel(z), np.ones(np.size(z))]),
-                                mu, xi).reshape(np.shape(z))
+                                rule).reshape(np.shape(z))
 
 
 # ---------------------------------------------------------------------------

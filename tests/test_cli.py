@@ -394,6 +394,23 @@ def test_corrupt_cache_is_rejected(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_cache_of_the_old_format_is_refused(capsys, tmp_path):
+    # an archive of every element, as written before the archives named
+    # their format, is refused by that format's name, not read or replaced
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "ball_n1_N1_r2_100.bin"
+    ball = sp.enumerate_ball(sp.CongruenceGroup(1, 1), 10.0)
+    with open(path, "wb") as fh:
+        np.savez(fh, elements=ball.elements, level=1, radius=10.0)
+    stamp = os.path.getmtime(path)
+    code, _, err = run(capsys, "poincare", "--n", "1", "--N", "1", "--m", "12", "--z", "i",
+                       "--radius", "10", "--cache-dir", str(cache))
+    assert code == 2
+    assert "format 'elements'" in err
+    assert os.path.getmtime(path) == stamp
+
+
 def test_verify_all_fetches_the_pairing_ball_once(capsys, monkeypatch):
     report = sp.VerificationReport(identity="stub", lhs=1, rhs=1, rel_err=0.0,
                                    error_budget={}, passed=True, detail="stub")

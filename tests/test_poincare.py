@@ -103,6 +103,13 @@ def as_byte_set(ball):
     return {e.tobytes() for e in ball.elements}
 
 
+def write_archive(path, reps, level, radius):
+    """A ball cache archive in the format ``save_ball`` writes, of any rows."""
+    with open(path, "wb") as fh:
+        np.savez(fh, format="representatives", representatives=reps, level=level,
+                 radius=radius)
+
+
 # ---------------------------------------------------------------------------
 # groups
 # ---------------------------------------------------------------------------
@@ -268,6 +275,7 @@ def test_restrict_equals_direct(ball40):
     direct = enumerate_ball(CongruenceGroup(1, 1), 6.0)
     assert np.array_equal(ball40.restrict(6.0).elements, direct.elements)
     assert ball40.restrict(1.0).norms_squared().shape == (0,)   # no element fits
+    assert ball40.restrict(1.0).elements.shape == (0, 2, 2)
     with pytest.raises(DomainError):
         ball40.restrict(41.0)
     # a radius of the same squared-norm cap holds the same elements, so a
@@ -283,30 +291,32 @@ def test_restrict_equals_direct(ball40):
 
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 40.0), (2, 1, 4.0), (2, 2, 6.0)])
 def test_restrict_and_split_are_views(ball40, n, N, radius):
-    # the elements are sorted by norm, so both parts are slices of the parent
+    # the representatives are sorted by norm, and k keeps the norm, so both
+    # parts are slices of the parent's, and expand to slices of its elements
     ball = ball40 if n == 1 else enumerate_ball(CongruenceGroup(n, N), radius)
     inner, shell = ball.split(radius / 2)
     for part in (ball.restrict(radius / 2), inner, shell):
-        assert np.shares_memory(part.elements, ball.elements)
+        assert np.shares_memory(part.representatives, ball.representatives)
+        assert not part.representatives.flags.writeable
         assert not part.elements.flags.writeable
     assert len(inner) + len(shell) == len(ball)
     keep = ball.norms_squared() <= math.floor(radius * radius / 4)
     assert np.array_equal(inner.elements, ball.elements[keep])
     assert np.array_equal(shell.elements, ball.elements[~keep])
-    # the orbit marks are computed once, by the parent, and sliced
-    for part, cut in ((inner, keep), (shell, ~keep)):
-        assert np.shares_memory(part.representatives, ball.representatives)
-        assert np.array_equal(part.representatives, ball.representatives[cut])
+    cut = len(inner.representatives)
+    assert np.array_equal(inner.representatives, ball.representatives[:cut])
+    assert np.array_equal(shell.representatives, ball.representatives[cut:])
 
 
 def test_ball_leaves_the_callers_array_writeable():
-    # the ball's elements are a read-only view of the caller's array, not a copy
+    # the ball's representatives are a read-only view of the caller's array,
+    # not a copy
     ball = enumerate_ball(CongruenceGroup(1, 1), 6.0)
-    a = ball.elements.copy()
+    a = ball.representatives.copy()
     made = sp.EnumerationBall(ball.group, ball.radius, a)
     assert a.flags.writeable
-    assert not made.elements.flags.writeable
-    assert np.shares_memory(made.elements, a)
+    assert not made.representatives.flags.writeable
+    assert np.shares_memory(made.representatives, a)
 
 
 def test_enumeration_validation():
@@ -331,8 +341,7 @@ def test_supplied_ball_refuses_bad_radius(ball40, tmp_path, radius):
         ball10.split(radius)
     # nor may a cached ball carry it, even an empty one
     empty = str(tmp_path / "empty.bin")
-    with open(empty, "wb") as fh:
-        np.savez(fh, elements=np.zeros((0, 2, 2), np.int64), level=1, radius=radius)
+    write_archive(empty, np.zeros((0, 2, 2), np.int64), 1, radius)
     with pytest.raises(DomainError, match="must be positive"):
         load_ball(empty)
 
@@ -359,7 +368,35 @@ def test_save_load_round_trip(tmp_path):
     back = load_ball(path)
     assert back.group == ball.group
     assert back.radius == ball.radius
+    assert np.array_equal(back.representatives, ball.representatives)
     assert np.array_equal(back.elements, ball.elements)
+
+
+def test_archive_holds_the_representatives_and_its_format(tmp_path):
+    ball = enumerate_ball(CongruenceGroup(2, 1), 3.0)
+    path = str(tmp_path / "ball.bin")
+    save_ball(path, ball)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["format", "level", "radius", "representatives"]
+        assert str(data["format"]) == "representatives"
+        assert len(data["representatives"]) * 32 == len(ball) == 12320
+    # an archive of every element, as written before the format member, is
+    # refused by its format, and never read as representatives: at level 3
+    # its elements would pass as such
+    old = str(tmp_path / "old.bin")
+    for group, radius in ((ball.group, 3.0), (CongruenceGroup(2, 3), 8.0)):
+        whole = enumerate_ball(group, radius).elements
+        with open(old, "wb") as fh:
+            np.savez(fh, elements=whole, level=group.N, radius=radius)
+        with pytest.raises(DomainError, match="format 'elements'"):
+            load_ball(old)
+    write_archive(old, ball.representatives, 1, 3.0)
+    assert len(load_ball(old)) == len(ball)
+    with open(old, "wb") as fh:
+        np.savez(fh, format="orbits", representatives=ball.representatives, level=1,
+                 radius=3.0)
+    with pytest.raises(DomainError, match="format 'orbits'"):
+        load_ball(old)
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
@@ -397,8 +434,8 @@ def test_load_rejects_corruption(tmp_path):
     with pytest.raises(DomainError):
         load_ball(bad)
     # inside the element payload: a flipped byte, and one element cut out
-    start = raw.find(ball.elements.tobytes())
-    size = ball.elements[0].nbytes
+    start = raw.find(ball.representatives.tobytes())
+    size = ball.representatives[0].nbytes
     assert start > 0
     flipped = bytearray(raw)
     flipped[start + 7 * size + 3] ^= 1
@@ -411,44 +448,44 @@ def test_load_rejects_corruption(tmp_path):
 
 def test_load_rejects_broken_invariants(tmp_path):
     ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
+    reps = ball.representatives
     # every element fits an infinite or NaN radius; no radius may be unusable
     for radius in (math.inf, math.nan, 0.0, -10.0):
         bad = str(tmp_path / "radius.bin")
-        with open(bad, "wb") as fh:
-            np.savez(fh, elements=ball.elements, level=ball.group.N, radius=radius)
+        write_archive(bad, reps, ball.group.N, radius)
         with pytest.raises(DomainError):
             load_ball(bad)
     # out of canonical order the sum's rounding changes; a repeated element
     # in place of another is out of order too
-    swapped = ball.elements.copy()
+    swapped = reps.copy()
     swapped[[5, 6]] = swapped[[6, 5]]
-    repeated = ball.elements.copy()
+    repeated = reps.copy()
     repeated[0] = repeated[1]
-    for order in (ball.elements[::-1], swapped, repeated):
+    for order in (reps[::-1], swapped, repeated):
         bad = str(tmp_path / "order.bin")
-        with open(bad, "wb") as fh:
-            np.savez(fh, elements=order, level=ball.group.N, radius=ball.radius)
+        write_archive(bad, order, ball.group.N, ball.radius)
         with pytest.raises(DomainError):
             load_ball(bad)
 
 
-def test_load_checks_every_block(tmp_path):
-    # more elements than one validation block: each check reaches the last
-    # block and the seams, and the symplectic failure is reported first
+def test_load_checks_every_block(monkeypatch, tmp_path):
+    # more representatives than one validation block: each check reaches the
+    # last block and the seams, and the symplectic failure is reported first
     ball = enumerate_ball(CongruenceGroup(1, 1), 60.0)
-    seam = sp.poincare._COSETS
-    assert len(ball) > seam + 10
-    swapped = ball.elements.copy()
+    seam = 4096
+    monkeypatch.setattr(sp.poincare, "_COSETS", seam)
+    reps = ball.representatives
+    assert len(reps) > seam + 10
+    swapped = reps.copy()
     swapped[[seam - 1, seam]] = swapped[[seam, seam - 1]]
-    broken = ball.elements.copy()
+    broken = reps.copy()
     broken[seam + 5, 0, 0] += 1
     both = swapped.copy()
     both[-1, 0, 0] += 1
     bad = str(tmp_path / "blocks.bin")
     for arr, message in ((swapped, "canonical order"), (broken, "symplectic"),
                          (both, "symplectic")):
-        with open(bad, "wb") as fh:
-            np.savez(fh, elements=arr, level=ball.group.N, radius=ball.radius)
+        write_archive(bad, arr, ball.group.N, ball.radius)
         with pytest.raises(DomainError, match=message):
             load_ball(bad)
 
@@ -460,11 +497,10 @@ def _changed(arr, index, value):
 
 
 def _wrapping_ball(group):
-    """K and K g for g = diag(1 + 2^32, 1 - 2^32), not in SL2(Z): in int64
-    its determinant and squared norms wrap to 1 and 2."""
-    ks = group.k_intersection()
+    """I and g = diag(1 + 2^32, 1 - 2^32), not in SL2(Z), both marked: in
+    int64 the determinant and squared norm of g wrap to 1 and 2."""
     g = np.diag(np.array([1 + 2 ** 32, 1 - 2 ** 32], dtype=np.int64))
-    return sp.poincare._canonical_order(np.concatenate([ks, ks @ g]))
+    return np.stack([np.eye(2, dtype=np.int64), g])
 
 
 @pytest.mark.parametrize("broken, message", [
@@ -475,10 +511,10 @@ def _wrapping_ball(group):
     (lambda g, r, e: (CongruenceGroup(1, 2), r, e), "congruence"),
     (lambda g, r, e: (g, 9.0, e), "exceeds the radius"),
     (lambda g, r, e: (g, r, e.astype(float)), "int64"),
-    # one element gone, its negative kept: the halved series would be wrong.
-    # The four elements of norm^2 2 come first, so the others stay paired
-    (lambda g, r, e: (g, r, np.delete(e, 2, axis=0)), "closed under"),
-    (lambda g, r, e: (g, r, np.delete(e, [0, 1], axis=0)), "closed under"),
+    # a representative g stored as -g, the other member of the pair +-g,
+    # which is unmarked: once, and twice
+    (lambda g, r, e: (g, r, _changed(e, 2, -e[2])), "marked"),
+    (lambda g, r, e: (g, r, _changed(e, [0, 1], -e[[0, 1]])), "marked"),
     (lambda g, r, e: (g, 1.5, _wrapping_ball(g)), "too large for exact int64"),
 ], ids=["reversed", "swapped", "repeated", "entry", "level", "radius", "float", "unpaired",
         "two-unpaired", "wrapping"])
@@ -486,58 +522,59 @@ def test_ball_checks_itself(broken, message, tmp_path):
     # no ball can be made that breaks the contract a series or a split
     # relies on, whichever way it is made
     ball = enumerate_ball(CongruenceGroup(1, 1), 10.0)
-    group, radius, arr = broken(ball.group, ball.radius, ball.elements)
+    group, radius, arr = broken(ball.group, ball.radius, ball.representatives)
     with pytest.raises(DomainError, match=message):
         sp.EnumerationBall(group, radius, arr)
     path = str(tmp_path / "broken.bin")
-    with open(path, "wb") as fh:
-        np.savez(fh, elements=arr, level=group.N, radius=radius)
+    write_archive(path, arr, group.N, radius)
     with pytest.raises(DomainError, match=message):
         load_ball(path)
-    again = sp.EnumerationBall(ball.group, ball.radius, ball.elements.copy())
+    again = sp.EnumerationBall(ball.group, ball.radius, ball.representatives.copy())
     assert np.array_equal(again.elements, ball.elements)
 
 
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 2, 6.0), (2, 1, 4.0)])
-def test_ball_missing_a_k_image_is_refused(n, N, radius, tmp_path):
-    # negative control: a ball closed under g -> -g that lacks the pair +-kg
-    # for one k in K, so a check of negation alone would pass it, and the
-    # orbit sums would count a missing orbit member.  The ball at (2, 1, 4.0)
-    # spans more than one run of the check, and the pair is in its last
+def test_ball_with_a_second_orbit_member_is_refused(n, N, radius, tmp_path):
+    # negative controls: a stored k g beside the stored g would count the
+    # orbit of g twice in every series, and a stored k g in place of g is
+    # an unmarked row; both are refused, made directly or loaded
     ball = enumerate_ball(CongruenceGroup(n, N), radius)
+    reps = ball.representatives
     k = ball.group.k_intersection()[1]           # u = -i, diag(-1, 1), diag(-1, -i)
-    g = ball.elements[-1]
-    index = {e.tobytes(): i for i, e in enumerate(ball.elements)}
-    gone = [index[(k @ g).tobytes()], index[(-(k @ g)).tobytes()]]
-    arr = np.delete(ball.elements, gone, axis=0)
-    assert {e.tobytes() for e in -arr} == {e.tobytes() for e in arr}   # closed under -g
-    with pytest.raises(DomainError, match="closed under"):
-        sp.EnumerationBall(ball.group, radius, arr)
-    path = str(tmp_path / "unclosed.bin")
-    with open(path, "wb") as fh:
-        np.savez(fh, elements=arr, level=N, radius=radius)
-    with pytest.raises(DomainError, match="closed under"):
-        load_ball(path)
-    save_ball(path, ball)                                   # the whole ball passes
+    g = reps[-1]
+    twice = sp.poincare._canonical_order(np.concatenate([reps, [k @ g]]))
+    assert len(twice) == len(reps) + 1
+    path = str(tmp_path / "orbit.bin")
+    for arr in (twice, _changed(reps, -1, k @ g)):
+        with pytest.raises(DomainError, match="marked"):
+            sp.EnumerationBall(ball.group, radius, arr)
+        write_archive(path, arr, N, radius)
+        with pytest.raises(DomainError, match="marked"):
+            load_ball(path)
+    save_ball(path, ball)                                   # the ball itself passes
     assert np.array_equal(load_ball(path).elements, ball.elements)
 
 
 def test_closure_check_with_entries_past_one_key():
     # entries of 40000 need two keys per element at genus 1; a ball need not
-    # hold every group element within its radius, only whole orbits
+    # hold every group element within its radius, only whole orbits, which
+    # its marked elements expand to
     group = CongruenceGroup(1, 1)
     ks = group.k_intersection()
     g = np.array([[1, 40000], [0, 1]], dtype=np.int64)
     whole = sp.poincare._canonical_order(np.concatenate([ks, ks @ g, ks @ g.T]))
+    marks = sp.poincare._representatives(1, whole.reshape(len(whole), 2, 1, 2))
+    assert marks.sum() == 3
+    # the marked member of each orbit is the one its members are turned to
+    turned = sp.poincare._marked(1, whole.reshape(len(whole), 2, 1, 2)).reshape(whole.shape)
+    assert {t.tobytes() for t in turned} == {t.tobytes() for t in whole[marks]}
     radius = math.sqrt(1 + 40000 ** 2 + 1)
-    ball = sp.EnumerationBall(group, radius, whole)
-    assert ball.representatives.sum() == 3
-    index = {e.tobytes(): i for i, e in enumerate(whole)}
-    J = ks[1]
-    for h in (g, g.T):
-        gone = [index[(J @ h).tobytes()], index[(-(J @ h)).tobytes()]]
-        with pytest.raises(DomainError, match="closed under"):
-            sp.EnumerationBall(group, radius, np.delete(whole, gone, axis=0))
+    ball = sp.EnumerationBall(group, radius, whole[marks])
+    assert len(ball) == 12 and np.array_equal(ball.elements, whole)
+    for h in whole[marks]:
+        again = sp.poincare._canonical_order(np.concatenate([whole[marks], [ks[1] @ h]]))
+        with pytest.raises(DomainError, match="marked"):
+            sp.EnumerationBall(group, radius, again)
 
 
 def _entry_order(arr):
@@ -589,11 +626,16 @@ def test_keyed_order_at_the_digit_bound(make, columns):
     shuffled = arr[np.random.default_rng(1).permutation(len(arr))]
     ordered = sp.poincare._canonical_order(shuffled)
     assert np.array_equal(ordered, shuffled[_entry_order(shuffled)])
-    # closed under K, so a ball; its check reads the same keys
-    ball = sp.EnumerationBall(CongruenceGroup(n2 // 2, 1), math.sqrt(norms.max() + 0.5), ordered)
-    swapped = _changed(ordered, [-2, -1], ordered[[-1, -2]])
+    # closed under K, so its marked elements make a ball, whose check reads
+    # the same keys and whose expansion sorts the same products
+    group = CongruenceGroup(n2 // 2, 1)
+    reps = ordered[sp.poincare._representatives(1, ordered.reshape(len(ordered), 2,
+                                                                   n2 // 2, n2))]
+    ball = sp.EnumerationBall(group, math.sqrt(norms.max() + 0.5), reps)
+    assert np.array_equal(ball.elements, ordered)
+    swapped = _changed(reps, [-2, -1], reps[[-1, -2]])
     with pytest.raises(DomainError, match="canonical order"):
-        sp.EnumerationBall(ball.group, ball.radius, swapped)
+        sp.EnumerationBall(group, ball.radius, swapped)
 
 
 def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
@@ -616,7 +658,7 @@ def test_ball_is_checked_once_and_views_never(monkeypatch, tmp_path):
 
     monkeypatch.setattr(sp.poincare, "_validate_ball", refuse)
     with pytest.raises(AssertionError):
-        sp.EnumerationBall(group, ball.radius, ball.elements)
+        sp.EnumerationBall(group, ball.radius, ball.representatives)
     assert len(ball.restrict(6.0)) == 196
     assert sum(map(len, ball.split(5.0))) == len(ball)
     res = poincare_f(MatrixPolynomial.one(1), Weight(12, 1), group,
@@ -845,19 +887,22 @@ def test_the_rule_group_is_the_enumerated_one(n, N):
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (1, 2, 10.0), (1, 3, 10.0),
                                           (2, 1, 3.0), (2, 2, 3.0), (2, 2, 6.0)])
 def test_representatives_pick_one_element_per_orbit(n, N, radius):
-    # brute force: group the elements by the set of their images k g
+    # brute force: group the elements by the set of their images k g; the
+    # ball stores one of each, the one the mark predicate picks
     group = CongruenceGroup(n, N)
     ball = enumerate_ball(group, radius)
     ks = group.k_intersection()
-    marks = (np.ones(len(ball), dtype=bool) if ball.representatives is None
-             else ball.representatives)
+    stored = {g.tobytes() for g in ball.representatives}
     orbits: dict = {}
-    for g, mark in zip(ball.elements, marks):
+    for g in ball.elements:
         orbit = frozenset(img.tobytes() for img in ks @ g)
-        orbits.setdefault(orbit, []).append(mark)
+        orbits.setdefault(orbit, []).append(g.tobytes() in stored)
     assert all(len(members) == len(ks) and sum(members) == 1
                for members in orbits.values())
     assert sum(map(len, orbits.values())) == len(ball)
+    assert len(orbits) == len(stored) == len(ball.representatives)
+    marks = sp.poincare._representatives(N, ball.elements.reshape(len(ball), 2, n, 2 * n))
+    assert np.array_equal(ball.elements[marks], ball.representatives)
 
 
 def test_mu_prime_vanishes_exactly_on_the_vanishing_cases():
@@ -968,19 +1013,29 @@ def test_series_of_a_vanishing_mu_prime_are_exactly_zero(monkeypatch):
         assert res.value == 0 and res.tail_estimate == 0 and res.terms == len(ball)
 
 
-def _blockwise(w, ball, cols, kw, fold=1):
-    """Every element's term, in ball order, summed in blocks of ``fold``
-    times _BLOCK term-points; with fold 2, the centre rule: only the elements
-    whose first nonzero entry is positive, their sum doubled."""
-    step = fold * max(sp.poincare._BLOCK // (cols.shape[1] // w.n), 1)
+def _blockwise(w, ball, cols, kw, turns=((None, 1),)):
+    """The orbit rule written out: for each (k, factor) of ``turns`` the
+    terms of k g over the representatives g (of g when k is None), in ball
+    order, summed in blocks of _BLOCK term-points, then weighted by the
+    factor."""
+    step = max(sp.poincare._BLOCK // (cols.shape[1] // w.n), 1)
+    sums = np.zeros((len(turns), cols.shape[1] // w.n), dtype=np.complex128)
+    for k0 in range(0, len(ball.representatives), step):
+        block = ball.representatives[k0:k0 + step].astype(np.float64)
+        for total, (k, _) in zip(sums, turns):
+            total += pole_terms(w, block if k is None else k @ block, cols, **kw).sum(axis=0)
     out = np.zeros(cols.shape[1] // w.n, dtype=np.complex128)
-    for k in range(0, len(ball), step):
-        block = ball.elements[k:k + step]
-        if fold == 2:
-            first = block[:, 0]
-            block = block[first[np.arange(len(block)), np.argmax(first != 0, axis=1)] > 0]
-        out += pole_terms(w, block.astype(np.float64), cols, **kw).sum(axis=0)
-    return fold * out
+    for total, (_, factor) in zip(sums, turns):
+        out += factor * total
+    return out
+
+
+def _unfolded(group):
+    """One (k, factor) per element k in K modulo +-I: the element whose
+    nonzero entry in row 0 is 1, weighted by the order of +-I."""
+    ks = group.k_intersection()
+    return [(k.astype(np.float64), group.epsilon()) for k in ks
+            if group.epsilon() == 1 or k[0].sum() == 1]
 
 
 @pytest.mark.parametrize("n, radius", [(1, 40.0), (2, 10.0)])
@@ -1002,21 +1057,191 @@ def test_series_at_level_3_keep_their_bits(n, radius):
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 40.0), (1, 2, 40.0), (2, 1, 4.0),
                                           (2, 2, 6.0)])
 def test_kernel_series_keep_their_bits(n, N, radius):
-    # the kernel keeps the centre rule alone, in the same blocks and order
+    # at a xi that no element of K but +-I fixes, the kernel sums the terms
+    # of k g over the representatives g for one k of each pair +-k, doubled,
+    # in the same blocks and order as the other series
     ball = enumerate_ball(CongruenceGroup(n, N), radius)
     w = Weight(12, n)
     rng = np.random.default_rng(97 + N)
     z, xi = random_point(n, rng), random_point(n, rng)
     res = kernel_series(w, ball.group, xi, z, radius, ball=ball)
-    cols, kw = np.vstack([z.z, np.eye(n)]), {"xi": xi}
-    inner, shell = (_blockwise(w, part, cols, kw, fold=2)[0]
+    cols, kw, turns = np.vstack([z.z, np.eye(n)]), {"xi": xi}, _unfolded(ball.group)
+    assert len(turns) == len(ball.group.k_intersection()) // 2
+    inner, shell = (_blockwise(w, part, cols, kw, turns)[0]
                     for part in ball.split(radius / 2))
     assert res.value == complex(inner + shell)
     if n == 1:
         zs = 0.2 * np.arange(-600, 600) / 600 + 1.1j
         got = sp.series_evaluator_genus1(w, ball, **kw)(zs)
-        want = _blockwise(w, ball, np.vstack([zs, np.ones(len(zs))]), kw, fold=2)
+        want = _blockwise(w, ball, np.vstack([zs, np.ones(len(zs))]), kw, turns)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 20.0), (1, 2, 20.0), (1, 3, 20.0),
+                                          (2, 1, 3.0), (2, 2, 6.0)])
+def test_kernel_series_equal_the_elementwise_fsum(monkeypatch, n, N, radius):
+    # brute force at a generic xi: one pole_terms call per element of the
+    # expanded ball, summed exactly.  Each term is rounded to about m ulps,
+    # so both sums are held to that much of the sum of |terms|; dropping
+    # the turn of one k from the orbit rule misses that far and more
+    group = CongruenceGroup(n, N)
+    ball = enumerate_ball(group, radius)
+    w = Weight(12, n)
+    rng = np.random.default_rng(70 + 10 * n + N)
+    z, xi = random_point(n, rng), random_point(n, rng)
+    cols = np.vstack([z.z, np.eye(n)])
+    terms = np.array([pole_terms(w, g[None].astype(np.float64), cols, xi=xi)[0, 0]
+                      for g in ball.elements])
+    want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    bound = w.m * np.finfo(float).eps * np.sum(np.abs(terms))
+    res = kernel_series(w, group, xi, z, radius, ball=ball)
+    assert res.terms == len(ball)
+    assert abs(res.value - want) <= bound
+    rule = sp.poincare._orbit_rule
+
+    def without_the_last_eta(*args, **kwargs):
+        mu, x, turns = rule(*args, **kwargs)
+        return mu, x, turns[:-1]
+
+    monkeypatch.setattr(sp.poincare, "_orbit_rule", without_the_last_eta)
+    dropped = kernel_series(w, group, xi, z, radius, ball=ball)
+    assert abs(dropped.value - want) > bound
+
+
+@pytest.mark.parametrize("n, radius, terms", [(1, 40.0, 2365), (2, 4.0, 3525)])
+def test_kernel_at_a_point_fixed_by_k_folds(monkeypatch, n, radius, terms):
+    # xi = iI is fixed by every element of K, so all its eta_k are iI and
+    # their factors are added before one evaluation: the representatives
+    # alone are evaluated, a fourth and a 32nd of the ball at level 1, where
+    # one of each pair +-g was.  The value is the unfolded orbit sum's
+    group = CongruenceGroup(n, 1)
+    ball = enumerate_ball(group, radius)
+    w = Weight(12, n)
+    xi = SiegelPoint.center(n)
+    z = random_point(n, np.random.default_rng(60 + n))
+    evaluate, rows = sp.poincare.pole_terms, []
+
+    def counted(weight, g, cols, mu=None, xi=None):
+        rows.append(len(g))
+        return evaluate(weight, g, cols, mu, xi)
+
+    monkeypatch.setattr(sp.poincare, "pole_terms", counted)
+    res = kernel_series(w, group, xi, z, radius, ball=ball)
+    assert sum(rows) == len(ball.representatives) == terms
+    assert res.terms == len(ball) == len(group.k_intersection()) * terms
+    monkeypatch.undo()
+    cols = np.vstack([z.z, np.eye(n)])
+    unfolded = sum(_blockwise(w, part, cols, {"xi": xi}, _unfolded(group))[0]
+                   for part in ball.split(radius / 2))
+    assert len(_unfolded(group)) * terms == len(ball) // 2
+    assert abs(res.value - unfolded) <= 1e-14 * abs(unfolded)
+
+
+# Every series value of the parametrizations above as the summation over all
+# group elements gave it, before the balls kept one element per orbit: the
+# weight-vector series evaluated the marked elements among them, the kernel
+# one of each pair +-g.  Keyed by case and series.
+_WHOLE_BALL_VALUES = {
+    "full:g1-N1:poincare_f": complex(15.394346414152642, -13.255917664507992),
+    "full:g1-N1:kernel_series": complex(219.66982608682287, -314.66075181905956),
+    "full:g1-N1:poincare_F": complex(0.00037524698487861695, -0.023285661248443525),
+    "full:g1-N2:poincare_f": complex(0.03718243700462352, -0.0036960924623602328),
+    "full:g1-N2:kernel_series": complex(-0.07665244050208131, -0.12084608972381684),
+    "full:g1-N2:poincare_F": complex(-0.1766071266957586, 1.689670388113048),
+    "full:g1-N3:poincare_f": complex(-82.31080892540129, 31.768639595476255),
+    "full:g1-N3:kernel_series": complex(87079.75115397961, 84756.59457636802),
+    "full:g1-N3:poincare_F": complex(-0.6248845467009575, -0.09139553293100908),
+    "full:g1-m12-mu-N1:poincare_f": complex(-2.1551029595095046, 1.8557375951839497),
+    "full:g1-m12-mu-N1:kernel_series": complex(219.66982608682287, -314.66075181905956),
+    "full:g1-m12-mu-N1:poincare_F": complex(-5.2538673604679215e-05, 0.003259815632702095),
+    "full:g1-m12-mu-N2:poincare_f": complex(-0.13673704776388818, 0.0023599161280648353),
+    "full:g1-m12-mu-N2:kernel_series": complex(-0.07665244050208131, -0.12084608972381684),
+    "full:g1-m12-mu-N2:poincare_F": complex(-0.13505969980799998, -0.13348997400190243),
+    "full:g1-m12-mu-N3:poincare_f": complex(28.668479102427053, -14.024911630964704),
+    "full:g1-m12-mu-N3:kernel_series": complex(87079.75115397961, 84756.59457636802),
+    "full:g1-m12-mu-N3:poincare_F": complex(-0.18058950818631986, -0.09167155969524385),
+    "full:g2-N1:poincare_f": complex(9.188522873409952e-05, -0.00101540882933979),
+    "full:g2-N1:kernel_series": complex(-6.471867299413011e-05, 2.9798736966956253e-06),
+    "full:g2-N1:poincare_F": complex(0.42292746289807037, -0.41627791256104285),
+    "full:g2-N2:poincare_f": complex(0.0003050955977323941, -0.0002863173077202071),
+    "full:g2-N2:kernel_series": complex(0.0007590231323126131, 0.0013421914735478402),
+    "full:g2-N2:poincare_F": complex(-0.0049294946456450075, 0.002184386264524914),
+    "full:g2-N3:poincare_f": complex(-0.01961495093999167, 0.004611301507746284),
+    "full:g2-N3:kernel_series": complex(-0.23151105049035964, -2.1498153998095106),
+    "full:g2-N3:poincare_F": complex(-0.02889558060148526, 0.00400649625786031),
+    "full:g2-m8-mu-N1:poincare_f": complex(0.004161157886164658, -0.002342414725237892),
+    "full:g2-m8-mu-N1:kernel_series": complex(-8.63911539920588e-05, 0.00023930520993204537),
+    "full:g2-m8-mu-N1:poincare_F": complex(-0.22350768934359938, -0.301776551330964),
+    "full:g2-m8-mu-N2:poincare_f": complex(-0.003869358112985147, 0.0029362410551465705),
+    "full:g2-m8-mu-N2:kernel_series": complex(0.0018474765687445092, 0.004132351477137725),
+    "full:g2-m8-mu-N2:poincare_F": complex(0.0007392283994766512, 0.001696370921573244),
+    "full:g2-m8-mu-N3:poincare_f": complex(0.011604107203029929, -0.07123078123581228),
+    "full:g2-m8-mu-N3:kernel_series": complex(0.28033226107766973, -0.3024638483955733),
+    "full:g2-m8-mu-N3:poincare_F": complex(-0.07297111613284883, -0.056694978614281716),
+    "kernel:1-1-40.0": complex(0.08905268177028762, -0.37020906518310365),
+    "kernel:1-2-40.0": complex(3628.1296499410305, -479.7826500745783),
+    "kernel:2-1-4.0": complex(-63.57767539964024, -59.59981046659789),
+    "kernel:2-2-6.0": complex(-4.90912898311093e-09, -1.0362024185755415e-08),
+}
+# series_evaluator_genus1 of the kernel cases (1, N, 40.0) at zs[::100]
+_WHOLE_BALL_EVALUATOR = {
+    1: [complex(-6.3844622539506695, -21.3922353534505),
+        complex(-1.8338527317186168, -22.146877160677064),
+        complex(2.735016135691357, -21.96303589041758),
+        complex(7.139822270378959, -20.870981953104604),
+        complex(11.212722318818424, -18.931751320028003),
+        complex(14.803501396641057, -16.232403274361378),
+        complex(17.781528784720138, -12.881953812649455),
+        complex(20.03715724909823, -9.008157360805404),
+        complex(21.483161137456737, -4.755011817537784),
+        complex(22.056658976097385, -0.28061459758709056),
+        complex(21.72173546216273, 4.245169878719698),
+        complex(20.472696156535154, 8.643835716586663)],
+    2: [complex(0.1704371587684064, -6.410553315813458),
+        complex(1.6511577075186847, -6.392421212011891),
+        complex(3.1287793265605823, -6.0022111147582535),
+        complex(4.501150260222498, -5.2414265915319485),
+        complex(5.667335938421297, -4.142276405827254),
+        complex(6.537662768785559, -2.76673940885227),
+        complex(7.043119156929851, -1.202107589724897),
+        complex(7.142818338148318, 0.44658633606712295),
+        complex(6.828469415346375, 2.0663634890859015),
+        complex(6.125226179351231, 3.5470723018843873),
+        complex(5.088813712943891, 4.791749058576663),
+        complex(3.7993759821556914, 5.725252483642128)],
+}
+# the 30-digit sum (mpmath) of the terms of kernel:2-2-6.0, over C_{m,n}
+_KERNEL_2_2_EXACT = complex(-4.909128983111379e-09, -1.0362024185756947e-08)
+
+
+def test_series_keep_the_whole_ball_values():
+    # within 1e-14 relative, all but one: the terms of kernel:2-2-6.0 cancel
+    # to 1/436 of the sum of |terms|, so the whole-ball value is itself
+    # 1.4e-13 from their exact sum, and a value must be no farther from it
+    got = {}
+    for n, radii, m, mu_text in _FULL_BALL_CASES:
+        for N in (1, 2, 3):
+            ball = enumerate_ball(CongruenceGroup(n, N), radii[N - 1])
+            key = f"full:g{n}{'' if mu_text is None else f'-m{m}-mu'}-N{N}"
+            series = _three_series(Weight(m, n), ball, np.random.default_rng(80 + N), mu_text)
+            got.update({f"{key}:{name}": res.value for name, (res, _, _) in series.items()})
+    for n, N, radius in [(1, 1, 40.0), (1, 2, 40.0), (2, 1, 4.0), (2, 2, 6.0)]:
+        ball = enumerate_ball(CongruenceGroup(n, N), radius)
+        w, rng = Weight(12, n), np.random.default_rng(97 + N)
+        z, xi = random_point(n, rng), random_point(n, rng)
+        got[f"kernel:{n}-{N}-{radius}"] = kernel_series(w, ball.group, xi, z, radius,
+                                                        ball=ball).value
+        if n == 1:
+            zs = (0.2 * np.arange(-600, 600) / 600 + 1.1j)[::100]
+            want = np.array(_WHOLE_BALL_EVALUATOR[N])
+            value = sp.series_evaluator_genus1(w, ball, xi=xi)(zs)
+            assert np.all(np.abs(value - want) <= 1e-14 * np.abs(want)), (n, N)
+    assert got.keys() == _WHOLE_BALL_VALUES.keys()
+    for key, want in _WHOLE_BALL_VALUES.items():
+        if key != "kernel:2-2-6.0":
+            assert abs(got[key] - want) <= 1e-14 * abs(want), key
+    exact, whole = _KERNEL_2_2_EXACT, _WHOLE_BALL_VALUES["kernel:2-2-6.0"]
+    assert abs(got["kernel:2-2-6.0"] - exact) <= abs(whole - exact)
 
 
 # ---------------------------------------------------------------------------
