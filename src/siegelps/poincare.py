@@ -7,19 +7,21 @@ act on the right: the elements with bottom half M k are the h k with bottom
 half M, of the same norms.  So a ball is enumerated in four stages:
 
 1. sweep the bottom halves: M = [0 I] (mod N) with pairwise J-orthogonal
-   rows and |M|^2 <= r^2 - n, built row by row from norm-sorted tables, and
-   keep one of each orbit {M k}: C + iD -> (C + iD) u permutes the columns
-   and multiplies each by a unit, freely where M has full rank, as then
-   C + iD is invertible; an M of lower rank is imprimitive, so stage 2
-   drops it whether kept or not;
+   rows and |M|^2 <= r^2 - n, built row by row from norm-sorted tables;
+   D - iC -> (D - iC) u permutes the columns and multiplies each by a unit,
+   freely where M has full rank, as then D - iC is invertible, so keeping
+   the M whose columns of D - iC bear the mark (``EnumerationBall``), tested
+   as each row is added, keeps one of each orbit {M k}; an M of lower rank
+   is imprimitive, so stage 2 drops it whether kept or not;
 2. complete each coset once: integer Euclid on J M^T gives T with
    T J M^T = I exactly when M is primitive, then T += triu(T J T^T, 1) M makes
    [T; M] symplectic and a symmetric shift makes T = [I 0] (mod N);
 3. enumerate the symmetric S with |T + N S M|^2 <= r^2 - |M|^2 by
    Fincke-Pohst over the n(n+1)/2 entries of S, then filter norms exactly;
-4. invert: these h hold one element of each orbit {h k}, so the -J h^T J
-   hold one of each orbit {k g}; each is turned to its orbit's marked
-   element (``EnumerationBall``) and they are sorted.
+4. invert: these h hold one element of each orbit {h k}, so the
+   g = -J h^T J hold one of each orbit {k g}; the rows of g's A + iC are
+   the columns of h's D - iC, so each g is its orbit's marked element, and
+   they are sorted.
 
 No step branches on the genus or the level; genus 3 and above are refused
 until an independent oracle can check them.  The ``budget`` of
@@ -239,10 +241,11 @@ class EnumerationBall:
     """All group elements with Frobenius norm at most ``radius``, stored as
     the marked element of each orbit {kg} over the group's elements k in K,
     in canonical order: ``representatives``, an int64 array (k, 2n, 2n),
-    checked when the ball is made (``_validate_ball``).  The mark: at N = 1
-    each complex row of rho = (A + iC | B + iD) has its first nonzero entry
-    in {re > 0, im >= 0} and the rows increase (lexicographically in re, im
-    of each entry); at N = 2 each row's first nonzero entry has re > 0, or
+    checked when the ball is made (``_validate_ball``).  The mark is read
+    on the rows of A + iC, which are the columns of D - iC of the bottom
+    half [C D] of g^{-1}: at N = 1 each row's first nonzero entry is in
+    {re > 0, im >= 0} and the rows increase (lexicographically in re, im of
+    each entry); at N = 2 each row's first nonzero entry has re > 0, or
     re = 0 and im > 0; from N = 3 on every element is marked.  An orbit has
     one marked element, so ``len`` is |K| times the rows, and ``elements``,
     the whole ball in canonical order, is made when first read; no series
@@ -311,7 +314,8 @@ _COSETS = 1 << 14
 
 def _bottom_halves(n: int, N: int, r2: int) -> np.ndarray:
     """Every M = [C D] = [0 I] (mod N) with nonzero, pairwise J-orthogonal rows
-    and |M|^2 <= r2 - n, grown row by row from norm-sorted candidate tables."""
+    and |M|^2 <= r2 - n, grown row by row from norm-sorted candidate tables
+    and cut, at each height, to those whose columns of D - iC pass the mark."""
     J = j_matrix(n).astype(np.int64)
     cap = r2 - n                         # the top half has norm at least n
     lim = math.isqrt(cap - n + 1)        # the other rows have norm at least 1
@@ -333,7 +337,9 @@ def _bottom_halves(n: int, N: int, r2: int) -> np.ndarray:
             ok = u[:, None] + tnorms[None, :k] <= row_cap
             ok &= np.all((part @ J) @ table[:k].T == 0, axis=1)
             p, q = np.nonzero(ok)
-            rows.append(np.concatenate([part[p], table[q, None]], axis=1))
+            grown = np.concatenate([part[p], table[q, None]], axis=1)
+            cols = grown.swapaxes(1, 2)        # the columns of D - iC, as rows
+            rows.append(grown[_representatives(N, cols[:, n:], -cols[:, :n])])
         M = np.concatenate(rows)
     return M
 
@@ -421,13 +427,11 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
                 f"candidates, over the budget {budget}",
                 feasible_radius=math.sqrt(n + int(fit * (1 - 1e-12))))
         M = _bottom_halves(n, N, r2)
-        # one M of each orbit {M k}, marked by the columns of C + iD
-        M = M[_representatives(N, M.reshape(len(M), n, 2, n).transpose(0, 2, 3, 1))]
         h = np.concatenate([_coset_elements(M[k:k + _COSETS], N, r2)
                             for k in range(0, len(M), _COSETS)])
         J = j_matrix(n).astype(np.int64)
-        g = -(J @ np.swapaxes(h, 1, 2) @ J)          # h^{-1}: one of each orbit {k g}
-        arr = _canonical_order(_marked(N, g.reshape(len(g), 2, n, 2 * n)).reshape(g.shape))
+        # h^{-1}: the marked element of each orbit {k g}
+        arr = _canonical_order(-(J @ np.swapaxes(h, 1, 2) @ J))
     return EnumerationBall(group, radius, arr)
 
 
@@ -459,8 +463,9 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         if not is_symplectic:   # reported first whatever follows
             raise DomainError("enumerated element fails the exact symplectic relation")
         congruent &= is_congruent
-    # by the rows of rho = (A + iC | B + iD)
-    marked = np.all(_representatives(group.N, arr.reshape(len(arr), 2, n2 // 2, n2)))
+    n = n2 // 2
+    # on the rows of A + iC, nonzero and distinct as A + iC is invertible
+    marked = np.all(_representatives(group.N, arr[:, :n, :n], arr[:, n:, :n]))
     norms = _squared_norms(arr)
     top = int(norms.max(initial=0))
     keys = arr.reshape(len(arr), n2 * n2) @ _entry_forms(arr.shape[1:], top).T
@@ -483,36 +488,18 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
         raise DomainError("ball elements are not in canonical order")
 
 
-def _marked(N: int, parts: np.ndarray) -> np.ndarray:
-    """The marked member of each complex matrix's orbit, given as its real
-    and imaginary parts (k, 2, rows, width) (see ``EnumerationBall``): each
-    row times the unit (at N = 2, the sign) that puts its first nonzero
-    entry in {re > 0, im >= 0}, then at N = 1 the rows sorted."""
-    count, _, height, width = parts.shape
-    rows = parts.transpose(0, 2, 3, 1).copy()    # the rows, re and im of each entry side by side
-    flat = rows.reshape(count, height, 2 * width)
-    if N <= 2:
-        at, lead = _leading(flat)
-        rows[lead < 0] *= -1
-    if N == 1:
-        im = np.take_along_axis(flat, at[..., None] | 1, 2)[..., 0]
-        for turn, unit in ((at % 2 == 1, (1, -1)), ((at % 2 == 0) & (im < 0), (-1, 1))):
-            rows[turn] = rows[turn][..., ::-1] * unit          # times -i, times i
-        for _, j in itertools.product(range(height - 1), repeat=2):   # sort the rows
-            swap = _leading(flat[:, j + 1] - flat[:, j])[1] < 0
-            rows[swap, j:j + 2] = rows[swap][:, [j + 1, j]]
-    return rows.transpose(0, 3, 1, 2)
-
-
-def _representatives(N: int, parts: np.ndarray) -> np.ndarray:
-    """The mask of the complex matrices, given as ``_marked`` takes them,
-    that are the marked members of their orbits (every one from N = 3 on)."""
-    rows = parts.transpose(0, 2, 3, 1).reshape(len(parts), parts.shape[2], 2 * parts.shape[3])
+def _representatives(N: int, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The mask of the complex matrices re + i im, stacked (k, rows, width),
+    whose rows bear the mark of ``EnumerationBall`` (every one from N = 3
+    on).  A zero row, or a row equal to the next, is left undecided, so the
+    first columns of a marked matrix pass too; on nonzero, distinct rows the
+    mark is decided."""
+    rows = np.stack([re, im], -1).reshape(*re.shape[:2], 2 * re.shape[2])
     at, lead = _leading(rows)
-    ok = (lead > 0) | (N >= 3)                  # N = 2: re > 0, or re = 0 < im
+    ok = (lead >= 0) | (N >= 3)                 # N = 2: re > 0, or re = 0 < im
     if N == 1:                                  # re > 0 <= im, rows increasing
         ok &= (at % 2 == 0) & (np.take_along_axis(rows, at[..., None] | 1, 2)[..., 0] >= 0)
-        ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] > 0
+        ok[:, 1:] &= _leading(np.diff(rows, axis=1))[1] >= 0
     return ok.all(axis=1)
 
 

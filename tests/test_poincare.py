@@ -563,11 +563,8 @@ def test_closure_check_with_entries_past_one_key():
     ks = group.k_intersection()
     g = np.array([[1, 40000], [0, 1]], dtype=np.int64)
     whole = sp.poincare._canonical_order(np.concatenate([ks, ks @ g, ks @ g.T]))
-    marks = sp.poincare._representatives(1, whole.reshape(len(whole), 2, 1, 2))
+    marks = sp.poincare._representatives(1, whole[:, :1], whole[:, 1:])
     assert marks.sum() == 3
-    # the marked member of each orbit is the one its members are turned to
-    turned = sp.poincare._marked(1, whole.reshape(len(whole), 2, 1, 2)).reshape(whole.shape)
-    assert {t.tobytes() for t in turned} == {t.tobytes() for t in whole[marks]}
     radius = math.sqrt(1 + 40000 ** 2 + 1)
     ball = sp.EnumerationBall(group, radius, whole[marks])
     assert len(ball) == 12 and np.array_equal(ball.elements, whole)
@@ -629,8 +626,7 @@ def test_keyed_order_at_the_digit_bound(make, columns):
     # closed under K, so its marked elements make a ball, whose check reads
     # the same keys and whose expansion sorts the same products
     group = CongruenceGroup(n2 // 2, 1)
-    reps = ordered[sp.poincare._representatives(1, ordered.reshape(len(ordered), 2,
-                                                                   n2 // 2, n2))]
+    reps = ordered[sp.poincare._representatives(1, ordered[:, :n2 // 2], ordered[:, n2 // 2:])]
     ball = sp.EnumerationBall(group, math.sqrt(norms.max() + 0.5), reps)
     assert np.array_equal(ball.elements, ordered)
     swapped = _changed(reps, [-2, -1], reps[[-1, -2]])
@@ -675,9 +671,10 @@ def test_coset_block_of_imprimitive_bottom_halves_is_empty():
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (1, 2, 10.0), (2, 1, 3.0),
                                           (2, 2, 6.0)])
 def test_one_bottom_half_is_completed_per_orbit(monkeypatch, n, N, radius):
-    # brute force: group the full-rank bottom halves by the set of their
-    # images M k; the enumerator completes one of each orbit and makes the
-    # rest of the ball as the products h k of its rows h
+    # brute force: group the bottom halves [-C^T A^T] of the inverses of the
+    # ball's elements by the set of their images M k; the enumerator
+    # completes one of each orbit and makes the rest of the ball as the
+    # products h k of its rows h
     group = CongruenceGroup(n, N)
     ks = group.k_intersection()
     complete, seen, rows = sp.poincare._coset_elements, set(), []
@@ -690,13 +687,74 @@ def test_one_bottom_half_is_completed_per_orbit(monkeypatch, n, N, radius):
     monkeypatch.setattr(sp.poincare, "_coset_elements", counted)
     ball = enumerate_ball(group, radius)
     assert sum(rows) * len(ks) == len(ball)
+    g = ball.elements
+    halves = np.unique(np.concatenate([-np.swapaxes(g[:, n:, :n], 1, 2),
+                                       np.swapaxes(g[:, :n, :n], 1, 2)], axis=2), axis=0)
     orbits: dict = {}
-    for M in sp.poincare._bottom_halves(n, N, sp.poincare._norm_cap(radius)):
-        if np.linalg.matrix_rank(M) == n:
-            orbit = frozenset(img.tobytes() for img in M @ ks)
-            orbits.setdefault(orbit, []).append(M.tobytes() in seen)
-    assert all(len(members) == len(ks) and sum(members) == 1
+    for M in halves:
+        orbit = frozenset(img.tobytes() for img in M @ ks)
+        orbits.setdefault(orbit, []).append(M.tobytes() in seen)
+    assert orbits and all(len(members) == len(ks) and sum(members) == 1
                for members in orbits.values())
+
+
+def brute_bottom_halves(n, N, radius):
+    """Every integer n x 2n M = [0 I] (mod N) with pairwise J-orthogonal rows
+    and |M|^2 <= r^2 - n: the rows from a meshgrid over Z^2n, crossed."""
+    cap = sp.poincare._norm_cap(radius) - n
+    lim = math.isqrt(cap)
+    axis = np.arange(-lim, lim + 1, dtype=np.int64)
+    grid = np.stack(np.meshgrid(*[axis] * (2 * n), indexing="ij"), -1).reshape(-1, 2 * n)
+    grid = grid[np.sum(grid * grid, axis=1) <= cap]
+    eye = np.eye(2 * n, dtype=np.int64)
+    tables = [grid[np.all((grid - eye[n + i]) % N == 0, axis=1)] for i in range(n)]
+    at = np.stack(np.meshgrid(*[np.arange(len(t)) for t in tables], indexing="ij"),
+                  -1).reshape(-1, n)
+    M = np.stack([t[at[:, i]] for i, t in enumerate(tables)], axis=1)
+    ok = np.sum(M * M, axis=(1, 2)) <= cap
+    J = sp.j_matrix(n).astype(np.int64)
+    for a, b in itertools.combinations(range(n), 2):
+        ok &= np.einsum("ki,ij,kj->k", M[:, a], J, M[:, b]) == 0
+    return M[ok]
+
+
+def column_marks(N, M):
+    """The mark on the columns of D - iC of each bottom half M = [C D]."""
+    n = M.shape[2] // 2
+    return sp.poincare._representatives(N, np.swapaxes(M[:, :, n:], 1, 2),
+                                        -np.swapaxes(M[:, :, :n], 1, 2))
+
+
+@pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (1, 2, 10.0), (1, 3, 10.0),
+                                          (2, 1, 3.0), (2, 2, 4.2)])
+def test_sweep_keeps_the_marked_bottom_halves(n, N, radius):
+    # brute force: of the bottom halves of full rank within the radius, the
+    # sweep keeps exactly the marked one of each orbit {M k}, and it can
+    # prune as it grows M because the first rows of a marked M pass the mark
+    every = brute_bottom_halves(n, N, radius)
+    full = every[np.linalg.matrix_rank(every) == n]
+    marked = full[column_marks(N, full)]
+    assert len(marked) * len(CongruenceGroup(n, N).k_intersection()) == len(full)
+    swept = sp.poincare._bottom_halves(n, N, sp.poincare._norm_cap(radius))
+    swept = swept[np.linalg.matrix_rank(swept) == n]
+    assert len(swept) == len(marked) > 0
+    assert {M.tobytes() for M in swept} == {M.tobytes() for M in marked}
+    for i in range(1, n):
+        assert np.all(column_marks(N, marked[:, :i]))
+
+
+@pytest.mark.parametrize("n, N, radius, count, digest", [
+    (1, 1, 40.0, 2365, "a938b8fdb86e4e1534f6e9d2ca3f2a4ff87ddaeecd99e8e9d62f66b40dc702d3"),
+    (2, 1, 4.0, 3525, "bf1c68e8bc26fdc90bdfbd68b00339ead42080a8bc05b719279b03ffdda4eb4e"),
+    (2, 2, 8.0, 4193, "1b2ccb7a51c6c85d8e8292a039624fd7303f967de3141ceaeda95f2ba87e3533"),
+    (2, 3, 10.0, 1113, "40c64f23a121359db06add5f1f2171e8a3088e610f7d304112809f9eb515602a"),
+], ids=["g1-N1-r40", "g2-N1-r4", "g2-N2-r8", "g2-N3-r10"])
+def test_representatives_golden_digests(n, N, radius, count, digest):
+    """The stored rows, which cache archives hold and every series sums,
+    pinned by count and SHA-256 of their little-endian bytes."""
+    reps = enumerate_ball(CongruenceGroup(n, N), radius).representatives
+    assert len(reps) == count
+    assert hashlib.sha256(reps.astype("<i8").tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, N, radius", [(1, 1, 10.0), (2, 1, math.sqrt(7)),
@@ -901,7 +959,7 @@ def test_representatives_pick_one_element_per_orbit(n, N, radius):
                for members in orbits.values())
     assert sum(map(len, orbits.values())) == len(ball)
     assert len(orbits) == len(stored) == len(ball.representatives)
-    marks = sp.poincare._representatives(N, ball.elements.reshape(len(ball), 2, n, 2 * n))
+    marks = sp.poincare._representatives(N, ball.elements[:, :n], ball.elements[:, n:])
     assert np.array_equal(ball.elements[marks], ball.representatives)
 
 
