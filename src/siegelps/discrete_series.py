@@ -44,10 +44,8 @@ class Weight:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_integer(self.n, "genus", DimensionError))
+        object.__setattr__(self, "n", require_integer(self.n, "genus", 1, DimensionError))
         object.__setattr__(self, "m", require_integer(self.m, "weight"))
-        if self.n < 1:
-            raise DimensionError("genus must be a positive integer")
         if self.m <= self.n:
             raise DomainError(f"weight must exceed the genus, got m={self.m}, n={self.n}")
 

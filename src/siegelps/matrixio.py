@@ -23,14 +23,15 @@ def check_finite(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix", dtype=np.float64, square: bool = False) -> np.ndarray:
-    """Coerce to a finite 2-d array of ``dtype`` (a real one refuses nonzero imaginary parts)."""
+    """Coerce to a finite, nonempty 2-d array of ``dtype`` (a real one refuses
+    nonzero imaginary parts), so that nothing is made at genus 0."""
     arr = np.asarray(a)
     to_real = np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating)
     if to_real and np.any(arr.imag):
         raise DomainError(f"{name} has a nonzero imaginary part")
     arr = np.asarray(arr.real if to_real else arr, dtype=dtype)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if arr.ndim != 2 or not arr.size:
+        raise DimensionError(f"{name} must be a nonempty 2-d array, got shape {arr.shape}")
     check_finite(arr, name)
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
@@ -44,15 +45,19 @@ def require_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def require_integer(value, what: str, error=DomainError) -> int:
-    """``value`` as an int, refused with ``error`` unless it equals an integer,
-    so that 8.9, NaN and inf are refused rather than truncated."""
+def require_integer(value, what: str, minimum: int | None = None, error=DomainError) -> int:
+    """``value`` as an int, refused with ``error`` unless it equals an integer
+    of at least ``minimum``: the one rule of every count, power and size, so
+    that 8.9, NaN and inf are refused rather than truncated."""
     try:
-        if int(value) == value:
-            return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):   # int(NaN), int(inf), int(None)
-        pass
-    raise error(f"{what} must be an integer, got {value!r}")
+        number = None
+    if number is None or number != value:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise error(f"{what} must be at least {minimum}, got {number}")
+    return number
 
 
 def require_genus(n: int, **inputs) -> None:
@@ -88,7 +93,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
 def matrix_from_json(obj: dict, name: str = "matrix") -> np.ndarray:
     """Decode the JSON schema; returns float64 or complex128."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = (require_integer(obj[key], f"{name}: {key}", 1, DimensionError)
+                      for key in ("rows", "cols"))
         parts = {key: np.asarray(obj[key], dtype=np.float64) for key in ("re", "im") if key in obj}
         re = parts["re"]
     except (KeyError, TypeError, ValueError) as exc:

@@ -76,16 +76,13 @@ class IntegralResult:
             raise DomainError(f"unknown method tag {self.method!r}")
         if not (self.error_estimate >= 0 and math.isfinite(self.error_estimate)):
             raise DomainError("error estimate must be finite and nonnegative")
-        if int(self.evaluations) < 0:
-            raise DomainError("evaluation count must be nonnegative")
+        object.__setattr__(self, "evaluations",
+                           require_integer(self.evaluations, "evaluation count", 0))
 
 
 def big_m(N: int, n: int) -> float:
     """Concentration level M(N); strictly increasing in N with limit 1."""
-    if require_integer(N, "level") < 1:
-        raise DomainError("level must be a positive integer")
-    if require_integer(n, "genus", DimensionError) < 1:
-        raise DimensionError("genus must be positive")
+    N, n = require_integer(N, "level", 1), require_integer(n, "genus", 1, DimensionError)
     q = 4.0 * n / (float(N) * float(N))
     return 1.0 / (math.sqrt(1.0 + q) + math.sqrt(q)) ** 2
 
@@ -106,8 +103,7 @@ def _vandermonde(x: np.ndarray) -> np.ndarray:
 
 def phi_lm(l: int, weight: Weight, x) -> float:
     """Density prod x^{l/2} (1-x)^{m/2-n-1} times the ordered Vandermonde."""
-    if l < 0:
-        raise DomainError("l must be nonnegative")
+    l = require_integer(l, "l", 0)
     m, n = weight.m, weight.n
     arr = _validate_ordered(x, n)
     val = np.prod(arr ** (l / 2.0)) * np.prod((1.0 - arr) ** (m / 2.0 - n - 1))
@@ -185,8 +181,7 @@ def integral_phi(l: int, weight: Weight, t: float,
     ``evaluations`` counts incomplete betas.  Raises DimensionError above
     MAX_GENUS, and ConvergenceError, carrying the result, over ``tol``.
     """
-    if l < 0:
-        raise DomainError("l must be nonnegative")
+    l = require_integer(l, "l", 0)
     t = float(t)
     if not 0.0 < t <= 1.0:
         raise DomainError(f"t must lie in (0, 1], got {t}")
@@ -341,14 +336,13 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     (closed forms at n <= 2).  A sample's margin d = wts 1[x_1 < M(N)] - wts/2 is
     +-wts/2, so E[d^2] = E[(wts/2)^2] holds at every level: a level costs one masked sum.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    count = require_integer(samples, "sample count", 1)
+    budget = require_integer(budget, "budget", 1)
     if not 0.5 < confidence < 1:
         raise DomainError(f"confidence {confidence} must lie in (0.5, 1)")
     mu, weight = query.mu, query.weight
     n = weight.n
     zq = float(ndtri(confidence))
-    count = int(samples)
     root = math.factorial(n) ** -1.0
 
     while True:
@@ -377,7 +371,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
         except AmbiguousThresholdError:
             if count >= budget:
                 raise
-            count = min(4 * count, int(budget))
+            count = min(4 * count, budget)
     note = "" if n <= MAX_GENUS else "no reference data at this genus; treat as unvalidated"
     rows = tuple((N, *row) for N, row in sorted(rows.items()))
     return GeneralThreshold(n0=n0, confidence=confidence, samples=count, rows=rows, note=note)
@@ -390,10 +384,7 @@ def vanishing_case(l: int, weight: Weight, N: int) -> bool:
     the average unless 4 | (m + 2l); at N = 2 sign matrices force 2 | m.
     From N = 3 on the stabilizer is trivial and nothing vanishes identically.
     """
-    if require_integer(N, "level") < 1:
-        raise DomainError("level must be a positive integer")
-    if l < 0:
-        raise DomainError("l must be nonnegative")
+    N, l = require_integer(N, "level", 1), require_integer(l, "l", 0)
     if N == 1:
         return (weight.m + 2 * l) % 4 != 0
     if N == 2:

@@ -26,7 +26,7 @@ from .discrete_series import (
     pole_terms,
 )
 from .errors import ConvergenceError, DomainError, SamplingError
-from .matrixio import require_genus
+from .matrixio import require_genus, require_integer
 from .nonvanishing import (
     BASE_NODES,
     MAX_DOUBLINGS,
@@ -60,8 +60,9 @@ class FundamentalDomainSpec:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.base_nodes < 4 or self.max_doublings < 1:
-            raise DomainError("grid parameters too small")
+        object.__setattr__(self, "base_nodes", require_integer(self.base_nodes, "base_nodes", 4))
+        object.__setattr__(self, "max_doublings",
+                           require_integer(self.max_doublings, "max_doublings", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +96,7 @@ class DiscriminantForm:
     m = 12
 
     def __init__(self, cutoff: int = 40):
-        if cutoff < 5:
-            raise DomainError("cutoff too small to be useful")
-        self.cutoff = int(cutoff)
+        self.cutoff = require_integer(cutoff, "cutoff", 5)
         self.tau = np.array(_tau_coeffs(self.cutoff), dtype=np.float64)
 
     def __call__(self, z):
@@ -129,8 +128,7 @@ def mc_cmn(weight: Weight, samples: int = CMN_SAMPLES, seed: int = 0) -> Integra
     their real and imaginary parts (closed forms at n <= 2); accepted ones are powered.
     """
     m, n = weight.m, weight.n
-    if samples < 1000:
-        raise DomainError("need at least 1000 samples for a meaningful estimate")
+    samples = require_integer(samples, "sample count", 1000)
     rng = np.random.default_rng(seed)
     entries = n * (n + 1) // 2
     total = total_sq = 0.0
@@ -259,8 +257,7 @@ def verify_coefficients(samples: int = 100, seed: int = 0,
     weight.  ``lhs``/``rhs`` are the closed and lifted values with the worst
     relative difference, at most ``tol`` to pass; a value not finite fails.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample per genus")
+    samples = require_integer(samples, "sample count", 1)
     rng = np.random.default_rng(seed)
     worst, lhs, rhs = 0.0, 0j, 0j
     for n in (1, 2, 3):

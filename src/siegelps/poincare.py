@@ -62,7 +62,6 @@ import functools
 import itertools
 import math
 import os
-import tempfile
 import zipfile
 from dataclasses import dataclass
 
@@ -95,10 +94,8 @@ class CongruenceGroup:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_integer(self.n, "genus"))
-        object.__setattr__(self, "N", require_integer(self.N, "level"))
-        if self.n < 1 or self.N < 1:
-            raise DomainError("genus and level must be positive integers")
+        object.__setattr__(self, "n", require_integer(self.n, "genus", 1))
+        object.__setattr__(self, "N", require_integer(self.N, "level", 1))
 
     def epsilon(self) -> int:
         """Order of the central subgroup {+-I} inside the group."""
@@ -518,15 +515,15 @@ _CACHE_FORMAT = "representatives"   # the archives before it held every element
 
 def save_ball(path: str, ball: EnumerationBall) -> None:
     """Write the ball as a numpy .npz archive (format, representatives, level,
-    radius), atomically: to a temporary file, given the mode ``open()`` gives
-    (0o666 less the umask, not mkstemp's 0o600), that replaces ``path``."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    radius), atomically: to a new file beside ``path``, named for this process
+    and a random suffix, that replaces ``path``.  ``open()`` makes it, so it
+    gets the mode ``open()`` gives, and the process umask is never touched."""
+    tmp = f"{path}.{os.getpid()}-{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "xb")                # refuses a name that exists, so creates it
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             np.savez(fh, format=_CACHE_FORMAT, representatives=ball.representatives,
                      level=ball.group.N, radius=ball.radius)
-        os.umask(umask := os.umask(0o077))   # read by setting it, to a stricter one
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -546,7 +543,7 @@ def load_ball(path: str) -> EnumerationBall:
                            else "elements")
                 if form == _CACHE_FORMAT:
                     arr = data["representatives"]
-                    N, radius = int(data["level"]), float(data["radius"])
+                    N, radius = data["level"].item(), float(data["radius"])
                     n = arr.shape[1] // 2
         # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError)
         except (ValueError, KeyError, IndexError, EOFError, OSError, TypeError,
@@ -717,8 +714,7 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     squared norm at least N^2 + 2n.  A negative r is refused, as is one whose
     bound is not a finite float.
     """
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    samples = require_integer(samples, "sample count", 1)
     n, N = group.n, group.N
     try:
         bound = math.sqrt(2 * n * math.cosh(4 * r))
@@ -729,7 +725,7 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
                           f"with 2n cosh 4r a finite float")
     rng = np.random.default_rng(seed)
     mx = 0.0
-    for _ in range(int(samples)):
+    for _ in range(samples):
         t = rng.uniform(-r, r, size=n)
         tp = rng.uniform(-r, r, size=n)
         gmat = (embed_unitary(haar_unitary(n, rng)).g
@@ -745,6 +741,6 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     min_nc = math.sqrt(float(np.min(noncompact))) if len(noncompact) else math.inf
     passed = mx <= bound * (1 + _PRODUCT_ROUNDING) and bool(np.all(noncompact >= N * N + 2 * n))
     return NormBoundsReport(r=float(r), bound=bound, max_product_norm=mx,
-                            samples=int(samples), level=N, threshold=threshold,
+                            samples=samples, level=N, threshold=threshold,
                             min_noncompact_norm=min_nc, ball_radius=ball_radius,
                             passed=passed)

@@ -24,11 +24,9 @@ _UNIT_POWER = {1: 0, 1j: 1, -1: 2, -1j: 3}     # c -> t with c = i^t
 def _canonical_terms(n, terms):
     canon = {}
     for exps, coeff in terms.items():
-        E = tuple(tuple(int(v) for v in row) for row in exps)
+        E = tuple(tuple(require_integer(v, "exponent", 0) for v in row) for row in exps)
         if len(E) != n or any(len(row) != n for row in E):
             raise DimensionError(f"exponent matrix must be {n}x{n}")
-        if any(v < 0 for row in E for v in row):
-            raise DomainError("exponents must be nonnegative")
         c = complex(coeff)
         if c != 0:
             canon[E] = canon.get(E, 0j) + c
@@ -41,9 +39,7 @@ class MatrixPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=None):
-        n = require_integer(n, "matrix size", DimensionError)
-        if n < 1:
-            raise DimensionError("matrix size must be positive")
+        n = require_integer(n, "matrix size", 1, DimensionError)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", _canonical_terms(n, dict(terms or {})))
 
@@ -58,7 +54,7 @@ class MatrixPolynomial:
 
     @classmethod
     def constant(cls, n: int, c) -> "MatrixPolynomial":
-        n = require_integer(n, "genus", DimensionError)
+        n = require_integer(n, "genus", 1, DimensionError)
         zero_exp = tuple(tuple(0 for _ in range(n)) for _ in range(n))
         return cls(n, {zero_exp: c})
 
@@ -69,8 +65,9 @@ class MatrixPolynomial:
     @classmethod
     def coordinate(cls, n: int, r: int, s: int) -> "MatrixPolynomial":
         """The entry X_{r,s}, indices 1-based."""
-        n = require_integer(n, "genus", DimensionError)
-        if not (1 <= r <= n and 1 <= s <= n):
+        n = require_integer(n, "genus", 1, DimensionError)
+        r, s = (require_integer(i, "coordinate index", 1) for i in (r, s))
+        if max(r, s) > n:
             raise DomainError(f"coordinate indices must lie in 1..{n}")
         exp = [[0] * n for _ in range(n)]
         exp[r - 1][s - 1] = 1
@@ -78,9 +75,7 @@ class MatrixPolynomial:
 
     @classmethod
     def det_power(cls, n: int, power: int) -> "MatrixPolynomial":
-        if power < 0:
-            raise DomainError("determinant power must be nonnegative")
-        return _det_power_cached(n, int(power))
+        return _det_power_cached(n, require_integer(power, "determinant power", 0))
 
     # -- structure ----------------------------------------------------------
 
@@ -186,8 +181,7 @@ class MatrixPolynomial:
         return MatrixPolynomial(self.n, out)
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise DomainError("negative powers are not polynomials")
+        k = require_integer(k, "power", 0)
         out = MatrixPolynomial.one(self.n)
         base = self
         while k:

@@ -31,14 +31,11 @@ COND_MAX = 1e12         # condition cap for Cz + D before acting
 _NAK_TOL = 1e-8         # unitarity defect allowed in the Iwasawa compact residual
 _KAK_GUARD = 1e-6       # KAK reassembly defect per unit of max(1, |g|_F), and the
                         # |t| below which singular values form the unit cluster
-_HAAR_BLOCK = 1 << 11   # matrices per orthonormalization block of haar_unitary
 
 
 def j_matrix(n: int) -> np.ndarray:
     """The standard skew form [[0, I], [-I, 0]]."""
-    n = require_integer(n, "genus", DimensionError)
-    if n < 1:
-        raise DimensionError("genus must be a positive integer")
+    n = require_integer(n, "genus", 1, DimensionError)
     J = np.zeros((2 * n, 2 * n))
     J[:n, n:] = np.eye(n)
     J[n:, :n] = -np.eye(n)
@@ -97,7 +94,7 @@ class SymplecticMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "SymplecticMatrix":
-        return cls(np.eye(2 * require_integer(n, "genus", DimensionError)))
+        return cls(np.eye(2 * require_integer(n, "genus", 1, DimensionError)))
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         require_genus(self.n, other=other)
@@ -145,7 +142,7 @@ class SiegelPoint:
     @classmethod
     def center(cls, n: int) -> "SiegelPoint":
         """The distinguished base point iI."""
-        n = require_integer(n, "genus", DimensionError)
+        n = require_integer(n, "genus", 1, DimensionError)
         return cls(np.zeros((n, n)), np.eye(n))
 
 
@@ -215,7 +212,7 @@ def embed_unitary(u: UnitaryMatrix) -> SymplecticMatrix:
 
 def chi(r: int, u: UnitaryMatrix) -> complex:
     """Character det(u)^r of the compact subgroup."""
-    return complex(np.linalg.det(u.mat) ** int(r))
+    return complex(np.linalg.det(u.mat) ** require_integer(r, "character power"))
 
 
 def _ginibre(rng: np.random.Generator, stack: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -223,22 +220,14 @@ def _ginibre(rng: np.random.Generator, stack: tuple) -> tuple[np.ndarray, np.nda
     return rng.standard_normal(stack), rng.standard_normal(stack)
 
 
-def haar_unitary(n: int, seed, count: int | None = None):
-    """Haar-distributed element of U(n) (Ginibre then QR, phases fixed), or
-    with ``count`` a (count, n, n) array of independent draws.
-
-    The parts are drawn by _ginibre; the stack is orthonormalized in blocks,
-    so the peak stays near twice the output.
-    """
-    n = require_integer(n, "genus", DimensionError)
+def haar_unitary(n: int, seed) -> UnitaryMatrix:
+    """Haar-distributed element of U(n): the parts drawn by _ginibre, then
+    the phase-fixed QR factor, of a stack of one so that the closed forms
+    round as they do on every stack."""
+    n = require_integer(n, "genus", 1, DimensionError)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    stack = (1 if count is None else int(count), n, n)
-    re, im = _ginibre(rng, stack)
-    q = np.empty(stack, dtype=np.complex128)
-    for k in range(0, stack[0], _HAAR_BLOCK):
-        part = slice(k, k + _HAAR_BLOCK)
-        q[part] = _small.gram_schmidt((re[part] + 1j * im[part]) / np.sqrt(2.0))
-    return q if count is not None else UnitaryMatrix(q[0])
+    re, im = _ginibre(rng, (1, n, n))
+    return UnitaryMatrix(_small.gram_schmidt((re + 1j * im) / np.sqrt(2.0))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +277,7 @@ def hyperbolic(t) -> SymplecticMatrix:
 def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
     """Generic element n_x a_y k_u: x uniform symmetric in [-1, 1],
     y = b b^T + 0.3 I with b standard normal, u Haar (drawn in that order)."""
-    n = require_integer(n, "genus", DimensionError)
+    n = require_integer(n, "genus", 1, DimensionError)
     x = rng.uniform(-1.0, 1.0, size=(n, n))
     x = (x + x.T) / 2.0
     b = rng.standard_normal((n, n))

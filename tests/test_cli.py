@@ -322,6 +322,16 @@ def test_non_json_matrix_file_exits_2(capsys, tmp_path):
         assert "error:" in err and "not a JSON matrix file" in err
 
 
+def test_point_file_with_a_non_integral_size_exits_2(capsys, tmp_path):
+    # "rows": 1.5 must not be read as one row
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"rows": 1.5, "cols": 1, "re": [[0.0]], "im": [[1.0]]}))
+    code, out, err = run(capsys, "poincare", "--n", "1", "--N", "1", "--m", "12",
+                         "--point", str(path), "--radius", "5")
+    assert (code, out) == (2, "")
+    assert "point: rows must be an integer, got 1.5" in err
+
+
 def test_poincare_budget_exit_3(capsys, tmp_path):
     path = str(tmp_path / "z.json")
     sp.save_matrix(path, 1j * np.eye(2))
@@ -409,6 +419,20 @@ def test_cache_of_the_old_format_is_refused(capsys, tmp_path):
     assert code == 2
     assert "format 'elements'" in err
     assert os.path.getmtime(path) == stamp
+
+
+def test_cache_of_a_non_integral_level_is_refused(capsys, tmp_path):
+    # level 2.5 must not load as level 2, whose representatives these are
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    ball = sp.enumerate_ball(sp.CongruenceGroup(1, 2), 10.0)
+    with open(cache / "ball_n1_N2_r2_100.bin", "wb") as fh:
+        np.savez(fh, format="representatives", representatives=ball.representatives,
+                 level=2.5, radius=10.0)
+    code, out, err = run(capsys, "poincare", "--n", "1", "--N", "2", "--m", "12", "--z", "i",
+                         "--radius", "10", "--cache-dir", str(cache))
+    assert (code, out) == (2, "")
+    assert "level must be an integer, got 2.5" in err
 
 
 def test_verify_all_fetches_the_pairing_ball_once(capsys, monkeypatch):

@@ -136,6 +136,101 @@ def test_non_integral_genus_level_and_weight_are_refused(call, error, value):
         call(value)
 
 
+_Q = siegelps.ThresholdQuery(_ONE, _W)
+sp = siegelps   # the short name of the other test files
+# entry: (call with the input set to a value, error class, least value or None,
+# whether the integer test is new: the genus and level entries met it before)
+_INTEGER_INPUTS = {
+    "Weight n": (lambda v: sp.Weight(12, v), sp.DimensionError, 1, False),
+    "CongruenceGroup n": (lambda v: sp.CongruenceGroup(v, 2), sp.DomainError, 1, False),
+    "CongruenceGroup N": (lambda v: sp.CongruenceGroup(1, v), sp.DomainError, 1, False),
+    "big_m N": (lambda v: sp.big_m(v, 1), sp.DomainError, 1, False),
+    "big_m n": (lambda v: sp.big_m(2, v), sp.DimensionError, 1, False),
+    "vanishing_case N": (lambda v: sp.vanishing_case(0, _W, v), sp.DomainError, 1, False),
+    "j_matrix": (sp.j_matrix, sp.DimensionError, 1, False),
+    "SymplecticMatrix.identity": (sp.SymplecticMatrix.identity, sp.DimensionError, 1, False),
+    "SiegelPoint.center": (sp.SiegelPoint.center, sp.DimensionError, 1, False),
+    "haar_unitary": (lambda v: sp.haar_unitary(v, 0), sp.DimensionError, 1, False),
+    "random_symplectic": (lambda v: sp.random_symplectic(v, np.random.default_rng(0)),
+                          sp.DimensionError, 1, False),
+    "MatrixPolynomial n": (sp.MatrixPolynomial, sp.DimensionError, 1, False),
+    "MatrixPolynomial.constant": (lambda v: sp.MatrixPolynomial.constant(v, 3),
+                                  sp.DimensionError, 1, False),
+    "MatrixPolynomial.coordinate n": (lambda v: sp.MatrixPolynomial.coordinate(v, 1, 1),
+                                      sp.DimensionError, 1, False),
+    "coordinate r": (lambda v: sp.MatrixPolynomial.coordinate(2, v, 1), sp.DomainError, 1, True),
+    "coordinate s": (lambda v: sp.MatrixPolynomial.coordinate(2, 1, v), sp.DomainError, 1, True),
+    "JSON rows": (lambda v: sp.matrix_from_json({"rows": v, "cols": 1, "re": [[1.0]]}),
+                  sp.DimensionError, 1, True),
+    "JSON cols": (lambda v: sp.matrix_from_json({"rows": 1, "cols": v, "re": [[1.0]]}),
+                  sp.DimensionError, 1, True),
+    "phi_lm l": (lambda v: sp.phi_lm(v, _W, [0.5]), sp.DomainError, 0, True),
+    "integral_phi l": (lambda v: sp.integral_phi(v, _W, 1.0), sp.DomainError, 0, True),
+    "vanishing_case l": (lambda v: sp.vanishing_case(v, _W, 1), sp.DomainError, 0, True),
+    "n0_detl_report l": (lambda v: sp.n0_detl_report(v, _W), sp.DomainError, 0, True),
+    "n0_detl l": (lambda v: sp.n0_detl(v, _W), sp.DomainError, 0, True),
+    "n0_table l": (lambda v: sp.n0_table(1, [v], [12]), sp.DomainError, 0, True),
+    "det_power": (lambda v: sp.MatrixPolynomial.det_power(2, v), sp.DomainError, 0, True),
+    "MatrixPolynomial **": (lambda v: _TWO ** v, sp.DomainError, 0, True),
+    "exponent": (lambda v: sp.MatrixPolynomial(1, {((v,),): 1.0}), sp.DomainError, 0, True),
+    "chi r": (lambda v: sp.chi(v, _U1), sp.DomainError, None, True),
+    "n0_general samples": (lambda v: sp.n0_general(_Q, samples=v), sp.DomainError, 1, True),
+    "n0_general budget": (lambda v: sp.n0_general(_Q, budget=v), sp.DomainError, 1, True),
+    "verify_coefficients samples": (lambda v: sp.verify_coefficients(samples=v),
+                                    sp.DomainError, 1, True),
+    "norm_bounds_check samples": (lambda v: sp.norm_bounds_check(_G1, samples=v),
+                                  sp.DomainError, 1, True),
+    "mc_cmn samples": (lambda v: sp.mc_cmn(_W, samples=v), sp.DomainError, 1000, True),
+    "DiscriminantForm cutoff": (sp.DiscriminantForm, sp.DomainError, 5, True),
+    "FundamentalDomainSpec base_nodes": (lambda v: sp.FundamentalDomainSpec(base_nodes=v),
+                                         sp.DomainError, 4, True),
+    "FundamentalDomainSpec max_doublings": (
+        lambda v: sp.FundamentalDomainSpec(max_doublings=v), sp.DomainError, 1, True),
+    "IntegralResult evaluations": (
+        lambda v: sp.IntegralResult(1.0, 0.0, v, sp.METHOD_MC), sp.DomainError, 0, True),
+}
+_REFUSED = [pytest.param(entry, value, id=f"{entry}-{value}")
+            for entry, (_, _, least, new) in _INTEGER_INPUTS.items()
+            for value in ([8.5, math.nan, math.inf, -math.inf] if new else [])
+            + ([] if least is None else [least - 1])]
+
+
+@pytest.mark.parametrize("entry, value", _REFUSED)
+def test_every_count_power_and_size_follows_the_integer_rule(entry, value):
+    # one rule for every integer input: never truncated, never below its least
+    # value, always refused by the entry's own error class
+    call, error, least, _ = _INTEGER_INPUTS[entry]
+    below = isinstance(value, int)
+    with pytest.raises(error, match=f"must be at least {least}, got {value}$" if below
+                       else "must be an integer, got "):
+        call(value)
+
+
+def test_integral_floats_are_the_integer():
+    u = siegelps.haar_unitary(2, 3)
+    assert (siegelps.MatrixPolynomial.coordinate(2, 1.0, np.int64(2))
+            == siegelps.MatrixPolynomial.coordinate(2, 1, 2))
+    det = siegelps.MatrixPolynomial.det_power
+    assert det(2, 2.0) == det(2, 2) == det(2, 1) ** np.float64(2.0)
+    assert siegelps.chi(3.0, u) == siegelps.chi(3, u)
+    assert siegelps.DiscriminantForm(40.0).cutoff == 40
+    assert siegelps.integral_phi(2.0, _W, 0.5) == siegelps.integral_phi(2, _W, 0.5)
+    assert siegelps.FundamentalDomainSpec(24.0, 4.0) == siegelps.FundamentalDomainSpec()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: siegelps.SiegelPoint(np.zeros((0, 0)), np.zeros((0, 0))),
+    lambda: siegelps.SiegelPoint.from_complex(np.zeros((0, 0))),
+    lambda: siegelps.UnitaryMatrix(np.zeros((0, 0))),
+    lambda: siegelps.SymplecticMatrix(np.zeros((0, 0))),
+    lambda: siegelps.hyperbolic([]),
+], ids=["SiegelPoint", "SiegelPoint.from_complex", "UnitaryMatrix", "SymplecticMatrix",
+        "hyperbolic"])
+def test_nothing_is_made_at_genus_zero(make):
+    with pytest.raises(siegelps.DimensionError, match="must be a nonempty 2-d array"):
+        make()
+
+
 @pytest.mark.parametrize("value", [8, 8.0, np.int64(8), np.int32(8), np.float64(8.0)])
 def test_integral_values_of_any_type_are_accepted(value):
     assert siegelps.Weight(value, 2) == siegelps.Weight(8, 2)

@@ -413,6 +413,27 @@ def test_save_ball_gives_the_mode_open_gives(tmp_path, umask):
     assert mode == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode) == 0o666 & ~umask
 
 
+def test_save_ball_leaves_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is the whole process's: setting it, even for a moment, gives a
+    # file that another thread creates meanwhile the wrong mode
+    ball = enumerate_ball(CongruenceGroup(1, 1), 3.0)
+
+    def umask(mask):
+        raise AssertionError(f"save_ball called os.umask({mask:#o})")
+
+    monkeypatch.setattr(os, "umask", umask)
+    save_ball(str(tmp_path / "ball.bin"), ball)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["ball.bin"]
+    assert np.array_equal(load_ball(str(tmp_path / "ball.bin")).representatives,
+                          ball.representatives)
+    # a failed write removes its own file, and only that
+    monkeypatch.setattr(np, "savez", lambda *args, **kw: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        save_ball(str(tmp_path / "ball.bin"), ball)
+    assert os.listdir(tmp_path) == ["ball.bin"]
+
+
 def test_load_rejects_corruption(tmp_path):
     ball = enumerate_ball(CongruenceGroup(1, 1), 5.0)
     path = str(tmp_path / "ball.bin")

