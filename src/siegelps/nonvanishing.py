@@ -338,6 +338,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     """
     count = require_integer(samples, "sample count", 1)
     budget = require_integer(budget, "budget", 1)
+    seed = require_integer(seed, "seed", 0)
     if not 0.5 < confidence < 1:
         raise DomainError(f"confidence {confidence} must lie in (0.5, 1)")
     mu, weight = query.mu, query.weight

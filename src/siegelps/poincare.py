@@ -409,6 +409,7 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     largest radius that fits.
     """
     r2 = _norm_cap(radius)
+    budget = require_integer(budget, "budget", 1)
     n, N = group.n, group.N
     if n > 2:
         raise DimensionError("exact enumeration is implemented for genus 1 and 2")
@@ -416,7 +417,7 @@ def enumerate_ball(group: CongruenceGroup, radius: float,
     if r2 >= 2 * n:                      # |T|^2, |M|^2 >= n each
         d = 2 * n * n                    # lattice points of norm <= r2 - n in Z^d
         log_size = d / 2 * math.log(math.pi * (r2 - n) / N ** 2) - math.lgamma(d / 2 + 1)
-        log_budget = math.log(max(budget, 1))
+        log_budget = math.log(budget)
         if log_size > log_budget:
             fit = N ** 2 / math.pi * math.exp((log_budget + math.lgamma(d / 2 + 1)) * 2 / d)
             raise BudgetError(
@@ -715,6 +716,8 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
     bound is not a finite float.
     """
     samples = require_integer(samples, "sample count", 1)
+    seed = require_integer(seed, "seed", 0)
+    budget = require_integer(budget, "budget", 1)     # before the samples are drawn
     n, N = group.n, group.N
     try:
         bound = math.sqrt(2 * n * math.cosh(4 * r))

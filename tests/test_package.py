@@ -181,6 +181,16 @@ _INTEGER_INPUTS = {
     "norm_bounds_check samples": (lambda v: sp.norm_bounds_check(_G1, samples=v),
                                   sp.DomainError, 1, True),
     "mc_cmn samples": (lambda v: sp.mc_cmn(_W, samples=v), sp.DomainError, 1000, True),
+    "enumerate_ball budget": (lambda v: sp.enumerate_ball(_G2, 3.0, budget=v),
+                              sp.DomainError, 1, True),
+    "norm_bounds_check budget": (lambda v: sp.norm_bounds_check(_G1, samples=1, budget=v),
+                                 sp.DomainError, 1, True),
+    "mc_cmn seed": (lambda v: sp.mc_cmn(_W, seed=v), sp.DomainError, 0, True),
+    "n0_general seed": (lambda v: sp.n0_general(_Q, seed=v), sp.DomainError, 0, True),
+    "verify_coefficients seed": (lambda v: sp.verify_coefficients(seed=v),
+                                 sp.DomainError, 0, True),
+    "norm_bounds_check seed": (lambda v: sp.norm_bounds_check(_G1, seed=v),
+                               sp.DomainError, 0, True),
     "DiscriminantForm cutoff": (sp.DiscriminantForm, sp.DomainError, 5, True),
     "FundamentalDomainSpec base_nodes": (lambda v: sp.FundamentalDomainSpec(base_nodes=v),
                                          sp.DomainError, 4, True),
@@ -215,7 +225,7 @@ def test_integral_floats_are_the_integer():
     assert siegelps.chi(3.0, u) == siegelps.chi(3, u)
     assert siegelps.DiscriminantForm(40.0).cutoff == 40
     assert siegelps.integral_phi(2.0, _W, 0.5) == siegelps.integral_phi(2, _W, 0.5)
-    assert siegelps.FundamentalDomainSpec(24.0, 4.0) == siegelps.FundamentalDomainSpec()
+    assert siegelps.FundamentalDomainSpec(12.0, 4.0) == siegelps.FundamentalDomainSpec()
 
 
 @pytest.mark.parametrize("make", [

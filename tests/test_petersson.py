@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from siegelps import (
     mc_cmn,
     petersson,
 )
-from siegelps.petersson import Y_MAX
+from siegelps.petersson import X_POINTS, Y_MAX, _grid_value
 
 TAU = (1, -24, 252, -1472, 4830, -6048)
 
@@ -178,6 +179,49 @@ def test_quadrature_convergence_failure_carries_partial():
     partial = exc.value.partial
     assert partial is not None
     assert partial.value.real > 0
+
+
+# <Delta, Delta> = integral of |Delta|^2 y^12 dx dy / y^2 over SL2(Z)\H, twice
+# the normalized pairing: the published value
+DELTA_NORM = 1.035362056804320922e-6
+
+
+def test_delta_norm_and_its_x_aliasing_term():
+    # |Delta|^2 y^10 depends on x, unlike the incomplete-gamma oracle's integrand
+    delta, m = DiscriminantForm(40), 12
+    assert 2.0 * petersson(delta, delta, Weight(m, 1)).value.real == pytest.approx(
+        DELTA_NORM, rel=1e-13)
+    # Mode k of |Delta|^2 at height y is sum_n tau(n) tau(n + k) e^{-2 pi (2n + k) y}.
+    # On x = (j + 1/2)/M - 1/2 the rows' M-point rule adds (-1)^j times modes +-jM,
+    # each integrated against y^10 over the rows' 1 <= y <= Y_MAX.
+    tau = delta.tau
+
+    def rows_integral(a):
+        return gamma(m - 1.0) / a ** (m - 1) * (gammaincc(m - 1.0, a)
+                                                 - gammaincc(m - 1.0, a * Y_MAX))
+
+    exact = sum(2 * (-1) ** j * tau[n - 1] * tau[n + j * X_POINTS - 1]
+                * rows_integral(2 * math.pi * (2 * n + j * X_POINTS))
+                for j in (1, 2) for n in range(1, len(tau) - j * X_POINTS + 1))
+    assert exact != 0.0
+    alias = []
+    _grid_value(delta, delta, m, *np.polynomial.legendre.leggauss(24), alias)
+    assert abs(exact) <= alias[0] < 1e-16 * DELTA_NORM
+
+
+def test_default_pairing_takes_1296_evaluations(ball40, monkeypatch):
+    # grids of 12 and 24 Gauss nodes, each 2 * 8 * k row points and k^2 cap points
+    module, counts = sys.modules["siegelps.petersson"], []
+    real = module.petersson
+
+    def counted(f1, f2, weight, domain=None):
+        points = []
+        res = real(f1, lambda z: points.append(np.size(z)) or f2(z), weight, domain)
+        counts.append((res.evaluations, sum(points)))
+        return res
+    monkeypatch.setattr(module, "petersson", counted)
+    sp.verify_thm93(ball=ball40)
+    assert counts == [(1296, 1296)] * 3
 
 
 # ---------------------------------------------------------------------------
