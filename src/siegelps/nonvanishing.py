@@ -134,6 +134,13 @@ BASE_NODES, MAX_DOUBLINGS = 24, 4   # nodes of the first grid, doublings after i
 _NODES: dict[int, tuple] = {}   # read-only nodes and weights on [-1, 1], by count
 
 
+def _gauss(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached by count."""
+    if nodes not in _NODES:
+        _NODES[nodes] = tuple(map(readonly, np.polynomial.legendre.leggauss(nodes)))
+    return _NODES[nodes]
+
+
 def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES,
                     max_doublings: int = MAX_DOUBLINGS):
     """The package's one quadrature rule: ``rule(x, w)`` over grids of
@@ -142,9 +149,7 @@ def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES,
     (the error), each grid's node count and whether the stop test held."""
     prev, grids = None, [base_nodes * 2 ** k for k in range(max_doublings + 1)]
     for k, nodes in enumerate(grids):
-        if nodes not in _NODES:
-            _NODES[nodes] = tuple(map(readonly, np.polynomial.legendre.leggauss(nodes)))
-        value = rule(*_NODES[nodes])
+        value = rule(*_gauss(nodes))
         if prev is not None:
             change = np.abs(value - prev)
             if np.all(change <= tol * np.maximum(np.abs(value), 1e-30)):

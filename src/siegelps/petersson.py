@@ -4,11 +4,11 @@ the verification battery.
 The quadrature works on the classical fundamental domain |x| <= 1/2,
 |z| >= 1 in three parts: rows at 1 <= y <= Y_SPLIT and, under u = 1/y,
 up to the height cutoff, each on X_POINTS periodic points in x (the
-trapezoid rule), and the cap between the arc and y = 1 on a tensor Gauss
-rule.  Pairings are normalized by the order of the central subgroup, so
-they match the averaged-series identities directly.  The battery behind
-``siegelps verify`` is one ``verify_*`` function per check, each
-returning VerificationReport values.
+trapezoid rule), and the cap between the arc and y = 1 on k Gauss nodes
+in x and k // 2 across its height.  Pairings are normalized by the order
+of the central subgroup, so they match the averaged-series identities
+directly.  The battery behind ``siegelps verify`` is one ``verify_*``
+function per check, each returning VerificationReport values.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .nonvanishing import (
     THRESHOLD_TOL,
     _MC_BLOCK,
     IntegralResult,
+    _gauss,
     _gauss_doubling,
     n0_table,
 )
@@ -56,11 +57,13 @@ class FundamentalDomainSpec:
     """Quadrature grid for the genus-1 fundamental domain, split at height
     Y_SPLIT and cut off at Y_MAX."""
 
-    base_nodes: int = 12
+    base_nodes: int = 10
     max_doublings: int = MAX_DOUBLINGS
     tol: float = 1e-8
 
     def __post_init__(self):
+        if not (self.tol >= 0 and math.isfinite(self.tol)):   # 0 asks for exact agreement
+            raise DomainError(f"tol must be non-negative and finite, got {self.tol}")
         object.__setattr__(self, "base_nodes", require_integer(self.base_nodes, "base_nodes", 4))
         object.__setattr__(self, "max_doublings",
                            require_integer(self.max_doublings, "max_doublings", 1))
@@ -168,10 +171,11 @@ def _grid_value(f1, f2, m: int, yg: np.ndarray, wy: np.ndarray, alias: list):
                         2.0 / (hi + lo + (hi - lo) * yg)])
     W = np.concatenate([0.5 * (Y_SPLIT - 1.0) * wy,
                         0.5 * (hi - lo) * wy * Y[yg.size:] ** 2]) * Y ** (m - 2)
-    # the cap between the arc and y = 1, on the tensor Gauss rule
+    # the cap below y = 1, at most 1 - sqrt(3)/2 tall: k Gauss nodes in x, k // 2 across
+    hg, wh = _gauss(yg.size // 2)
     ylow = np.sqrt(1.0 - 0.25 * yg * yg)[:, None]
-    Yc = 0.5 * (1.0 + ylow) + 0.5 * (1.0 - ylow) * yg
-    cap = 0.25 * (1.0 - ylow) * wy[:, None] * wy * Yc ** (m - 2)
+    Yc = 0.5 * (1.0 + ylow) + 0.5 * (1.0 - ylow) * hg
+    cap = 0.25 * (1.0 - ylow) * wy[:, None] * wh * Yc ** (m - 2)
     Z = np.concatenate([(x + 1j * Y[:, None]).ravel(), (0.5 * yg[:, None] + 1j * Yc).ravel()])
     g = f1(Z) * np.conj(f2(Z))
     rows = g[..., :Y.size * x.size].reshape(g.shape[:-1] + (Y.size, x.size))
@@ -186,13 +190,14 @@ def petersson(f1, f2, weight: Weight,
     eps = 2 is the order of {+-I} in SL2(Z).
 
     ``f1`` and ``f2`` must accept complex arrays and have period 1 in x.  A
-    grid of k Gauss nodes in y takes 2 X_POINTS k + k^2 points (module
+    grid of k Gauss nodes in y takes 2 X_POINTS k + k (k // 2) points (module
     docstring); k doubles until two successive grids agree to the domain
-    tolerance.  The error estimate is the last doubling difference plus the
-    final grid's x-aliasing term.  That term assumes cusp forms of weight m
-    whose coefficients grow at most like n^{m/2}: mode k of f1 conj(f2) at
-    height y is then at most (|k| + 1)^{m/2} e^{-2 pi |k| y} times |f1 f2|,
-    so the rows' rule applied to 2 (X_POINTS + 1)^{m/2} e^{-2 pi X_POINTS y}
+    tolerance: a default pairing takes grids of 10 and 20 nodes, 730 points.
+    The error estimate is the last doubling difference plus the final
+    grid's x-aliasing term.  That term assumes cusp forms of weight m whose
+    coefficients grow at most like n^{m/2}: mode k of f1 conj(f2) at height
+    y is then at most (|k| + 1)^{m/2} e^{-2 pi |k| y} times |f1 f2|, so the
+    rows' rule applied to 2 (X_POINTS + 1)^{m/2} e^{-2 pi X_POINTS y}
     |f1 f2| y^{m-2} bounds the modes +-X_POINTS it aliases.  When ``f2``
     stacks several integrands on a leading axis, each is paired into an
     array of values; the doubling stops once every component has converged,
@@ -207,7 +212,7 @@ def petersson(f1, f2, weight: Weight,
         dom.tol, dom.base_nodes, dom.max_doublings)
     err = float(np.max(change + alias[-1]))
     result = IntegralResult(value=value / eps, error_estimate=err / eps,
-                            evaluations=sum(2 * X_POINTS * k + k * k for k in grids),
+                            evaluations=sum(2 * X_POINTS * k + k * (k // 2) for k in grids),
                             method=METHOD_QUAD)
     if not converged:
         raise ConvergenceError(

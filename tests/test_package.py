@@ -225,7 +225,7 @@ def test_integral_floats_are_the_integer():
     assert siegelps.chi(3.0, u) == siegelps.chi(3, u)
     assert siegelps.DiscriminantForm(40.0).cutoff == 40
     assert siegelps.integral_phi(2.0, _W, 0.5) == siegelps.integral_phi(2, _W, 0.5)
-    assert siegelps.FundamentalDomainSpec(12.0, 4.0) == siegelps.FundamentalDomainSpec()
+    assert siegelps.FundamentalDomainSpec(10.0, 4.0) == siegelps.FundamentalDomainSpec()
 
 
 @pytest.mark.parametrize("make", [

@@ -171,6 +171,12 @@ def test_quadrature_genus_guard_and_validation():
         FundamentalDomainSpec(base_nodes=3)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_domain_tolerance_must_be_non_negative_and_finite(tol):
+    with pytest.raises(DomainError, match="^tol must be non-negative and finite"):
+        FundamentalDomainSpec(tol=tol)
+
+
 def test_quadrature_convergence_failure_carries_partial():
     dom = FundamentalDomainSpec(base_nodes=6, max_doublings=1, tol=0.0)
     delta = DiscriminantForm(40)
@@ -209,8 +215,8 @@ def test_delta_norm_and_its_x_aliasing_term():
     assert abs(exact) <= alias[0] < 1e-16 * DELTA_NORM
 
 
-def test_default_pairing_takes_1296_evaluations(ball40, monkeypatch):
-    # grids of 12 and 24 Gauss nodes, each 2 * 8 * k row points and k^2 cap points
+def test_default_pairing_takes_730_evaluations(ball40, monkeypatch):
+    # grids of 10 and 20 nodes, each 2·8·k row points and k·⌊k/2⌋ cap points
     module, counts = sys.modules["siegelps.petersson"], []
     real = module.petersson
 
@@ -221,7 +227,36 @@ def test_default_pairing_takes_1296_evaluations(ball40, monkeypatch):
         return res
     monkeypatch.setattr(module, "petersson", counted)
     sp.verify_thm93(ball=ball40)
-    assert counts == [(1296, 1296)] * 3
+    assert counts == [(730, 730)] * 3
+
+
+def test_default_grid_parts_clear_the_tolerance(monkeypatch):
+    # Each part of the default 10-node grid (rows at 1 <= y <= 2, u-rows above,
+    # the cap below y = 1) against a 48-node reference, for the cor62 integrand
+    # and a kernel near the arc's corner on the r = 10 ball: within 1e-9 of
+    # |value|, so the first doubling clears the 1e-8 tolerance 10 times over.
+    w, ball = Weight(12, 1), sp.enumerate_ball(sp.CongruenceGroup(1, 1), 10.0)
+    cor62 = sp.series_evaluator_genus1(w, ball, mu=sp.MatrixPolynomial.one(1))
+    kernel = sp.series_evaluator_genus1(
+        w, ball, xi=sp.SiegelPoint.from_complex(np.array([[0.49 + 0.87j]])))
+    delta = DiscriminantForm()
+    parts = {"rows": lambda y: (1 < y) & (y < 2), "u-rows": lambda y: y > 2,
+             "cap": lambda y: y < 1}
+
+    def part(k, inside):
+        def f2(z):
+            return np.stack([cor62(z), kernel(z)]) * inside(np.imag(z))
+        return _grid_value(delta, f2, w.m, *np.polynomial.legendre.leggauss(k), [])
+
+    value = sum(part(48, inside) for inside in parts.values())
+    for name, inside in parts.items():
+        assert np.all(np.abs(part(10, inside) - part(48, inside))
+                      <= 1e-9 * np.abs(value)), name
+    # at k = 20 the cap on k x k/2 nodes is the cap on k x k to rounding
+    half = part(20, parts["cap"])
+    monkeypatch.setattr(sys.modules["siegelps.petersson"], "_gauss",
+                        lambda n: np.polynomial.legendre.leggauss(2 * n))
+    assert np.all(np.abs(part(20, parts["cap"]) - half) <= 1e-14 * np.abs(half))
 
 
 # ---------------------------------------------------------------------------
