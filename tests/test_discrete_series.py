@@ -190,6 +190,19 @@ def test_c_mn_genus_one_closed_form():
         assert sp.c_mn(Weight(m, 1)) == pytest.approx(4 * np.pi / (m - 1), rel=1e-13)
 
 
+def test_c_mn_against_mpmath():
+    # an exact Gamma ladder leaves only the rounding of the float pi power;
+    # a sum of log-Gammas errs by up to 1.5e-13 here (m = 65, n = 4)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for n in range(1, 6):
+            for m in range(2 * n + 1, 80):
+                want = mp.mpf(2) ** (n * (n + 3) // 2) * mp.pi ** (n * (n + 1) // 2)
+                for r in range(1, n + 1):
+                    want *= mp.gamma(m - mp.mpf(n + r) / 2) / mp.gamma(m - mp.mpf(r - 1) / 2)
+                assert abs(sp.c_mn(Weight(m, n)) / want - 1) <= 2e-15, (m, n)
+
+
 def test_c_mn_positive_and_decreasing():
     for n in (2, 3):
         vals = [sp.c_mn(Weight(m, n)) for m in range(2 * n + 1, 2 * n + 8)]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,14 @@ def test_readme_quick_start_runs(capsys):
 
 
 def test_runtime_imports_are_stdlib_numpy_or_scipy():
-    # the package needs nothing at run time beyond numpy and scipy
+    # the package needs nothing at run time beyond numpy and scipy, and scipy
+    # only inside function bodies, so that importing it needs numpy alone
     allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
     for path in sorted(Path(siegelps.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        in_functions = {node for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                        for node in ast.walk(f)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots = {alias.name.split(".")[0] for alias in node.names}
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -49,17 +54,44 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
             else:
                 continue
             assert roots <= allowed, f"{path.name}:{node.lineno} imports {roots - allowed}"
+            assert "scipy" not in roots or node in in_functions, \
+                f"{path.name}:{node.lineno} imports scipy outside a function body"
+
+
+def _fresh(code: str) -> str:
+    # in a fresh interpreter, since this session imports scipy itself
+    path = os.pathsep.join([str(Path(siegelps.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
 def test_import_loads_no_scipy_integrate():
-    # in a fresh interpreter, since this session imports scipy.integrate itself
-    code = ("import sys, siegelps; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
-    path = os.pathsep.join([str(Path(siegelps.__file__).parents[1]),
-                            os.environ.get("PYTHONPATH", "")])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-    assert out.strip() == "[]"
+    # with scipy blocked, every import of it raises: the import, the series,
+    # the ball, the pairing, the coefficients and `siegelps cmn` run on numpy
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        import numpy as np
+        import siegelps as sp
+        from siegelps.cli import main
+        assert sp.verify_cor62(radius=6.0).passed
+        w = sp.Weight(12, 2)
+        z = sp.SiegelPoint.center(2)
+        ball = sp.enumerate_ball(sp.CongruenceGroup(2, 1), 3.0)
+        assert sp.kernel_series(w, ball.group, z, z, 3.0, ball=ball).value != 0
+        g = sp.random_symplectic(2, np.random.default_rng(0))
+        spec = sp.MatrixCoefficientSpec(sp.MatrixPolynomial.one(2), w)
+        assert sp.matrix_coeff_kak(spec, sp.kak_decompose(g)) != 0
+        assert main(["cmn", "--n", "1", "--m", "12"]) == 0
+    """)
+    assert "1.142397328578e+00" in _fresh(code)
+    # unblocked, the threshold integral is what loads scipy.special
+    code = ("import sys, siegelps\n"
+            "before = [m for m in sys.modules if m.startswith('scipy')]\n"
+            "siegelps.integral_phi(0, siegelps.Weight(12, 1), 0.5)\n"
+            "print(before, 'scipy.special' in sys.modules)")
+    assert _fresh(code).split() == ["[]", "True"]
 
 
 _ONE, _TWO = siegelps.MatrixPolynomial.one(1), siegelps.MatrixPolynomial.one(2)
