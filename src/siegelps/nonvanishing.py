@@ -140,13 +140,12 @@ def _gauss(nodes: int) -> tuple:
     return _NODES[nodes]
 
 
-def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES,
-                    max_doublings: int = MAX_DOUBLINGS):
-    """The package's one quadrature rule: ``rule(x, w)`` over grids of
-    base_nodes * 2^k Gauss-Legendre nodes until every component agrees with
-    the grid before to relative ``tol``.  Returns the last value, its change
+def _gauss_doubling(rule, tol: float, base_nodes: int = BASE_NODES):
+    """The package's one quadrature rule: ``rule(x, w)`` over grids of base_nodes
+    * 2^k Gauss-Legendre nodes, k <= MAX_DOUBLINGS, until every component agrees
+    with the grid before to relative ``tol``.  Returns the last value, its change
     (the error), each grid's node count and whether the stop test held."""
-    prev, grids = None, [base_nodes * 2 ** k for k in range(max_doublings + 1)]
+    prev, grids = None, [base_nodes * 2 ** k for k in range(MAX_DOUBLINGS + 1)]
     for k, nodes in enumerate(grids):
         value = rule(*_gauss(nodes))
         if prev is not None:

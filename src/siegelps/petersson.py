@@ -29,7 +29,6 @@ from .discrete_series import (
 from .errors import ConvergenceError, DomainError, SamplingError
 from .matrixio import require_genus, require_integer
 from .nonvanishing import (
-    MAX_DOUBLINGS,
     METHOD_MC,
     METHOD_QUAD,
     REFERENCE_N0,
@@ -50,23 +49,18 @@ CMN_SAMPLES = 10 ** 6   # Monte Carlo samples per estimate of C_{m,n}
 Y_SPLIT = 2.0           # height between the rectangle above y = 1 and the u = 1/y strip
 Y_MAX = 8.0             # height cutoff of the fundamental-domain quadrature
 X_POINTS = 8            # periodic points in x on every row above y = 1
+GRID_TOL = 1e-8         # relative change between two grids that stops the doubling
 
 
 @dataclass(frozen=True)
 class FundamentalDomainSpec:
-    """Quadrature grid for the genus-1 fundamental domain, split at height
-    Y_SPLIT and cut off at Y_MAX."""
+    """The first grid's Gauss nodes in y of the genus-1 pairing; the rest of
+    its rule (heights, periodic points, doublings, GRID_TOL) is constant."""
 
     base_nodes: int = 10
-    max_doublings: int = MAX_DOUBLINGS
-    tol: float = 1e-8
 
     def __post_init__(self):
-        if not (self.tol >= 0 and math.isfinite(self.tol)):   # 0 asks for exact agreement
-            raise DomainError(f"tol must be non-negative and finite, got {self.tol}")
         object.__setattr__(self, "base_nodes", require_integer(self.base_nodes, "base_nodes", 4))
-        object.__setattr__(self, "max_doublings",
-                           require_integer(self.max_doublings, "max_doublings", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +156,8 @@ def mc_cmn(weight: Weight, samples: int = CMN_SAMPLES, seed: int = 0) -> Integra
 # fundamental-domain quadrature
 # ---------------------------------------------------------------------------
 
-def _grid_value(f1, f2, m: int, yg: np.ndarray, wy: np.ndarray, alias: list):
-    """The pairing integral on one grid, from one f1/f2 call; appends its x-aliasing term."""
+def _grid_value(f1, f2, m: int, yg: np.ndarray, wy: np.ndarray, grids: list):
+    """The pairing integral on one grid, from one f1/f2 call; appends (x-aliasing term, points)."""
     # rows on X_POINTS x symmetric about 0: a truncated series is periodic up to its tail
     x = (np.arange(X_POINTS) + 0.5) / X_POINTS - 0.5
     lo, hi = 1.0 / Y_MAX, 1.0 / Y_SPLIT     # y = 1/u above Y_SPLIT
@@ -179,8 +173,8 @@ def _grid_value(f1, f2, m: int, yg: np.ndarray, wy: np.ndarray, alias: list):
     Z = np.concatenate([(x + 1j * Y[:, None]).ravel(), (0.5 * yg[:, None] + 1j * Yc).ravel()])
     g = f1(Z) * np.conj(f2(Z))
     rows = g[..., :Y.size * x.size].reshape(g.shape[:-1] + (Y.size, x.size))
-    alias.append(np.abs(rows).mean(axis=-1) @ (
-        W * 2.0 * (X_POINTS + 1) ** (m / 2) * np.exp(-2.0 * np.pi * X_POINTS * Y)))
+    grids.append((np.abs(rows).mean(axis=-1) @ (
+        W * 2.0 * (X_POINTS + 1) ** (m / 2) * np.exp(-2.0 * np.pi * X_POINTS * Y)), Z.size))
     return rows.mean(axis=-1) @ W + g[..., Y.size * x.size:] @ cap.ravel()
 
 
@@ -189,10 +183,11 @@ def petersson(f1, f2, weight: Weight,
     """Normalized pairing eps^{-1} integral of f1 conj(f2) y^{m-2} dx dy, where
     eps = 2 is the order of {+-I} in SL2(Z).
 
-    ``f1`` and ``f2`` must accept complex arrays and have period 1 in x.  A
-    grid of k Gauss nodes in y takes 2 X_POINTS k + k (k // 2) points (module
-    docstring); k doubles until two successive grids agree to the domain
-    tolerance: a default pairing takes grids of 10 and 20 nodes, 730 points.
+    ``f1`` and ``f2`` must accept complex arrays and have period 1 in x.  The
+    grid's Gauss nodes k in y (module docstring) start at the domain's
+    ``base_nodes`` and double, at most four times, until two grids agree to
+    GRID_TOL relative: a default pairing takes grids of 10 and 20 nodes,
+    730 points, as the grids count them.
     The error estimate is the last doubling difference plus the final
     grid's x-aliasing term.  That term assumes cusp forms of weight m whose
     coefficients grow at most like n^{m/2}: mode k of f1 conj(f2) at height
@@ -206,17 +201,15 @@ def petersson(f1, f2, weight: Weight,
     require_genus(1, weight=weight)   # the quadrature harness is genus-1 only
     dom = domain or FundamentalDomainSpec()
     eps = CongruenceGroup(1, 1).epsilon()     # the quadrature covers SL2(Z)
-    alias = []
-    value, change, grids, converged = _gauss_doubling(
-        lambda yg, wy: _grid_value(f1, f2, weight.m, yg, wy, alias),
-        dom.tol, dom.base_nodes, dom.max_doublings)
-    err = float(np.max(change + alias[-1]))
+    grids = []    # (x-aliasing term, point count) of each grid
+    value, change, _, converged = _gauss_doubling(
+        lambda yg, wy: _grid_value(f1, f2, weight.m, yg, wy, grids), GRID_TOL, dom.base_nodes)
+    err = float(np.max(change + grids[-1][0]))
     result = IntegralResult(value=value / eps, error_estimate=err / eps,
-                            evaluations=sum(2 * X_POINTS * k + k * (k // 2) for k in grids),
-                            method=METHOD_QUAD)
+                            evaluations=sum(count for _, count in grids), method=METHOD_QUAD)
     if not converged:
-        raise ConvergenceError(
-            f"grid doubling stalled at {err:.3e} relative to tolerance {dom.tol}", result)
+        raise ConvergenceError(f"grid doubling stalled at {err / np.max(np.abs(value)):.3e} "
+                               f"relative to tolerance {GRID_TOL:g}", result)
     return result
 
 
@@ -269,8 +262,11 @@ def verify_coefficients(samples: int = 100, seed: int = 0,
     det^2 and X_{1,1} at m = 8.  The direct lift j(g, iI)^{-m} f_{mu,m}(g.iI)
     is the pole form of g at [iI; I], one ``pole_terms`` call per genus and
     weight.  ``lhs``/``rhs`` are the closed and lifted values with the worst
-    relative difference, at most ``tol`` to pass; a value not finite fails.
+    relative difference, at most ``tol`` (positive and finite) to pass; a
+    value not finite fails.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     samples = require_integer(samples, "sample count", 1)
     rng = np.random.default_rng(require_integer(seed, "seed", 0))
     worst, lhs, rhs = 0.0, 0j, 0j

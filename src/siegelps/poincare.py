@@ -447,7 +447,7 @@ def _ball_for(group: CongruenceGroup, radius: float,
 def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> None:
     """The contract of an ``EnumerationBall``'s representatives: membership
     over slices of at most _COSETS rows, the marks, and the strict order by
-    each element's keys of ``_entry_forms``.  The orbits of distinct marked
+    each element's ``_order_keys``.  The orbits of distinct marked
     elements are disjoint, so the ball they make needs no check of its own.
     No product is formed before the entries are known to fit int64."""
     cap = _norm_cap(radius)
@@ -464,17 +464,11 @@ def _validate_ball(group: CongruenceGroup, radius: float, arr: np.ndarray) -> No
     n = n2 // 2
     # on the rows of A + iC, nonzero and distinct as A + iC is invertible
     marked = np.all(_representatives(group.N, arr[:, :n, :n], arr[:, n:, :n]))
-    norms = _squared_norms(arr)
-    top = int(norms.max(initial=0))
-    keys = arr.reshape(len(arr), n2 * n2) @ _entry_forms(arr.shape[1:], top).T
-    # among rows of equal norm the first key that differs must increase
-    ordered = bool(np.all(np.diff(norms) >= 0))
-    tied = np.diff(norms) == 0
-    for key in keys.T:
-        step = np.diff(key)
-        ordered &= not np.any(tied & (step < 0))
-        tied &= step == 0
-    ordered &= not tied.any()
+    keys = np.stack(_order_keys(arr), axis=1)
+    top = int(keys[:, 0].max(initial=0))
+    # a row's first key unequal to the row before's is larger; compared, as a difference can wrap
+    step = (keys[1:] > keys[:-1]).astype(np.int8) - (keys[1:] < keys[:-1])
+    ordered = bool(np.all(_leading(step)[1] > 0))
     if not congruent:
         raise DomainError("enumerated element fails the congruence condition")
     if top > cap:

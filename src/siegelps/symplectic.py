@@ -223,9 +223,11 @@ def _ginibre(rng: np.random.Generator, stack: tuple) -> tuple[np.ndarray, np.nda
 def haar_unitary(n: int, seed) -> UnitaryMatrix:
     """Haar-distributed element of U(n): the parts drawn by _ginibre, then
     the phase-fixed QR factor, of a stack of one so that the closed forms
-    round as they do on every stack."""
+    round as they do on every stack.  ``seed`` is a Generator or an integer
+    seed of at least 0."""
     n = require_integer(n, "genus", 1, DimensionError)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(require_integer(seed, "seed", 0)))
     re, im = _ginibre(rng, (1, n, n))
     return UnitaryMatrix(_small.gram_schmidt((re + 1j * im) / np.sqrt(2.0))[0])
 

@@ -305,6 +305,13 @@ def test_poincare_bad_point(capsys):
     assert "error:" in err
 
 
+def test_poincare_z_beyond_genus_one_exits_2_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "enumerate_ball", lambda *a, **k: pytest.fail("enumerated"))
+    code, _, err = run(capsys, "poincare", "--n", "2", "--N", "1", "--m", "12", "--z", "i")
+    assert code == 2
+    assert "--z takes a scalar" in err
+
+
 def test_poincare_missing_point_file(capsys):
     code, _, err = run(capsys, "poincare", "--n", "2", "--N", "1", "--m", "6",
                        "--point", "no-such-file.json", "--radius", "4")

@@ -234,3 +234,16 @@ def test_kernel_hermitian_symmetry():
     w = Weight(6, 2)
     a, b = random_point(2, rng), random_point(2, rng)
     assert sp.f_kernel(w, a, b) == pytest.approx(np.conj(sp.f_kernel(w, b, a)), rel=1e-12)
+
+
+def test_f_mu_m_refuses_an_ill_conditioned_point():
+    z = SiegelPoint(np.zeros((2, 2)), np.diag([1e13, 1.0]))
+    with pytest.raises(sp.NumericalError, match="too ill-conditioned"):
+        sp.f_mu_m(MatrixPolynomial.one(2), Weight(12, 2), z)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
+def test_verify_coefficients_refuses_a_tolerance_not_positive_and_finite(tol):
+    # inf would pass every element and NaN fail every one
+    with pytest.raises(DomainError, match="^tolerance must be positive and finite"):
+        sp.verify_coefficients(samples=1, tol=tol)

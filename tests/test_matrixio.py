@@ -85,3 +85,8 @@ def test_require_genus_names_each_offending_input():
     for W in (np.zeros((2, 3)), np.zeros(2), 1j):
         with pytest.raises(DimensionError, match=r"^expected genus 2, but W has trailing shape"):
             matrixio.require_genus(2, W=W)
+
+
+def test_as_matrix_refuses_a_rectangle_where_square_is_asked():
+    with pytest.raises(DimensionError, match=r"^matrix must be square, got shape \(2, 3\)"):
+        matrixio.as_matrix(np.zeros((2, 3)), square=True)

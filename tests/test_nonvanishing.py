@@ -108,6 +108,23 @@ def test_haar_unitary_properties():
     assert not np.allclose(u.mat, sp.haar_unitary(3, 8).mat)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: sp.IntegralResult(1.0, 0.0, 1, "bogus"), "^unknown method tag 'bogus'"),
+    (lambda: sp.IntegralResult(1.0, math.nan, 1, sp.METHOD_MC),
+     "^error estimate must be finite and nonnegative"),
+])
+def test_integral_result_refuses_bad_fields(make, match):
+    with pytest.raises(DomainError, match=match):
+        make()
+
+
+def test_threshold_search_stops_at_level_2_to_the_30():
+    levels = []
+    with pytest.raises(DomainError, match="^threshold search exceeded level 2\\^30"):
+        sp.nonvanishing._threshold(lambda N: levels.append(N) or (-1.0, 0.0), 3.0, "never")
+    assert levels == [2 ** k for k in range(31)]
+
+
 # ---------------------------------------------------------------------------
 # the threshold integral
 # ---------------------------------------------------------------------------

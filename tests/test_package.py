@@ -58,6 +58,21 @@ def test_runtime_imports_are_stdlib_numpy_or_scipy():
                 f"{path.name}:{node.lineno} imports scipy outside a function body"
 
 
+def test_every_imported_name_is_used():
+    # a removal leaves no import behind; the package's __init__ imports to export
+    for path in sorted(Path(siegelps.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno} imports {name} unused"
+
+
 def _fresh(code: str) -> str:
     # in a fresh interpreter, since this session imports scipy itself
     path = os.pathsep.join([str(Path(siegelps.__file__).parents[1]),
@@ -223,11 +238,10 @@ _INTEGER_INPUTS = {
                                  sp.DomainError, 0, True),
     "norm_bounds_check seed": (lambda v: sp.norm_bounds_check(_G1, seed=v),
                                sp.DomainError, 0, True),
+    "haar_unitary seed": (lambda v: sp.haar_unitary(2, v), sp.DomainError, 0, True),
     "DiscriminantForm cutoff": (sp.DiscriminantForm, sp.DomainError, 5, True),
     "FundamentalDomainSpec base_nodes": (lambda v: sp.FundamentalDomainSpec(base_nodes=v),
                                          sp.DomainError, 4, True),
-    "FundamentalDomainSpec max_doublings": (
-        lambda v: sp.FundamentalDomainSpec(max_doublings=v), sp.DomainError, 1, True),
     "IntegralResult evaluations": (
         lambda v: sp.IntegralResult(1.0, 0.0, v, sp.METHOD_MC), sp.DomainError, 0, True),
 }
@@ -248,6 +262,15 @@ def test_every_count_power_and_size_follows_the_integer_rule(entry, value):
         call(value)
 
 
+def test_haar_unitary_seed_is_a_generator_or_an_integer():
+    # None would draw from fresh entropy, so no draw could be repeated
+    for seed in (None, "3"):
+        with pytest.raises(siegelps.DomainError, match="^seed must be an integer, got "):
+            siegelps.haar_unitary(2, seed)
+    assert np.array_equal(siegelps.haar_unitary(2, 3).mat,
+                          siegelps.haar_unitary(2, np.random.default_rng(3)).mat)
+
+
 def test_integral_floats_are_the_integer():
     u = siegelps.haar_unitary(2, 3)
     assert (siegelps.MatrixPolynomial.coordinate(2, 1.0, np.int64(2))
@@ -257,7 +280,8 @@ def test_integral_floats_are_the_integer():
     assert siegelps.chi(3.0, u) == siegelps.chi(3, u)
     assert siegelps.DiscriminantForm(40.0).cutoff == 40
     assert siegelps.integral_phi(2.0, _W, 0.5) == siegelps.integral_phi(2, _W, 0.5)
-    assert siegelps.FundamentalDomainSpec(10.0, 4.0) == siegelps.FundamentalDomainSpec()
+    assert siegelps.FundamentalDomainSpec(10.0) == siegelps.FundamentalDomainSpec()
+    assert np.array_equal(siegelps.haar_unitary(2, 3.0).mat, u.mat)
 
 
 @pytest.mark.parametrize("make", [

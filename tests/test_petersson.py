@@ -116,6 +116,23 @@ def test_mc_cmn_validation():
         mc_cmn(Weight(4, 1), samples=10)
 
 
+def test_mc_cmn_refuses_a_box_it_cannot_sample():
+    # at genus 5 the contractions fill too little of the box
+    with pytest.raises(sp.SamplingError, match="acceptance rate"):
+        mc_cmn(Weight(12, 5), samples=1000)
+
+
+def test_verify_thresholds_names_a_mismatched_cell(monkeypatch):
+    with pytest.raises(DomainError, match="^no reference thresholds at genus 3"):
+        sp.verify_thresholds(3)
+    ref = sp.REFERENCE_N0[1]
+    monkeypatch.setitem(sp.REFERENCE_N0, 1, {(0, 6): ref[0, 6], (1, 6): ref[1, 6] + 1})
+    rep = sp.verify_thresholds(1)
+    assert not rep.passed and (rep.lhs, rep.rhs) == (1, 2)
+    assert rep.detail == (f"1/2 cells match the reference; mismatches (l=1,m=6) "
+                          f"got {ref[1, 6]} want {ref[1, 6] + 1}")
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -171,20 +188,17 @@ def test_quadrature_genus_guard_and_validation():
         FundamentalDomainSpec(base_nodes=3)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
-def test_domain_tolerance_must_be_non_negative_and_finite(tol):
-    with pytest.raises(DomainError, match="^tol must be non-negative and finite"):
-        FundamentalDomainSpec(tol=tol)
-
-
 def test_quadrature_convergence_failure_carries_partial():
-    dom = FundamentalDomainSpec(base_nodes=6, max_doublings=1, tol=0.0)
+    # a jump at y = 1.3 inside the rows: Gauss grids up to 160 nodes do not settle on it
     delta = DiscriminantForm(40)
     with pytest.raises(ConvergenceError) as exc:
-        petersson(delta, delta, Weight(12, 1), dom)
+        petersson(delta, lambda z: delta(z) * np.where(z.imag < 1.3, 1.0, 2.0), Weight(12, 1))
     partial = exc.value.partial
-    assert partial is not None
+    assert partial.evaluations == 22010    # the grids of 10, 20, 40, 80 and 160 nodes
     assert partial.value.real > 0
+    rel = partial.error_estimate / abs(partial.value)
+    assert 1e-3 < rel < 1e-1
+    assert str(exc.value) == f"grid doubling stalled at {rel:.3e} relative to tolerance 1e-08"
 
 
 # <Delta, Delta> = integral of |Delta|^2 y^12 dx dy / y^2 over SL2(Z)\H, twice
@@ -210,9 +224,10 @@ def test_delta_norm_and_its_x_aliasing_term():
                 * rows_integral(2 * math.pi * (2 * n + j * X_POINTS))
                 for j in (1, 2) for n in range(1, len(tau) - j * X_POINTS + 1))
     assert exact != 0.0
-    alias = []
-    _grid_value(delta, delta, m, *np.polynomial.legendre.leggauss(24), alias)
-    assert abs(exact) <= alias[0] < 1e-16 * DELTA_NORM
+    grids = []
+    _grid_value(delta, delta, m, *np.polynomial.legendre.leggauss(24), grids)
+    assert abs(exact) <= grids[0][0] < 1e-16 * DELTA_NORM
+    assert grids[0][1] == 2 * X_POINTS * 24 + 24 * 12   # rows, then the cap's k x k // 2
 
 
 def test_default_pairing_takes_730_evaluations(ball40, monkeypatch):

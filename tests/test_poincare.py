@@ -595,6 +595,23 @@ def test_closure_check_with_entries_past_one_key():
             sp.EnumerationBall(group, radius, again)
 
 
+def test_order_check_compares_keys_whose_difference_overflows():
+    # every element is marked at level 3, so two of equal norm may lead with
+    # -16514 and 16525; beside one of norm 1,073,349,371 the digit base is
+    # 65,525 and one key holds all four entries, so the two keys differ by
+    # more than 2^63: the check must compare them, not subtract
+    arr = np.array([[[-16514, -1101], [15, 1]], [[16525, -903], [-183, 10]],
+                    [[32761, 168], [195, 1]]], dtype=np.int64)
+    norms, *keys = sp.poincare._order_keys(arr)
+    assert len(keys) == 1 and norms[0] == norms[1] and norms[2] == 1_073_349_371
+    assert int(keys[0][1]) - int(keys[0][0]) >= 2 ** 63
+    group, radius = CongruenceGroup(1, 3), math.sqrt(norms[2])
+    assert np.array_equal(sp.poincare._canonical_order(arr[[1, 0, 2]]), arr)
+    assert len(sp.EnumerationBall(group, radius, arr)) == 3
+    with pytest.raises(DomainError, match="canonical order"):
+        sp.EnumerationBall(group, radius, arr[[1, 0, 2]])
+
+
 def _entry_order(arr):
     """The canonical order by its reference rule: a lexsort by the squared
     norm, then by every entry."""

@@ -214,3 +214,14 @@ def test_orbit_sum_is_the_substitution_on_symmetric_matrices():
 def test_orbit_sum_refuses_other_matrices(units):
     with pytest.raises((DomainError, sp.DimensionError)):
         MatrixPolynomial.det_power(2, 1).orbit_sum(units, 4)
+
+
+def test_polynomial_shape_immutability_and_constants():
+    with pytest.raises(sp.DimensionError, match="^exponent matrix must be 2x2"):
+        MatrixPolynomial(2, {((1,),): 1.0})
+    one = MatrixPolynomial.one(2)
+    with pytest.raises(AttributeError, match="immutable"):
+        one.n = 3
+    assert MatrixPolynomial.zero(2).degree() == 0
+    with pytest.raises(TypeError):
+        one + 1

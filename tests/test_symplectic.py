@@ -247,3 +247,21 @@ def test_point_fields_are_readonly():
     g = sp.SymplecticMatrix.identity(2)
     with pytest.raises(ValueError):
         g.g[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("t, error, match", [
+    ([1.0], sp.DimensionError, "^t must be a vector of length 2"),
+    ([1.0, -1.0], sp.DomainError, "^singular exponents must be nonnegative"),
+    ([1.0, 2.0], sp.DomainError, "^singular exponents must be sorted in descending order"),
+])
+def test_kak_factors_refuse_bad_exponents(t, error, match):
+    u = sp.UnitaryMatrix(np.eye(2))
+    with pytest.raises(error, match=match):
+        sp.KAKFactors(u, t, u)
+
+
+def test_points_and_unitaries_refuse_bad_parts():
+    with pytest.raises(sp.DimensionError, match="^x and y must have the same shape"):
+        sp.SiegelPoint(np.zeros((2, 2)), np.eye(1))
+    with pytest.raises(sp.DomainError, match="^matrix fails unitarity"):
+        sp.UnitaryMatrix(2.0 * np.eye(2))
