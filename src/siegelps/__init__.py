@@ -92,7 +92,6 @@ from .petersson import (
     FundamentalDomainSpec,
     VerificationReport,
     mc_cmn,
-    petersson,
     verify_cmn,
     verify_coefficients,
     verify_cor62,

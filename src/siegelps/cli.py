@@ -341,7 +341,7 @@ def _pairing_args(args) -> dict:
 # each target: the options it reads, and its reports
 _VERIFY_TARGETS = {
     "table1": ("n tol", lambda args: [verify_thresholds(n, **_given(args, "tol"))
-                                      for n in ([args.n] if args.n else [1, 2])]),
+                                      for n in ([1, 2] if args.n is None else [args.n])]),
     "coeff": ("samples seed",
               lambda args: [verify_coefficients(**_given(args, "samples", "seed"))]),
     "cmn": ("samples seed", lambda args: verify_cmn(**_given(args, "samples", "seed"))),

@@ -44,6 +44,7 @@ from .polynomials import MatrixPolynomial
 from .symplectic import SiegelPoint, kak_decompose, random_symplectic
 
 PAIRING_TOL = 0.02      # relative error allowed in the pairing identities
+COEFF_TOL = 1e-9        # relative error allowed in the coefficient identity
 PAIRING_RADIUS = 40.0   # truncation radius of the averaged series in the pairing checks
 CMN_SAMPLES = 10 ** 6   # Monte Carlo samples per estimate of C_{m,n}
 Y_SPLIT = 2.0           # height between the rectangle above y = 1 and the u = 1/y strip
@@ -253,8 +254,7 @@ def verify_thresholds(n: int, tol: float = THRESHOLD_TOL) -> VerificationReport:
                               passed=not bad, detail=detail)
 
 
-def verify_coefficients(samples: int = 100, seed: int = 0,
-                        tol: float = 1e-9) -> VerificationReport:
+def verify_coefficients(samples: int = 100, seed: int = 0) -> VerificationReport:
     """Cartan closed form of the matrix coefficient against the direct lift.
 
     ``samples`` elements per genus 1, 2, 3 from ``random_symplectic`` with
@@ -262,11 +262,8 @@ def verify_coefficients(samples: int = 100, seed: int = 0,
     det^2 and X_{1,1} at m = 8.  The direct lift j(g, iI)^{-m} f_{mu,m}(g.iI)
     is the pole form of g at [iI; I], one ``pole_terms`` call per genus and
     weight.  ``lhs``/``rhs`` are the closed and lifted values with the worst
-    relative difference, at most ``tol`` (positive and finite) to pass; a
-    value not finite fails.
+    relative difference, at most COEFF_TOL to pass; a value not finite fails.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     samples = require_integer(samples, "sample count", 1)
     rng = np.random.default_rng(require_integer(seed, "seed", 0))
     worst, lhs, rhs = 0.0, 0j, 0j
@@ -287,9 +284,9 @@ def verify_coefficients(samples: int = 100, seed: int = 0,
             worst, lhs, rhs = float(rel[k]), complex(closed[k]), complex(lifted[k])
     return VerificationReport(
         identity="coefficient-identity", lhs=lhs, rhs=rhs, rel_err=worst,
-        error_budget={}, passed=worst <= tol,
+        error_budget={}, passed=worst <= COEFF_TOL,
         detail=f"worst relative difference {worst:.3e} over {3 * 4 * samples} "
-               f"evaluations (tolerance {tol:g})")
+               f"evaluations (tolerance {COEFF_TOL:g})")
 
 
 def verify_cmn(samples: int = CMN_SAMPLES, seed: int = 0) -> list[VerificationReport]:

@@ -94,7 +94,7 @@ class CongruenceGroup:
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_integer(self.n, "genus", 1))
+        object.__setattr__(self, "n", require_integer(self.n, "genus", 1, DimensionError))
         object.__setattr__(self, "N", require_integer(self.N, "level", 1))
 
     def epsilon(self) -> int:
@@ -280,10 +280,6 @@ class EnumerationBall:
 
     def __len__(self) -> int:
         return len(self.representatives) * len(self.group.k_units())
-
-    def norms_squared(self) -> np.ndarray:
-        """The squared norms of ``elements``, in order, without making them."""
-        return np.repeat(_squared_norms(self.representatives), len(self.group.k_units()))
 
     def restrict(self, radius: float) -> "EnumerationBall":
         """The ball of ``radius``: a view of the prefix within its cap, found
@@ -538,17 +534,18 @@ def load_ball(path: str) -> EnumerationBall:
                            else "elements")
                 if form == _CACHE_FORMAT:
                     arr = data["representatives"]
-                    N, radius = data["level"].item(), float(data["radius"])
-                    n = arr.shape[1] // 2
-        # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError)
+                    radius = float(data["radius"])
+                    group = CongruenceGroup(arr.shape[1] // 2, data["level"].item())
+        # a cut payload fails a seek (OSError); a bare .npy has no members (TypeError);
+        # elements of fewer than two rows give genus 0 (DimensionError)
         except (ValueError, KeyError, IndexError, EOFError, OSError, TypeError,
-                zipfile.BadZipFile) as exc:
+                DimensionError, zipfile.BadZipFile) as exc:
             raise DomainError(f"{path}: not a valid ball cache ({exc})") from None
     if form != _CACHE_FORMAT:
         raise DomainError(f"{path}: a ball cache of format {form!r}, which is not read; "
                           f"this version writes and reads format {_CACHE_FORMAT!r}, one "
                           f"element per orbit.  Remove the file to enumerate the ball again")
-    return EnumerationBall(CongruenceGroup(n, N), radius, arr)
+    return EnumerationBall(group, radius, arr)
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +591,14 @@ def _orbit_rule(group: CongruenceGroup, m: int, mu: MatrixPolynomial | None = No
     """(mu, xi, turns): the series over the ball is the sum over (k, factor)
     in ``turns`` of factor times the terms of k g (g when k is None) over
     the representatives g.  A weight-vector series has the turn (None, 1)
-    with mu' (mu itself when only I is in K, so its sums keep their bits),
-    none when mu' is 0.  A kernel series has one turn per distinct eta_k
-    over k modulo +-I, whose factor adds c_k' / c_k over the k' of equal
-    eta_k, doubled for -k when -I is in the group, none when mn is odd
-    there.  The term of g at eta_k is evaluated as c_k^{-1} times the term of
-    k g at xi, whose pole rows are exact, not at a rounded eta_k."""
+    with mu', none when mu' is 0.  A kernel series has one turn per
+    distinct eta_k over k modulo +-I, whose factor adds c_k' / c_k over the
+    k' of equal eta_k, doubled for -k when -I is in the group, none when mn
+    is odd there.  The term of g at eta_k is evaluated as c_k^{-1} times the
+    term of k g at xi, whose pole rows are exact, not at a rounded eta_k."""
     units = group.k_units()
     if xi is None:
-        mu = mu if len(units) == 1 else mu.orbit_sum(units, m)
+        mu = mu.orbit_sum(units, m)
         return mu, None, [] if mu.is_zero() else [(None, 1)]
     sign = group.epsilon()
     if sign == 2 and m * group.n % 2:
@@ -733,7 +729,8 @@ def norm_bounds_check(group: CongruenceGroup, r: float = 0.5, samples: int = 100
         mx = max(mx, float(np.linalg.norm(gmat)))
     threshold = math.sqrt(N * N + 2 * n)
     ball_radius = float(ball_radius) if ball_radius is not None else threshold + 1.0
-    norms = enumerate_ball(group, ball_radius, budget=budget).norms_squared()
+    # k g has the norm of g for k in K, so the representatives hold every norm
+    norms = _squared_norms(enumerate_ball(group, ball_radius, budget=budget).representatives)
     noncompact = norms[norms > 2 * n]         # |g|^2 = 2n exactly on K
     min_nc = math.sqrt(float(np.min(noncompact))) if len(noncompact) else math.inf
     passed = mx <= bound * (1 + _PRODUCT_ROUNDING) and bool(np.all(noncompact >= N * N + 2 * n))

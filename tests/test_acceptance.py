@@ -47,7 +47,7 @@ def test_criterion_2_threshold_table_genus2(capsys):
 def test_criterion_3_matrix_coefficient_identity():
     """Closed Cartan form against the direct lift: 500 seeded elements per
     genus, four polynomial weights, relative error at most 1e-9."""
-    rep = sp.verify_coefficients(samples=500, seed=2024, tol=1e-9)
+    rep = sp.verify_coefficients(samples=500, seed=2024)
     print(rep.detail)
     assert "over 6000 evaluations" in rep.detail
     assert rep.passed and rep.rel_err <= 1e-9, (

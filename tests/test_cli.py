@@ -81,6 +81,14 @@ def test_n0_vanishing_note(capsys):
     assert "level 1 the average vanishes" in out
 
 
+def test_n0_mu_prints_the_note(capsys, monkeypatch):
+    res = sp.GeneralThreshold(n0=4, confidence=0.99, samples=1000, rows=(), note="a note")
+    monkeypatch.setattr(cli, "n0_general", lambda *args, **kwargs: res)
+    code, out, _ = run(capsys, "n0", "--n", "1", "--m", "6", "--mu", "det")
+    assert code == 0
+    assert out.splitlines()[-1] == "note: a note"
+
+
 def test_n0_general_weight(capsys):
     code, out, _ = run(capsys, "n0", "--n", "1", "--m", "6",
                        "--mu", "1", "--samples", "200000", "--format", "json")
@@ -505,6 +513,14 @@ def test_verify_table1_genus1(capsys):
     assert code == 0
     assert "PASS threshold-table-genus1" in out
     assert "104/104" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_verify_table1_at_a_genus_without_reference_exits_2(capsys, n):
+    # --n 0 asks for genus 0 too; it is not read as "every genus"
+    code, out, err = run(capsys, "verify", "table1", "--n", n)
+    assert code == 2 and out == ""
+    assert f"no reference thresholds at genus {n}" in err
 
 
 def test_verify_coeff_small(capsys):

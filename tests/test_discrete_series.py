@@ -104,7 +104,7 @@ def test_radial_coefficient_frozen_value():
 
 def test_coefficient_identity_against_lift():
     # closed Cartan form of the lift versus direct evaluation
-    rep = sp.verify_coefficients(samples=5, seed=34, tol=1e-9)
+    rep = sp.verify_coefficients(samples=5, seed=34)
     assert rep.passed and rep.rel_err <= 1e-9
 
 
@@ -241,9 +241,3 @@ def test_f_mu_m_refuses_an_ill_conditioned_point():
     with pytest.raises(sp.NumericalError, match="too ill-conditioned"):
         sp.f_mu_m(MatrixPolynomial.one(2), Weight(12, 2), z)
 
-
-@pytest.mark.parametrize("tol", [0.0, -1e-9, np.inf, np.nan])
-def test_verify_coefficients_refuses_a_tolerance_not_positive_and_finite(tol):
-    # inf would pass every element and NaN fail every one
-    with pytest.raises(DomainError, match="^tolerance must be positive and finite"):
-        sp.verify_coefficients(samples=1, tol=tol)

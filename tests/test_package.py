@@ -2,9 +2,11 @@
 genus and integer rules shared by every public entry."""
 
 import ast
+import importlib
 import inspect
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -29,6 +31,13 @@ def test_all_matches_namespace():
     public = {name for name, value in vars(siegelps).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(public - set(names)) == []
+
+
+def test_no_package_attribute_shadows_a_submodule():
+    # siegelps.<name> is the submodule <name>, never a name re-exported over it
+    for info in pkgutil.iter_modules(siegelps.__path__):
+        module = importlib.import_module(f"siegelps.{info.name}")
+        assert getattr(siegelps, info.name) is module, info.name
 
 
 def test_readme_quick_start_runs(capsys):
@@ -153,7 +162,8 @@ _MISMATCHES = {   # entry: (call with one input of the wrong genus, that input's
         lambda: siegelps.series_evaluator_genus1(_W, _ball(), mu=_TWO), "mu"),
     "series_evaluator_genus1 xi": (
         lambda: siegelps.series_evaluator_genus1(_W, _ball(), xi=_Z2), "xi"),
-    "petersson": (lambda: siegelps.petersson(None, None, siegelps.Weight(12, 2)), "weight"),
+    "petersson": (lambda: siegelps.petersson.petersson(None, None, siegelps.Weight(12, 2)),
+                  "weight"),
 }
 
 
@@ -168,7 +178,7 @@ def test_genus_mismatch_names_the_input(entry):
 @pytest.mark.parametrize("call, error", [
     (lambda value: siegelps.Weight(value, 2), siegelps.DomainError),
     (lambda value: siegelps.Weight(12, value / 4), siegelps.DimensionError),
-    (lambda value: siegelps.CongruenceGroup(value / 4, 2), siegelps.DomainError),
+    (lambda value: siegelps.CongruenceGroup(value / 4, 2), siegelps.DimensionError),
     (lambda value: siegelps.CongruenceGroup(1, value), siegelps.DomainError),
     (lambda value: siegelps.big_m(value, 1), siegelps.DomainError),
     (lambda value: siegelps.big_m(2, value / 4), siegelps.DimensionError),
@@ -189,7 +199,7 @@ sp = siegelps   # the short name of the other test files
 # whether the integer test is new: the genus and level entries met it before)
 _INTEGER_INPUTS = {
     "Weight n": (lambda v: sp.Weight(12, v), sp.DimensionError, 1, False),
-    "CongruenceGroup n": (lambda v: sp.CongruenceGroup(v, 2), sp.DomainError, 1, False),
+    "CongruenceGroup n": (lambda v: sp.CongruenceGroup(v, 2), sp.DimensionError, 1, False),
     "CongruenceGroup N": (lambda v: sp.CongruenceGroup(1, v), sp.DomainError, 1, False),
     "big_m N": (lambda v: sp.big_m(v, 1), sp.DomainError, 1, False),
     "big_m n": (lambda v: sp.big_m(2, v), sp.DimensionError, 1, False),
@@ -315,9 +325,10 @@ def test_integral_values_of_any_type_are_accepted(value):
     siegelps.MatrixPolynomial.one,
     lambda n: siegelps.MatrixPolynomial.constant(n, 3),
     lambda n: siegelps.MatrixPolynomial.coordinate(n, 1, 2),
+    lambda n: siegelps.CongruenceGroup(n, 3),
 ], ids=["j_matrix", "SymplecticMatrix.identity", "SiegelPoint.center", "haar_unitary",
         "random_symplectic", "MatrixPolynomial.one", "MatrixPolynomial.constant",
-        "MatrixPolynomial.coordinate"])
+        "MatrixPolynomial.coordinate", "CongruenceGroup"])
 def test_genus_constructors_follow_the_integer_rule(make):
     # as for Weight(8, 2.0): an integral float is the genus, any other refused
     assert make(2.0) == make(np.int64(2)) == make(2)

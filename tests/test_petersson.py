@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -18,9 +17,8 @@ from siegelps import (
     FundamentalDomainSpec,
     Weight,
     mc_cmn,
-    petersson,
 )
-from siegelps.petersson import X_POINTS, Y_MAX, _grid_value
+from siegelps.petersson import X_POINTS, Y_MAX, _grid_value, petersson
 
 TAU = (1, -24, 252, -1472, 4830, -6048)
 
@@ -232,7 +230,7 @@ def test_delta_norm_and_its_x_aliasing_term():
 
 def test_default_pairing_takes_730_evaluations(ball40, monkeypatch):
     # grids of 10 and 20 nodes, each 2·8·k row points and k·⌊k/2⌋ cap points
-    module, counts = sys.modules["siegelps.petersson"], []
+    module, counts = sp.petersson, []
     real = module.petersson
 
     def counted(f1, f2, weight, domain=None):
@@ -269,7 +267,7 @@ def test_default_grid_parts_clear_the_tolerance(monkeypatch):
                       <= 1e-9 * np.abs(value)), name
     # at k = 20 the cap on k x k/2 nodes is the cap on k x k to rounding
     half = part(20, parts["cap"])
-    monkeypatch.setattr(sys.modules["siegelps.petersson"], "_gauss",
+    monkeypatch.setattr(sp.petersson, "_gauss",
                         lambda n: np.polynomial.legendre.leggauss(2 * n))
     assert np.all(np.abs(part(20, parts["cap"]) - half) <= 1e-14 * np.abs(half))
 

@@ -30,6 +30,7 @@ from siegelps import (
     save_ball,
 )
 from siegelps.discrete_series import pole_terms
+from siegelps.poincare import _squared_norms
 
 from conftest import random_point
 
@@ -116,7 +117,7 @@ def write_archive(path, reps, level, radius):
 
 
 def test_group_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         CongruenceGroup(0, 1)
     with pytest.raises(DomainError):
         CongruenceGroup(1, 0)
@@ -263,7 +264,7 @@ def test_higher_level_is_congruence_filter():
 
 
 def test_canonical_order_and_center(ball40):
-    norms = ball40.norms_squared()
+    norms = _squared_norms(ball40.elements)
     assert np.all(np.diff(norms) >= 0)
     byteset = as_byte_set(ball40)
     eye = np.eye(2, dtype=np.int64)
@@ -274,7 +275,7 @@ def test_canonical_order_and_center(ball40):
 def test_restrict_equals_direct(ball40):
     direct = enumerate_ball(CongruenceGroup(1, 1), 6.0)
     assert np.array_equal(ball40.restrict(6.0).elements, direct.elements)
-    assert ball40.restrict(1.0).norms_squared().shape == (0,)   # no element fits
+    assert _squared_norms(ball40.restrict(1.0).elements).shape == (0,)   # no element fits
     assert ball40.restrict(1.0).elements.shape == (0, 2, 2)
     with pytest.raises(DomainError):
         ball40.restrict(41.0)
@@ -300,7 +301,7 @@ def test_restrict_and_split_are_views(ball40, n, N, radius):
         assert not part.representatives.flags.writeable
         assert not part.elements.flags.writeable
     assert len(inner) + len(shell) == len(ball)
-    keep = ball.norms_squared() <= math.floor(radius * radius / 4)
+    keep = _squared_norms(ball.elements) <= math.floor(radius * radius / 4)
     assert np.array_equal(inner.elements, ball.elements[keep])
     assert np.array_equal(shell.elements, ball.elements[~keep])
     cut = len(inner.representatives)
@@ -465,6 +466,16 @@ def test_load_rejects_corruption(tmp_path):
         Path(bad).write_bytes(broken)
         with pytest.raises(DomainError):
             load_ball(bad)
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (1, 1, 1)])
+def test_load_refuses_elements_of_genus_zero(shape, tmp_path):
+    # fewer than two rows give genus 0: a bad file, named, not a bad genus
+    path = str(tmp_path / "genus0.bin")
+    write_archive(path, np.zeros(shape, np.int64), 1, 5.0)
+    with pytest.raises(DomainError, match="not a valid ball cache") as info:
+        load_ball(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_load_rejects_broken_invariants(tmp_path):

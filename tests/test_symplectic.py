@@ -87,6 +87,13 @@ def test_action_preserves_positivity():
             assert np.all(evs > 0)
 
 
+def test_act_refuses_an_ill_conditioned_denominator():
+    # J maps Z to -Z^{-1}: Cz + D = -Z, whose condition number is 1e13
+    z = sp.SiegelPoint(np.zeros((2, 2)), np.diag([1e13, 1.0]))
+    with pytest.raises(sp.NumericalError, match="too ill-conditioned to act"):
+        sp.act(sp.SymplecticMatrix(sp.j_matrix(2)), z)
+
+
 def test_embed_unitary_structure():
     rng = np.random.default_rng(16)
     for n in (1, 2, 3):
